@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -75,6 +76,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative numbers for values; a weight
+        # such as -6,6 would otherwise be read as an unknown option.
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"
+        )
+
     # argparse exits with status 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)

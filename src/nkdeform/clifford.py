@@ -2,20 +2,25 @@
 its eight-dimensional spinor representation, and the SU(3)-structure data a
 unit spinor determines.
 
-The generators are the left-multiplication operators of six imaginary
-octonion units on the octonions: signed permutation matrices, skew and
-mutually anticommuting, so every invariant below is checked by exact
-integer/rational matrix identities.  A unit spinor psi determines the
-three-form P and four-form Q through 8 psi psi^T = 1 + P - Q; from these the
-almost complex structure J, the two-form omega = *Q and the eigenspace
-structure of contraction with Q on two-forms all follow and are verified.
-
-Multivectors are indexed by bitmasks over the six generators; coefficient
-arithmetic is ``Fraction`` throughout.
+Multivectors are indexed by bitmasks over the six generators, with
+``Fraction`` coefficients, and multiply by the sparse geometric product
+e_A e_B = s(A, B) e_{A xor B} of bitmap blades (Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*).  The generators act on spinors
+as left multiplications by imaginary octonion units, so every blade is a
+signed permutation of the eight spinor slots.  Because the blades are
+traceless and obey the Clifford relations (checked by ``build_rep``), they
+are a basis of the real 8x8 matrices: identities are checked in the
+algebra, and the trace of a product is 8 times its scalar part.  A unit
+spinor psi determines the three-form P and four-form Q through
+8 psi psi^T = 1 + P - Q; from these the almost complex structure J, the
+two-form omega = *Q and the eigenspace structure of contraction with Q on
+two-forms all follow and are verified.  The dense-matrix route is kept as a
+test oracle (``tests/clifford_oracle.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +34,7 @@ from .errors import (
 )
 
 _F = Fraction
+_ZERO = _F(0)
 
 DIM = 6
 N_BLADES = 1 << DIM
@@ -44,7 +50,8 @@ def _bits(mask):
 
 
 def _merge_sign(a, b):
-    """Sign of e_a ^ e_b when reordering the concatenation (disjoint masks)."""
+    """Sign of reordering the generators of e_a followed by those of e_b into
+    increasing order (a transposition per pair i in a, j in b with i > j)."""
     sign = 1
     for i in _bits(b):
         higher = a >> (i + 1)
@@ -53,9 +60,21 @@ def _merge_sign(a, b):
     return sign
 
 
+@functools.cache
+def _product_signs():
+    """Table s[A][B] of e_A e_B = s[A][B] e_{A xor B}, built on first use."""
+    return tuple(
+        tuple(
+            _merge_sign(a, b) * (-1 if _popcount(a & b) % 2 else 1)
+            for b in range(N_BLADES)
+        )
+        for a in range(N_BLADES)
+    )
+
+
 @dataclass(frozen=True)
 class Multivector:
-    """Element of the 64-dimensional exterior algebra, exact coefficients."""
+    """Element of the 64-dimensional Clifford algebra, exact coefficients."""
 
     coeffs: tuple
 
@@ -82,20 +101,52 @@ class Multivector:
 
     def __add__(self, other):
         return Multivector(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            tuple(a + b if b else a for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other):
         return Multivector(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+            tuple(a - b if b else a for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self):
         return Multivector(tuple(-a for a in self.coeffs))
 
+    def __mul__(self, other):
+        """Geometric (Clifford) product."""
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self._blade_products(other, wedge=False)
+
+    def _blade_products(self, other, wedge):
+        """Sum of a_A b_B e_A e_B over nonzero coefficients; with ``wedge``
+        only over disjoint A, B, where e_A e_B = e_A ^ e_B."""
+        signs = _product_signs()
+        right = [(m, b) for m, b in enumerate(other.coeffs) if b]
+        out = [_ZERO] * N_BLADES
+        for m1, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            row = signs[m1]
+            for m2, b in right:
+                if wedge and m1 & m2:
+                    continue
+                out[m1 ^ m2] += row[m2] * (a * b)
+        return Multivector(tuple(out))
+
+    def scalar_product(self, other):
+        """Scalar part of self * other."""
+        signs = _product_signs()
+        return sum(
+            (signs[m][m] * (a * b)
+             for m, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
+             if a and b),
+            _ZERO,
+        )
+
     def scale(self, k):
         k = _F(k)
-        return Multivector(tuple(k * a for a in self.coeffs))
+        return Multivector(tuple(k * a if a else a for a in self.coeffs))
 
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
@@ -114,15 +165,7 @@ class Multivector:
         )
 
     def wedge(self, other):
-        out = [_F(0)] * N_BLADES
-        for m1, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for m2, b in enumerate(other.coeffs):
-                if b == 0 or (m1 & m2):
-                    continue
-                out[m1 | m2] += a * b * _merge_sign(m1, m2)
-        return Multivector(tuple(out))
+        return self._blade_products(other, wedge=True)
 
     def contract_vector(self, index):
         """Interior product e_index -| self (1-based index, orthonormal)."""
@@ -152,15 +195,6 @@ class Multivector:
             out = out + term.scale(a)
         return out
 
-    def contract_by_oneform(self, alpha):
-        """Interior product alpha -| self for a one-form alpha."""
-        out = Multivector.zero()
-        for i in range(1, DIM + 1):
-            c = alpha.coeffs[1 << (i - 1)]
-            if c != 0:
-                out = out + self.contract_vector(i).scale(c)
-        return out
-
     def star(self):
         """Hodge star with *1 = e_123456 (orthonormal, positive orientation)."""
         out = [_F(0)] * N_BLADES
@@ -179,68 +213,69 @@ class Multivector:
 # Octonion model of the generators
 
 
+def _cayley_dickson_sign(p, q, n):
+    """Sign s with e_p e_q = s e_{p xor q} among the n = 2^k units of the
+    Cayley-Dickson algebra built by (a, b)(c, d) = (ac - conj(d) b,
+    d a + b conj(c)); units below n/2 sit in the first slot."""
+    if n == 1:
+        return 1
+    h = n // 2
+
+    def conj(x):
+        return 1 if x == 0 else -1
+
+    if p < h and q < h:
+        return _cayley_dickson_sign(p, q, h)
+    if p < h:
+        return _cayley_dickson_sign(q - h, p, h)
+    if q < h:
+        return conj(q) * _cayley_dickson_sign(p - h, q, h)
+    return -conj(q - h) * _cayley_dickson_sign(q - h, p - h, h)
+
+
 def _octonion_table():
-    """Structure table o[p][q] = (sign, index) for e_p * e_q, built by the
-    Cayley-Dickson doubling (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c))
-    of the quaternions.  Units 0..3 sit in the first quaternion slot,
-    4..7 in the second."""
-    units = ["1", "i", "j", "k"]
-    signs = {
-        ("1", "1"): (1, "1"),
-        ("1", "i"): (1, "i"),
-        ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"),
-        ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"),
-        ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"),
-        ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"),
-        ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"),
-        ("i", "k"): (-1, "j"),
-    }
-    quat = {
-        (units.index(x), units.index(y)): (s, units.index(u))
-        for (x, y), (s, u) in signs.items()
+    """Structure table o[p][q] = (sign, index) for e_p * e_q: the doubling of
+    the quaternions 1, i, j, k (units 0..3, first slot; 4..7 second)."""
+    return {
+        (p, q): (_cayley_dickson_sign(p, q, 8), p ^ q)
+        for p in range(8)
+        for q in range(8)
     }
 
-    def qconj(x):
-        return (1, 0) if x == 0 else (-1, x)
 
-    table = {}
-    for p in range(8):
-        for q in range(8):
-            if p < 4 and q < 4:
-                s, u = quat[(p, q)]
-                table[(p, q)] = (s, u)
-            elif p < 4 <= q:
-                s, u = quat[(q - 4, p)]
-                table[(p, q)] = (s, u + 4)
-            elif q < 4 <= p:
-                sc, uc = qconj(q)
-                s, u = quat[(p - 4, uc)]
-                table[(p, q)] = (sc * s, u + 4)
-            else:
-                sd, ud = qconj(q - 4)
-                s, u = quat[(ud, p - 4)]
-                table[(p, q)] = (-sd * s, u)
-    return table
+# A signed permutation of the spinor slots is a tuple of eight (i, s) pairs:
+# entry j says that basis spinor j goes to s times basis spinor i, i.e. the
+# matrix has the single nonzero entry s in column j, at row i.
+
+_IDENTITY = tuple((j, 1) for j in range(8))
+_MINUS_IDENTITY = tuple((j, -1) for j in range(8))
 
 
-def _build_gammas():
-    table = _octonion_table()
-    gammas = []
-    for a in range(1, DIM + 1):
-        mat = [[_F(0)] * 8 for _ in range(8)]
-        for col in range(8):
-            sign, row = table[(a, col)]
-            mat[row][col] = _F(sign)
-        gammas.append(tuple(tuple(r) for r in mat))
-    return tuple(gammas)
+def _compose(outer, inner):
+    """The signed permutation ``outer . inner``."""
+    out = []
+    for row, sign in inner:
+        target, sign2 = outer[row]
+        out.append((target, sign * sign2))
+    return tuple(out)
+
+
+def _negate(perm):
+    return tuple((row, -sign) for row, sign in perm)
+
+
+def _transpose(perm):
+    out = [None] * 8
+    for col, (row, sign) in enumerate(perm):
+        out[row] = (col, sign)
+    return tuple(out)
+
+
+def _apply(perm, spinor):
+    out = [None] * 8
+    for (row, sign), x in zip(perm, spinor):
+        out[row] = x if sign > 0 else -x
+    return tuple(out)
 
 
 _GRADE_SYMMETRIC = {0, 3, 4}
@@ -248,106 +283,66 @@ _GRADE_SYMMETRIC = {0, 3, 4}
 
 @dataclass(frozen=True)
 class CliffordRep:
-    """Six generator matrices plus all 64 blade matrices (products in
-    increasing index order) and the trace pairing back to multivectors."""
+    """The 64 blades (products of generators in increasing index order) as
+    signed permutations of the spinor slots, indexed by bitmask."""
 
-    gammas: tuple
     blades: tuple
 
-    @property
-    def vol(self):
-        return self.blades[VOL_MASK]
-
-    def matrix(self, mv):
-        out = [[_F(0)] * 8 for _ in range(8)]
+    def act(self, mv, spinor):
+        """Clifford multiplication of a spinor by a multivector."""
+        out = [_ZERO] * 8
         for mask, a in enumerate(mv.coeffs):
             if a == 0:
                 continue
-            blade = self.blades[mask]
-            for i in range(8):
-                row = blade[i]
-                for j in range(8):
-                    if row[j] != 0:
-                        out[i][j] += a * row[j]
-        return [list(r) for r in out]
-
-    def multivector(self, matrix):
-        """Inverse of :meth:`matrix` via coefficient = Tr(blade^T M)/8."""
-        coeffs = []
-        for mask in range(N_BLADES):
-            blade = self.blades[mask]
-            acc = _F(0)
-            for i in range(8):
-                for j in range(8):
-                    if blade[i][j] != 0:
-                        acc += blade[i][j] * matrix[i][j]
-            coeffs.append(acc / 8)
-        return Multivector(tuple(coeffs))
-
-    def act(self, mv, spinor):
-        return tuple(
-            sum(row[j] * spinor[j] for j in range(8))
-            for row in self.matrix(mv)
-        )
-
-    def act_matrix(self, matrix, spinor):
-        return tuple(
-            sum(row[j] * spinor[j] for j in range(8)) for row in matrix
-        )
+            for (row, sign), x in zip(self.blades[mask], spinor):
+                out[row] += sign * (a * x)
+        return tuple(out)
 
 
 def build_rep():
     """Construct and verify the spinor representation.
 
-    Postconditions (all exact): generators anticommute with square -1, are
-    skew and orthogonal; a blade matrix is symmetric iff its grade is 0, 3
-    or 4; the volume element squares to -1.
+    Postconditions (all exact, on the signed permutations): generators are
+    orthogonal and skew and satisfy e_a e_b + e_b e_a = -2 delta_ab; a blade
+    is symmetric iff its grade is 0, 3 or 4; every blade other than 1 is
+    traceless; the volume element squares to -1.  The Clifford relations
+    and tracelessness make the blades a basis of the 8x8 real matrices.
     """
-    gammas = _build_gammas()
-    blades = [None] * N_BLADES
-    blades[0] = tuple(tuple(row) for row in ratlinalg.identity(8))
+    table = _octonion_table()
+    gammas = [
+        tuple((row, sign) for sign, row in (table[(a, col)] for col in range(8)))
+        for a in range(1, DIM + 1)
+    ]
+    blades = [_IDENTITY]
     for mask in range(1, N_BLADES):
         low = mask & -mask
-        rest = mask ^ low
-        index = low.bit_length() - 1
-        if rest == 0:
-            blades[mask] = gammas[index]
-        else:
-            blades[mask] = tuple(
-                tuple(r)
-                for r in ratlinalg.mat_mul(
-                    [list(r) for r in gammas[index]], [list(r) for r in blades[rest]]
-                )
-            )
-    rep = CliffordRep(gammas, tuple(blades))
+        blades.append(_compose(gammas[low.bit_length() - 1], blades[mask ^ low]))
+    rep = CliffordRep(tuple(blades))
 
-    ident = ratlinalg.identity(8)
-    for a in range(DIM):
-        ga = [list(r) for r in gammas[a]]
-        if ratlinalg.mat_mul(ga, ratlinalg.transpose(ga)) != ident:
+    for a, ga in enumerate(gammas):
+        if sorted(row for row, _ in ga) != list(range(8)):
             raise ConsistencyError("generator %d is not orthogonal" % (a + 1))
-        if ratlinalg.transpose(ga) != ratlinalg.mat_scale(ga, -1):
+        if _transpose(ga) != _negate(ga):
             raise ConsistencyError("generator %d is not skew" % (a + 1))
-        for b in range(DIM):
-            gb = [list(r) for r in gammas[b]]
-            anti = ratlinalg.mat_add(
-                ratlinalg.mat_mul(ga, gb), ratlinalg.mat_mul(gb, ga)
-            )
-            expect = ratlinalg.mat_scale(ident, -2 if a == b else 0)
-            if anti != expect:
+    for a, ga in enumerate(gammas):
+        for b, gb in enumerate(gammas):
+            # A sum of two signed permutations vanishes iff they are negatives.
+            ab, ba = _compose(ga, gb), _compose(gb, ga)
+            if ab != (_MINUS_IDENTITY if a == b else _negate(ba)):
                 raise ConsistencyError(
                     "generators %d, %d violate the Clifford relation"
                     % (a + 1, b + 1)
                 )
-    for mask in range(N_BLADES):
-        blade = [list(r) for r in blades[mask]]
-        symmetric = ratlinalg.transpose(blade) == blade
+    for mask, blade in enumerate(blades):
+        symmetric = _transpose(blade) == blade
         if symmetric != (_popcount(mask) in _GRADE_SYMMETRIC):
             raise ConsistencyError(
                 "blade %#x has wrong transpose symmetry" % mask
             )
-    vol = [list(r) for r in rep.vol]
-    if ratlinalg.mat_mul(vol, vol) != ratlinalg.mat_scale(ident, -1):
+        trace = sum(sign for col, (row, sign) in enumerate(blade) if row == col)
+        if mask and trace:
+            raise ConsistencyError("blade %#x is not traceless" % mask)
+    if _compose(blades[VOL_MASK], blades[VOL_MASK]) != _MINUS_IDENTITY:
         raise ConsistencyError("volume element does not square to -1")
     return rep
 
@@ -367,12 +362,17 @@ def _check_unit(psi):
 def extract_PQ(rep, psi):
     """The unique three-form P and four-form Q with 8 psi psi^T = 1 + P - Q.
 
-    Raises :class:`ConventionError` when psi is not a unit spinor or the
-    rank-one projector has residue outside grades {0, 3, 4}.
+    The blade-A coefficient of 8 psi psi^T is Tr(e_A^T 8 psi psi^T)/8 =
+    <e_A psi, psi>.  Raises :class:`ConventionError` when psi is not a unit
+    spinor or the rank-one projector has residue outside grades {0, 3, 4}.
     """
     _check_unit(psi)
-    m = [[8 * psi[i] * psi[j] for j in range(8)] for i in range(8)]
-    mv = rep.multivector(m)
+    mv = Multivector(
+        tuple(
+            _F(sum(x * y for x, y in zip(_apply(blade, psi), psi)))
+            for blade in rep.blades
+        )
+    )
     if mv.coeffs[0] != 1:
         raise ConventionError("grade-0 part of 8 psi psi^T is %s" % mv.coeffs[0])
     residue = mv - Multivector.scalar(1) - mv.grade_part(3) - mv.grade_part(4)
@@ -385,9 +385,9 @@ def extract_PQ(rep, psi):
     return p, q
 
 
-def _eigenvalue_on(rep, operator, spinor):
-    """Exact eigenvalue of an 8x8 matrix on a given nonzero spinor."""
-    image = rep.act_matrix(operator, spinor)
+def _eigenvalue_on(rep, mv, spinor):
+    """Exact eigenvalue of Clifford multiplication by mv on a nonzero spinor."""
+    image = rep.act(mv, spinor)
     pivot = next(i for i in range(8) if spinor[i] != 0)
     lam = image[pivot] / spinor[pivot]
     if any(image[i] != lam * spinor[i] for i in range(8)):
@@ -408,11 +408,9 @@ def spinor_decomposition_spectra(rep, psi):
     of S = span(psi) + {u.psi} + span(Vol.psi); also verifies that the eight
     vectors spanning those blocks are orthonormal."""
     p, q = extract_PQ(rep, psi)
-    pm = rep.matrix(p)
-    qm = rep.matrix(q)
-    basis = [psi]
-    basis += [rep.act(Multivector.vector(a), psi) for a in range(1, DIM + 1)]
-    basis.append(rep.act_matrix(rep.vol, psi))
+    basis = [tuple(psi)]
+    basis += [_apply(rep.blades[1 << a], psi) for a in range(DIM)]
+    basis.append(_apply(rep.blades[VOL_MASK], psi))
     for i in range(8):
         for j in range(8):
             ip = sum(x * y for x, y in zip(basis[i], basis[j]))
@@ -420,12 +418,12 @@ def spinor_decomposition_spectra(rep, psi):
                 raise ConsistencyError(
                     "spinor blocks are not orthonormal (%d, %d)" % (i, j)
                 )
-    p0 = _eigenvalue_on(rep, pm, basis[0])
-    p6 = _eigenvalue_on(rep, pm, basis[7])
-    q0 = _eigenvalue_on(rep, qm, basis[0])
-    q6 = _eigenvalue_on(rep, qm, basis[7])
-    p1s = {_eigenvalue_on(rep, pm, basis[a]) for a in range(1, 7)}
-    q1s = {_eigenvalue_on(rep, qm, basis[a]) for a in range(1, 7)}
+    p0 = _eigenvalue_on(rep, p, basis[0])
+    p6 = _eigenvalue_on(rep, p, basis[7])
+    q0 = _eigenvalue_on(rep, q, basis[0])
+    q6 = _eigenvalue_on(rep, q, basis[7])
+    p1s = {_eigenvalue_on(rep, p, basis[a]) for a in range(1, 7)}
+    q1s = {_eigenvalue_on(rep, q, basis[a]) for a in range(1, 7)}
     if len(p1s) != 1 or len(q1s) != 1:
         raise ConsistencyError("P or Q is not scalar on the one-form block")
     return SpinorBlockSpectra(
@@ -438,22 +436,16 @@ def complex_structure(rep, psi):
 
     Returns J as a 6x6 exact matrix (columns are images of the basis
     vectors); verifies J^2 = -1, orthogonality, and that the two-form omega
-    defined by Tr(omega . u . v)/8 = -g(u, J v) equals *Q.
+    defined by Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being
+    8 times the scalar part of omega u v.
     """
     _, q = extract_PQ(rep, psi)
-    columns_matrix = ratlinalg.transpose(
-        [list(rep.act(Multivector.vector(b), psi)) for b in range(1, DIM + 1)]
-    )
-    j_cols = []
-    for a in range(1, DIM + 1):
-        target = rep.act_matrix(
-            ratlinalg.mat_mul(
-                [list(r) for r in rep.vol],
-                [list(r) for r in rep.gammas[a - 1]],
-            ),
-            psi,
-        )
-        j_cols.append(ratlinalg.solve(columns_matrix, list(target)))
+    images = [_apply(rep.blades[1 << a], psi) for a in range(DIM)]
+    columns_matrix = ratlinalg.transpose([list(v) for v in images])
+    j_cols = [
+        ratlinalg.solve(columns_matrix, list(_apply(rep.blades[VOL_MASK], v)))
+        for v in images
+    ]
     j = ratlinalg.transpose(j_cols)
     minus_ident = ratlinalg.mat_scale(ratlinalg.identity(DIM), -1)
     if ratlinalg.mat_mul(j, j) != minus_ident:
@@ -461,15 +453,10 @@ def complex_structure(rep, psi):
     if ratlinalg.mat_mul(ratlinalg.transpose(j), j) != ratlinalg.identity(DIM):
         raise IdentityViolationError("complex-structure-orthogonality")
     omega = q.star()
-    omega_matrix = rep.matrix(omega)
     for a in range(1, DIM + 1):
         for b in range(1, DIM + 1):
-            prod = ratlinalg.mat_mul(
-                omega_matrix,
-                [list(r) for r in rep.blades[(1 << (a - 1))]],
-            )
-            prod = ratlinalg.mat_mul(prod, [list(r) for r in rep.blades[1 << (b - 1)]])
-            if ratlinalg.trace(prod) / 8 != -j[a - 1][b - 1]:
+            uv = Multivector.vector(a) * Multivector.vector(b)
+            if omega.scalar_product(uv) != -j[a - 1][b - 1]:
                 raise IdentityViolationError("kahler-form-trace")
     return j
 
@@ -504,6 +491,8 @@ def _random_form(rng, grade):
 def verify_identity_suite(rep, psi, raise_on_failure=True):
     """Run the eight named pointwise identities; each must hold exactly.
 
+    The Clifford-product identities are checked with the geometric product,
+    which the representation matches blade for blade (see :func:`build_rep`).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
@@ -513,32 +502,24 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     star_q = q.star()
     j = complex_structure(rep, psi)
     rng = random.Random(1729)
-
-    def mat(mv):
-        return rep.matrix(mv)
-
-    def commutator(a, b):
-        return ratlinalg.mat_sub(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
-
-    def anticommutator(a, b):
-        return ratlinalg.mat_add(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+    vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
 
     def check_grade_brackets():
         for _ in range(4):
             alpha = _random_form(rng, 1)
             for grade in (1, 2, 3):
                 beta = _random_form(rng, grade)
-                ma, mb = mat(alpha), mat(beta)
-                contr = beta.contract_by_oneform(alpha)
+                contr = alpha.contract(beta)
                 if grade % 2 == 1:
                     comm_expect = alpha.wedge(beta).scale(2)
                     anti_expect = contr.scale(-2)
                 else:
                     comm_expect = contr.scale(-2)
                     anti_expect = alpha.wedge(beta).scale(2)
-                if commutator(ma, mb) != mat(comm_expect):
+                ab, ba = alpha * beta, beta * alpha
+                if ab - ba != comm_expect:
                     return False
-                if anticommutator(ma, mb) != mat(anti_expect):
+                if ab + ba != anti_expect:
                     return False
         return True
 
@@ -554,9 +535,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
 
     def check_kahler_square():
-        lhs = ratlinalg.mat_mul(mat(star_q), mat(star_q))
-        rhs = mat(Multivector.scalar(-3) + q.scale(2))
-        return lhs == rhs
+        return star_q * star_q == Multivector.scalar(-3) + q.scale(2)
 
     def check_holomorphic_contraction():
         for a in range(1, DIM + 1):
@@ -564,35 +543,29 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
             jv = Multivector.zero()
             for b in range(1, DIM + 1):
                 jv = jv + Multivector.vector(b).scale(j[b - 1][a - 1])
-            real = p.contract_by_oneform(v) + star_p.contract_by_oneform(jv)
-            imag = star_p.contract_by_oneform(v) - p.contract_by_oneform(jv)
+            real = v.contract(p) + jv.contract(star_p)
+            imag = v.contract(star_p) - jv.contract(p)
             if not real.is_zero() or not imag.is_zero():
                 return False
         return True
 
     def check_torsion_metric_trace():
-        pm = mat(p)
-        for a in range(1, DIM + 1):
-            xa = anticommutator(mat(Multivector.vector(a)), pm)
-            for b in range(1, DIM + 1):
-                xb = anticommutator(mat(Multivector.vector(b)), pm)
-                value = -ratlinalg.trace(ratlinalg.mat_mul(xa, xb)) / 32
-                if value != (2 if a == b else 0):
+        anti = [e * p + p * e for e in vectors]
+        for a, xa in enumerate(anti):
+            for b, xb in enumerate(anti):
+                trace = 8 * xa.scalar_product(xb)
+                if -trace / 32 != (2 if a == b else 0):
                     return False
         return True
 
     def check_vector_sandwich():
-        forms = [Multivector.vector(b) for b in range(1, DIM + 1)]
+        forms = list(vectors)
         forms.append(_random_form(rng, 1))
         for eps in forms:
-            me = mat(eps)
-            acc = [[_F(0)] * 8 for _ in range(8)]
-            for a in range(1, DIM + 1):
-                ga = [list(r) for r in rep.gammas[a - 1]]
-                acc = ratlinalg.mat_add(
-                    acc, ratlinalg.mat_mul(ga, ratlinalg.mat_mul(me, ga))
-                )
-            if acc != ratlinalg.mat_scale(me, 4):
+            acc = Multivector.zero()
+            for e in vectors:
+                acc = acc + e * eps * e
+            if acc != eps.scale(4):
                 return False
         return True
 
@@ -602,7 +575,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
             pa = p.contract_vector(a)
             correction = correction + pa.wedge(pa)
         rhs = Multivector.scalar(p.norm_sq()) - correction
-        return ratlinalg.mat_mul(mat(p), mat(p)) == mat(rhs)
+        return p * p == rhs
 
     def check_contraction_norm():
         total = sum(p.contract_vector(a).norm_sq() for a in range(1, DIM + 1))
@@ -667,15 +640,6 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
 
 
 _PAIRS_2FORM = [(a, b) for a in range(1, DIM + 1) for b in range(a + 1, DIM + 1)]
-
-
-def _two_form_from_coords(coords):
-    mv = Multivector.zero()
-    for (a, b), c in zip(_PAIRS_2FORM, coords):
-        if c != 0:
-            mask = (1 << (a - 1)) | (1 << (b - 1))
-            mv = mv + Multivector.blade(mask, c)
-    return mv
 
 
 def _two_form_coords(mv):
@@ -769,23 +733,22 @@ def q_contraction_spectrum(rep, psi):
         raise SpectrumError("omega is not an eigenvector of contraction by Q")
 
     j = complex_structure(rep, psi)
-    for v in basis:
+    skews = [_skew_matrix(v) for v in basis]
+    for v, skew in zip(basis, skews):
         projected = ratlinalg.mat_vec(projector, v)
         if projected != v:
             raise SpectrumError("projector does not fix the (-1)-eigenspace")
         if ratlinalg.dot(v, omega_coords) != 0:
             raise SpectrumError("(-1)-eigenvector is not omega-orthogonal")
-        skew = _skew_matrix(v)
         conjugated = ratlinalg.mat_mul(
             ratlinalg.transpose(j), ratlinalg.mat_mul(skew, j)
         )
         if conjugated != skew:
             raise SpectrumError("(-1)-eigenvector has a (2,0)+(0,2) part")
-    for u in basis:
-        for v in basis:
+    for su in skews:
+        for sv in skews:
             bracket = ratlinalg.mat_sub(
-                ratlinalg.mat_mul(_skew_matrix(u), _skew_matrix(v)),
-                ratlinalg.mat_mul(_skew_matrix(v), _skew_matrix(u)),
+                ratlinalg.mat_mul(su, sv), ratlinalg.mat_mul(sv, su)
             )
             coords = _skew_coords(bracket)
             if ratlinalg.mat_vec(op, coords) != [-c for c in coords]:

@@ -180,7 +180,7 @@ class RootData:
         )
 
     def check_weight(self, w):
-        if len(w) != self.num_coords or not all(isinstance(c, int) for c in w):
+        if len(w) != self.num_coords or not all(type(c) is int for c in w):
             raise ValueError(
                 "weight %r does not match algebra %s" % (w, self.factors)
             )

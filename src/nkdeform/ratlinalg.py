@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SpectrumError
+from .errors import ConsistencyError, SpectrumError
 
 
 def _rows(mat):
@@ -154,16 +154,29 @@ def leading_principal_minors(mat):
 def charpoly(mat):
     """Monic characteristic polynomial coefficients [1, c1, ..., cn].
 
-    Faddeev-LeVerrier recursion: p(t) = t^n + c1 t^(n-1) + ... + cn.
+    Faddeev-LeVerrier recursion: p(t) = t^n + c1 t^(n-1) + ... + cn.  It
+    runs on the integer matrix A = d M, d the common denominator of the
+    entries, whose coefficients are d^k c_k and whose divisions by k are
+    exact.
     """
     n = len(mat)
-    a = _rows(mat)
+    rows = _rows(mat)
+    d = 1
+    for row in rows:
+        for x in row:
+            d = d * x.denominator // _gcd(d, x.denominator)
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
     coeffs = [Fraction(1)]
-    m = identity(n)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        ck = -trace(m) / k
-        coeffs.append(ck)
+        tr = trace(m)
+        ck, remainder = divmod(-tr, k)
+        if remainder:
+            raise ConsistencyError(
+                "Faddeev-LeVerrier trace %d is not divisible by %d" % (tr, k)
+            )
+        coeffs.append(Fraction(ck, d**k))
         for i in range(n):
             m[i][i] += ck
     return coeffs

@@ -1,0 +1,275 @@
+"""Dense-matrix oracle for the Clifford layer.
+
+A deliberately separate route used only by the tests: the six generators
+are built as dense 8x8 matrices straight from the octonion structure table,
+every blade as the ordered matrix product of its generators, and the
+identities, P and Q, J and the spectrum of contraction with Q are computed
+by matrix products, traces and Fraction-arithmetic Faddeev-LeVerrier.  It
+shares with the package only the octonion table, the exterior-algebra
+operations of ``Multivector`` (wedge, contraction, Hodge star) and the
+exact linear algebra of ``ratlinalg``; it never uses the geometric product
+or the signed-permutation blades, except in :func:`dense_blades`, which
+checks the latter against the dense ones.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache, reduce
+
+from nkdeform import clifford, ratlinalg
+from nkdeform.clifford import DIM, N_BLADES, VOL_MASK, Multivector
+
+PSI_B = (Fraction(3, 5), Fraction(4, 5)) + (Fraction(0),) * 6
+
+
+@lru_cache(maxsize=None)
+def _gammas():
+    table = clifford._octonion_table()
+    gammas = []
+    for a in range(1, DIM + 1):
+        mat = [[0] * 8 for _ in range(8)]
+        for col in range(8):
+            sign, row = table[(a, col)]
+            mat[row][col] = sign
+        gammas.append(mat)
+    return gammas
+
+
+@lru_cache(maxsize=None)
+def _blades():
+    """Integer blade matrices: products of generators in increasing order."""
+    gammas = _gammas()
+    ident = [[int(i == j) for j in range(8)] for i in range(8)]
+    return tuple(
+        reduce(
+            ratlinalg.mat_mul,
+            [gammas[i] for i in range(DIM) if mask >> i & 1],
+            ident,
+        )
+        for mask in range(N_BLADES)
+    )
+
+
+def perm_matrix(perm):
+    """Dense matrix of a signed permutation ``((row, sign), ...)`` by column."""
+    mat = [[0] * 8 for _ in range(8)]
+    for col, (row, sign) in enumerate(perm):
+        mat[row][col] = sign
+    return mat
+
+
+def dense_blades(rep):
+    """The rep's 64 blades as dense matrices, asserting that each equals the
+    ordered product of the dense generators."""
+    out = []
+    for mask, perm in enumerate(rep.blades):
+        mat = perm_matrix(perm)
+        assert mat == _blades()[mask], "blade %#x" % mask
+        out.append(mat)
+    return out
+
+
+def matrix(mv):
+    out = [[Fraction(0)] * 8 for _ in range(8)]
+    for mask, a in enumerate(mv.coeffs):
+        if a == 0:
+            continue
+        blade = _blades()[mask]
+        for i in range(8):
+            for j in range(8):
+                if blade[i][j]:
+                    out[i][j] += a * blade[i][j]
+    return out
+
+
+def multivector(mat):
+    """Inverse of :func:`matrix` via coefficient = Tr(blade^T M)/8."""
+    coeffs = []
+    for blade in _blades():
+        acc = Fraction(0)
+        for i in range(8):
+            for j in range(8):
+                if blade[i][j]:
+                    acc += blade[i][j] * mat[i][j]
+        coeffs.append(acc / 8)
+    return Multivector(tuple(coeffs))
+
+
+def act_matrix(mat, spinor):
+    return tuple(sum(row[j] * spinor[j] for j in range(8)) for row in mat)
+
+
+def _commutator(a, b):
+    return ratlinalg.mat_sub(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+
+
+def _anticommutator(a, b):
+    return ratlinalg.mat_add(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+
+
+def extract_PQ(psi):
+    """P and Q from the blade expansion of the matrix 8 psi psi^T."""
+    mv = multivector([[8 * psi[i] * psi[j] for j in range(8)] for i in range(8)])
+    assert mv.coeffs[0] == 1
+    residue = mv - Multivector.scalar(1) - mv.grade_part(3) - mv.grade_part(4)
+    assert residue.is_zero()
+    return mv.grade_part(3), -mv.grade_part(4)
+
+
+def complex_structure(psi):
+    """J from (J u) . psi = Vol . u . psi with dense matrices, checking the
+    Kahler-form trace Tr(omega . e_a . e_b)/8 = -J_ab by a matrix trace."""
+    _, q = extract_PQ(psi)
+    gammas = _gammas()
+    vol = _blades()[VOL_MASK]
+    columns = ratlinalg.transpose([list(act_matrix(g, psi)) for g in gammas])
+    j = ratlinalg.transpose(
+        [
+            ratlinalg.solve(
+                columns, list(act_matrix(ratlinalg.mat_mul(vol, g), psi))
+            )
+            for g in gammas
+        ]
+    )
+    omega = matrix(q.star())
+    for a in range(DIM):
+        for b in range(DIM):
+            prod = ratlinalg.mat_mul(ratlinalg.mat_mul(omega, gammas[a]), gammas[b])
+            assert ratlinalg.trace(prod) / 8 == -j[a][b]
+    return j
+
+
+def identity_suite(psi):
+    """The eight identities of ``clifford.verify_identity_suite`` with every
+    Clifford product taken as a matrix product; returns (name, passed)."""
+    p, q = extract_PQ(psi)
+    star_p, star_q = p.star(), q.star()
+    j = complex_structure(psi)
+    rng = random.Random(1729)
+    gammas = _gammas()
+    vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
+
+    def grade_brackets():
+        for _ in range(4):
+            alpha = clifford._random_form(rng, 1)
+            for grade in (1, 2, 3):
+                beta = clifford._random_form(rng, grade)
+                ma, mb = matrix(alpha), matrix(beta)
+                contr = alpha.contract(beta)
+                wedge = alpha.wedge(beta).scale(2)
+                if grade % 2 == 1:
+                    comm_expect, anti_expect = wedge, contr.scale(-2)
+                else:
+                    comm_expect, anti_expect = contr.scale(-2), wedge
+                if _commutator(ma, mb) != matrix(comm_expect):
+                    return False
+                if _anticommutator(ma, mb) != matrix(anti_expect):
+                    return False
+        return True
+
+    def degree_identities():
+        lhs1 = lhs2 = Multivector.zero()
+        for a, e in enumerate(vectors, start=1):
+            lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a))
+            lhs2 = lhs2 + e.wedge(-star_p.contract_vector(a) - e.wedge(star_q))
+        return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
+
+    def kahler_square():
+        lhs = ratlinalg.mat_mul(matrix(star_q), matrix(star_q))
+        return lhs == matrix(Multivector.scalar(-3) + q.scale(2))
+
+    def holomorphic_contraction():
+        for a, v in enumerate(vectors):
+            jv = Multivector.zero()
+            for b, e in enumerate(vectors):
+                jv = jv + e.scale(j[b][a])
+            real = v.contract(p) + jv.contract(star_p)
+            imag = v.contract(star_p) - jv.contract(p)
+            if not real.is_zero() or not imag.is_zero():
+                return False
+        return True
+
+    def torsion_metric_trace():
+        pm = matrix(p)
+        anti = [_anticommutator(g, pm) for g in gammas]
+        for a in range(DIM):
+            for b in range(DIM):
+                value = -ratlinalg.trace(ratlinalg.mat_mul(anti[a], anti[b])) / 32
+                if value != (2 if a == b else 0):
+                    return False
+        return True
+
+    def vector_sandwich():
+        forms = vectors + [clifford._random_form(rng, 1)]
+        for eps in forms:
+            me = matrix(eps)
+            acc = [[Fraction(0)] * 8 for _ in range(8)]
+            for g in gammas:
+                acc = ratlinalg.mat_add(
+                    acc, ratlinalg.mat_mul(g, ratlinalg.mat_mul(me, g))
+                )
+            if acc != ratlinalg.mat_scale(me, 4):
+                return False
+        return True
+
+    def three_form_square():
+        correction = Multivector.zero()
+        for a in range(1, DIM + 1):
+            pa = p.contract_vector(a)
+            correction = correction + pa.wedge(pa)
+        rhs = Multivector.scalar(p.norm_sq()) - correction
+        return ratlinalg.mat_mul(matrix(p), matrix(p)) == matrix(rhs)
+
+    def contraction_norm():
+        total = sum(p.contract_vector(a).norm_sq() for a in range(1, DIM + 1))
+        return total == 3 * p.norm_sq()
+
+    checks = [
+        ("grade-brackets", grade_brackets),
+        ("degree-identities", degree_identities),
+        ("kahler-square", kahler_square),
+        ("holomorphic-contraction", holomorphic_contraction),
+        ("torsion-metric-trace", torsion_metric_trace),
+        ("vector-sandwich", vector_sandwich),
+        ("three-form-square", three_form_square),
+        ("contraction-norm", contraction_norm),
+    ]
+    return [(name, bool(fn())) for name, fn in checks]
+
+
+def charpoly(mat):
+    """Faddeev-LeVerrier in Fraction arithmetic: [1, c1, ..., cn]."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeffs = [Fraction(1)]
+    m = ratlinalg.identity(n)
+    for k in range(1, n + 1):
+        m = ratlinalg.mat_mul(a, m)
+        ck = -ratlinalg.trace(m) / k
+        coeffs.append(ck)
+        for i in range(n):
+            m[i][i] += ck
+    return coeffs
+
+
+def q_spectrum(psi):
+    """Eigenvalues, eigenspace dimensions and omega eigenvalue of
+    beta -> beta -| Q on two-forms, for Q from :func:`extract_PQ`."""
+    _, q = extract_PQ(psi)
+    pairs = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
+    masks = [(1 << a) | (1 << b) for a, b in pairs]
+    op = ratlinalg.transpose(
+        [[Multivector.blade(m).contract(q).coeffs[k] for k in masks] for m in masks]
+    )
+    n = len(op)
+    roots = ratlinalg.rational_roots(charpoly(op))
+    entries = []
+    for lam in sorted(roots):
+        shifted = ratlinalg.mat_sub(op, ratlinalg.mat_scale(ratlinalg.identity(n), lam))
+        entries.append((lam, n - ratlinalg.rank(shifted)))
+    omega = [q.star().coeffs[k] for k in masks]
+    image = ratlinalg.mat_vec(op, omega)
+    pivot = next(i for i in range(n) if omega[i] != 0)
+    omega_eig = image[pivot] / omega[pivot]
+    assert image == [omega_eig * c for c in omega]
+    return tuple(entries), omega_eig

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -140,6 +141,29 @@ def test_clifford_verify_json():
     assert doc["result"]["all_passed"] is True
     assert doc["result"]["su3_eigenspace_dimension"] == 8
     assert doc["result"]["p_norm_sq"] == {"num": 4, "den": 1}
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fmt, golden", [("text", "clifford_verify.txt"), ("json", "clifford_verify.json")]
+)
+def test_clifford_verify_matches_golden_output(fmt, golden):
+    code, out = run(["clifford-verify", "--format", fmt])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_weights_as_separate_arguments(fmt):
+    joined = ["tensor", "--algebra", "u1u1", "--a=-6,6", "--b=-3,2", "--format", fmt]
+    separate = ["tensor", "--algebra", "u1u1", "--a", "-6,6", "--b", "-3,2", "--format", fmt]
+    code_joined, out_joined = run(joined)
+    code_separate, out_separate = run(separate)
+    assert code_joined == code_separate == 0
+    assert out_separate == out_joined
+    assert "-9" in out_separate
 
 
 def test_fixtures_option(tmp_path):

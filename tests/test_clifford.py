@@ -4,54 +4,58 @@ import pytest
 
 from nkdeform import clifford, ratlinalg
 from nkdeform.clifford import Multivector
-from nkdeform.errors import ConventionError
+from nkdeform.errors import ConsistencyError, ConventionError
+
+import clifford_oracle as oracle
 
 PSI = clifford.STANDARD_SPINOR
 # further exact unit spinors for invariance spot checks
-PSI_B = (F(3, 5), F(4, 5), F(0), F(0), F(0), F(0), F(0), F(0))
+PSI_B = oracle.PSI_B
 PSI_C = (F(1, 2), F(1, 2), F(1, 2), F(0), F(0), F(0), F(1, 2), F(0))
 
 
 def test_generator_relations(rep):
     ident = ratlinalg.identity(8)
+    blades = oracle.dense_blades(rep)
     for a in range(6):
-        ga = [list(r) for r in rep.gammas[a]]
+        ga = blades[1 << a]
         assert ratlinalg.mat_mul(ga, ga) == ratlinalg.mat_scale(ident, -1)
         assert ratlinalg.transpose(ga) == ratlinalg.mat_scale(ga, -1)
         for b in range(a + 1, 6):
-            gb = [list(r) for r in rep.gammas[b]]
+            gb = blades[1 << b]
             assert ratlinalg.mat_mul(ga, gb) == ratlinalg.mat_scale(
                 ratlinalg.mat_mul(gb, ga), -1
             )
 
 
 def test_blade_transpose_symmetry_by_grade(rep):
+    blades = oracle.dense_blades(rep)
     for mask in range(64):
-        blade = [list(r) for r in rep.blades[mask]]
+        blade = blades[mask]
         grade = bin(mask).count("1")
         symmetric = ratlinalg.transpose(blade) == blade
         assert symmetric == (grade in (0, 3, 4))
 
 
 def test_volume_squares_to_minus_one(rep):
-    vol = [list(r) for r in rep.vol]
+    vol = oracle.dense_blades(rep)[0b111111]
     assert ratlinalg.mat_mul(vol, vol) == ratlinalg.mat_scale(
         ratlinalg.identity(8), -1
     )
 
 
 def test_example_blade_symmetry(rep):
-    e123 = rep.blades[0b000111]
-    assert ratlinalg.transpose([list(r) for r in e123]) == [list(r) for r in e123]
+    e123 = oracle.dense_blades(rep)[0b000111]
+    assert ratlinalg.transpose(e123) == e123
 
 
-def test_matrix_multivector_round_trip(rep):
+def test_matrix_multivector_round_trip():
     import random
 
     rng = random.Random(3)
     coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(64)]
     mv = Multivector(tuple(coeffs))
-    assert rep.multivector(rep.matrix(mv)) == mv
+    assert oracle.multivector(oracle.matrix(mv)) == mv
 
 
 def test_hodge_star_involution_signs():
@@ -85,9 +89,9 @@ def test_extract_pq(rep):
     assert q.norm_sq() == 3
 
 
-def test_extract_pq_grade_zero_is_one(rep):
+def test_extract_pq_grade_zero_is_one():
     m = [[8 * PSI[i] * PSI[j] for j in range(8)] for i in range(8)]
-    mv = rep.multivector(m)
+    mv = oracle.multivector(m)
     assert mv.coeffs[0] == 1
     for mask in range(1, 64):
         if bin(mask).count("1") in (1, 2, 5, 6):
@@ -143,24 +147,25 @@ def test_identity_suite_all_pass(rep):
 
 def test_kahler_square_exact_matrices(rep):
     _, q = clifford.extract_PQ(rep, PSI)
-    lhs = ratlinalg.mat_mul(rep.matrix(q.star()), rep.matrix(q.star()))
-    rhs = rep.matrix(Multivector.scalar(-3) + q.scale(2))
+    lhs = ratlinalg.mat_mul(oracle.matrix(q.star()), oracle.matrix(q.star()))
+    rhs = oracle.matrix(Multivector.scalar(-3) + q.scale(2))
     assert lhs == rhs
 
 
 def test_torsion_metric_trace_diagonal_value(rep):
     p, _ = clifford.extract_PQ(rep, PSI)
-    pm = rep.matrix(p)
-    x = rep.matrix(Multivector.vector(1))
+    pm = oracle.matrix(p)
+    x = oracle.matrix(Multivector.vector(1))
     anti = ratlinalg.mat_add(ratlinalg.mat_mul(x, pm), ratlinalg.mat_mul(pm, x))
     assert -ratlinalg.trace(ratlinalg.mat_mul(anti, anti)) / 32 == 2
 
 
 def test_vector_sandwich_on_basis(rep):
-    g3 = [list(r) for r in rep.gammas[2]]
+    blades = oracle.dense_blades(rep)
+    g3 = blades[1 << 2]
     acc = [[F(0)] * 8 for _ in range(8)]
     for a in range(6):
-        ga = [list(r) for r in rep.gammas[a]]
+        ga = blades[1 << a]
         acc = ratlinalg.mat_add(acc, ratlinalg.mat_mul(ga, ratlinalg.mat_mul(g3, ga)))
     assert acc == ratlinalg.mat_scale(g3, 4)
 
@@ -242,3 +247,53 @@ def test_contraction_convention():
 def test_star_normalization():
     assert Multivector.scalar(1).star() == Multivector.blade(0b111111)
     assert Multivector.blade(0b111111).star() == Multivector.scalar(1)
+
+
+def test_rep_blades_are_ordered_products_of_dense_generators(rep):
+    assert len(oracle.dense_blades(rep)) == 64
+
+
+def test_geometric_product_matches_blade_matrices(rep):
+    blades = oracle.dense_blades(rep)
+    for a in range(64):
+        for b in range(64):
+            prod = Multivector.blade(a) * Multivector.blade(b)
+            sign = prod.coeffs[a ^ b]
+            assert prod == Multivector.blade(a ^ b, sign)
+            assert ratlinalg.mat_mul(blades[a], blades[b]) == [
+                [sign * x for x in row] for row in blades[a ^ b]
+            ]
+
+
+@pytest.mark.parametrize("psi", [PSI, PSI_B])
+def test_fast_path_matches_matrix_route(rep, psi):
+    p, q = clifford.extract_PQ(rep, psi)
+    assert (p, q) == oracle.extract_PQ(psi)
+    report = clifford.verify_identity_suite(rep, psi, raise_on_failure=False)
+    assert [(r.name, r.passed) for r in report] == oracle.identity_suite(psi)
+    assert clifford.complex_structure(rep, psi) == oracle.complex_structure(psi)
+    spectrum = clifford.q_contraction_spectrum(rep, psi)
+    assert (spectrum.entries, spectrum.omega_eigenvalue) == oracle.q_spectrum(psi)
+    spinors = [oracle.act_matrix(b, psi) for b in oracle.dense_blades(rep)]
+    for mv in (p, q, p.star() + q):
+        mat = oracle.matrix(mv)
+        for spinor in spinors:
+            assert rep.act(mv, spinor) == oracle.act_matrix(mat, spinor)
+
+
+def _corrupt_sign(table):
+    sign, row = table[(1, 0)]
+    table[(1, 0)] = (-sign, row)
+
+
+def _corrupt_row(table):
+    table[(1, 0)] = table[(1, 1)]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_sign, _corrupt_row])
+def test_build_rep_rejects_a_corrupt_octonion_table(monkeypatch, corrupt):
+    table = clifford._octonion_table()
+    corrupt(table)
+    monkeypatch.setattr(clifford, "_octonion_table", lambda: table)
+    with pytest.raises(ConsistencyError):
+        clifford.build_rep()

@@ -160,6 +160,14 @@ def test_non_dominant_weight_rejected():
     lie.weight_multiplicities(lie.A1_U1, (1, -5))
 
 
+def test_bool_weight_rejected():
+    for w in ((True, 0), (1, False)):
+        with pytest.raises(ValueError):
+            lie.A2.check_weight(w)
+        with pytest.raises(ValueError):
+            lie.weight_multiplicities(lie.A2, w)
+
+
 def test_malformed_weight_rejected():
     with pytest.raises(ValueError):
         lie.weight_multiplicities(lie.A2, (1,))

@@ -58,3 +58,30 @@ def test_leading_principal_minors():
 def test_det():
     assert ratlinalg.det([[1, 2], [3, 4]]) == -2
     assert ratlinalg.det([[1, 2], [2, 4]]) == 0
+
+
+def _check_charpoly_against_det(m):
+    n = len(m)
+    coeffs = ratlinalg.charpoly(m)
+    assert len(coeffs) == n + 1
+    for t in (F(0), F(1), F(-2), F(3, 7), F(-5, 2)):
+        value = sum(c * t ** (n - k) for k, c in enumerate(coeffs))
+        shifted = [
+            [(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)
+        ]
+        assert value == ratlinalg.det(shifted)
+
+
+def test_charpoly_matches_det_on_dense_rational_matrix():
+    import random
+
+    rng = random.Random(15)
+    m = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(15)] for _ in range(15)]
+    _check_charpoly_against_det(m)
+
+
+def test_charpoly_matches_det_on_q_operator(rep):
+    from nkdeform import clifford
+
+    op = clifford.q_contraction_operator(rep, (F(3, 5), F(4, 5)) + (F(0),) * 6)
+    _check_charpoly_against_det(op)
