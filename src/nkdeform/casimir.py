@@ -48,20 +48,28 @@ class BilinearForm:
                     "form Gram matrix is not negative definite"
                 )
 
-    def ip(self, u, v):
-        n = len(self.gram)
-        return sum(
-            _F(u[i]) * self.gram[i][j] * _F(v[j])
-            for i in range(n)
-            for j in range(n)
-        )
-
 
 @dataclass(frozen=True)
 class CasimirContext:
+    """A form on a root datum, with its integer form: ``denominator`` is the
+    common denominator D of the Gram matrix, ``gram_int`` is D * gram and
+    ``linear`` is 2D * gram * delta, so that D * Cas(w) = q(w) =
+    w.gram_int.w + linear.w.  ``box_diagonal`` is the diagonal of (-gram)^-1,
+    which bounds :func:`irreps_with_casimir`."""
+
     root_data: lie.RootData
     form: BilinearForm
-    delta: tuple
+    denominator: int
+    gram_int: tuple
+    linear: tuple
+    box_diagonal: tuple
+
+    def scaled_casimir(self, w):
+        """q(w) = D * Cas(w), in integers."""
+        return sum(
+            a * (sum(g * b for g, b in zip(row, w)) + c)
+            for a, row, c in zip(w, self.gram_int, self.linear)
+        )
 
 
 def _gram(rows):
@@ -181,8 +189,14 @@ def bilinear_form(pair):
 @lru_cache(maxsize=None)
 def context(pair):
     rec = _pair_record(pair)
+    delta = rec.root_data.delta()
+    d = math.lcm(*(x.denominator for row in rec.gram for x in row))
+    gram_int = tuple(tuple(int(x * d) for x in row) for row in rec.gram)
+    linear = tuple(2 * sum(g * c for g, c in zip(row, delta)) for row in gram_int)
+    minv = ratlinalg.inverse([[-x for x in row] for row in rec.gram])
     return CasimirContext(
-        rec.root_data, bilinear_form(pair), rec.root_data.delta()
+        rec.root_data, bilinear_form(pair), d, gram_int, linear,
+        tuple(minv[i][i] for i in range(len(minv))),
     )
 
 
@@ -190,7 +204,7 @@ def casimir_eigenvalue(ctx, hw):
     """Exact Casimir eigenvalue B(hw, hw) + 2 B(hw, delta) on the irreducible
     with highest weight ``hw``."""
     ctx.root_data.require_dominant(hw)
-    return ctx.form.ip(hw, hw) + 2 * ctx.form.ip(hw, ctx.delta)
+    return _F(ctx.scaled_casimir(hw), ctx.denominator)
 
 
 def _weight_trace_matrix(pair):
@@ -253,25 +267,23 @@ def irreps_with_casimir(ctx, value):
     is enumerated and filtered.
     """
     value = _F(value)
-    if value > 0:
+    target = value * ctx.denominator
+    if value > 0 or target.denominator != 1:
         return []
-    m = [[-x for x in row] for row in ctx.form.gram]
-    minv = ratlinalg.inverse(m)
     n = ctx.root_data.num_coords
     simple = set(ctx.root_data.simple_coords)
     bounds = []
     for i in range(n):
-        limit = -value * minv[i][i]
-        k = math.isqrt(limit.numerator // limit.denominator)
-        while _F(k + 1) * (k + 1) <= limit:
-            k += 1
-        bounds.append(k)
+        # floor(sqrt(x)) = isqrt(floor(x)) for rational x >= 0
+        limit = -value * ctx.box_diagonal[i]
+        bounds.append(math.isqrt(limit.numerator // limit.denominator))
     ranges = [
         range(0, bounds[i] + 1) if i in simple else range(-bounds[i], bounds[i] + 1)
         for i in range(n)
     ]
+    target = int(target)
     return sorted(
         w
         for w in itertools.product(*ranges)
-        if casimir_eigenvalue(ctx, w) == value
+        if ctx.scaled_casimir(w) == target
     )

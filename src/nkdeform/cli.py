@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, casimir, clifford, cosets, decompose, deform, lie
+from .cosets import _frac_json
 from .errors import (
     ConsistencyError,
     ConventionError,
@@ -88,11 +89,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-def _frac_json(x):
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def _frac_text(x):

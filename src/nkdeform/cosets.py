@@ -5,6 +5,7 @@ restriction map between their weight lattices, the two normalized invariant
 forms, and the h-decomposition of the complexified cotangent representation
 m* together with its (1,0)-part V.  All of it is validated on construction:
 
+* each form is on the algebra it serves: B_G on g, B_H on h;
 * dim m* = 6, dim V = 3, and m* = V + conj(V);
 * every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
   curvature of the canonical connection is 4x the metric);
@@ -16,7 +17,9 @@ of the embeddings h in g and are frozen here; the adjoint-branching
 invariant guards against transcription errors.
 
 Descriptors can also be serialized to / loaded from JSON with all rationals
-as exact numerator/denominator pairs (see :func:`load_fixtures`).
+as exact numerator/denominator pairs (see :func:`load_fixtures`).  A
+malformed file raises :class:`FixtureError` naming the JSON path of the
+bad field, e.g. ``cosets[0].mstar[0].mult``.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ class CosetDescriptor:
     h_adjoint: decompose.RepDecomposition
 
     @property
-    def form_g(self):
-        return casimir.bilinear_form(self.b_g_pair)
-
-    @property
-    def form_h(self):
-        return casimir.bilinear_form(self.b_h_pair)
-
-    @property
     def context_g(self):
         return casimir.context(self.b_g_pair)
 
@@ -64,6 +59,15 @@ class CosetDescriptor:
         return casimir.context(self.b_h_pair)
 
     def validate(self):
+        for key, pair, ctx, data in (
+            ("B_G", self.b_g_pair, self.context_g, self.g_data),
+            ("B_H", self.b_h_pair, self.context_h, self.h_data),
+        ):
+            if ctx.root_data != data:
+                raise FixtureError(
+                    "%s: %s.pair %r is a form on %s, not on %s"
+                    % (self.name, key, pair, ctx.root_data.factors, data.factors)
+                )
         if self.mstar.dimension() != 6:
             raise FixtureError("%s: dim m* = %d" % (self.name, self.mstar.dimension()))
         if self.mstar_holomorphic.dimension() != 3:
@@ -284,6 +288,42 @@ def _frac_json(x):
     return {"num": f.numerator, "den": f.denominator}
 
 
+_DECOMP_SCHEMA = [{"hw": [int], "mult": int}]
+_DESCRIPTOR_SCHEMA = {
+    "name": str,
+    "G": {"factors": [str]},
+    "H": {"factors": [str]},
+    "restriction": [[{"num": int, "den": int}]],
+    "B_G": {"pair": str},
+    "B_H": {"pair": str},
+    "mstar": _DECOMP_SCHEMA,
+    "mstar_holomorphic": _DECOMP_SCHEMA,
+    "g_adjoint": _DECOMP_SCHEMA,
+    "h_adjoint": _DECOMP_SCHEMA,
+}
+
+
+def _check_schema(value, schema, path):
+    """Raise FixtureError naming the JSON path of the first field of
+    ``value`` that is missing or not of the type ``schema`` gives it: a dict
+    of required keys, a one-item list for a list of such items, or a type."""
+    kind = type(schema) if isinstance(schema, (dict, list)) else schema
+    if type(value) is not kind:  # also keeps bool out of int
+        raise FixtureError(
+            "%s: expected %s, got %s"
+            % (path or "fixture file", kind.__name__, type(value).__name__)
+        )
+    if isinstance(schema, dict):
+        for key, sub in schema.items():
+            where = "%s.%s" % (path, key) if path else key
+            if key not in value:
+                raise FixtureError("%s: missing" % where)
+            _check_schema(value[key], sub, where)
+    elif isinstance(schema, list):
+        for i, item in enumerate(value):
+            _check_schema(item, schema[0], "%s[%d]" % (path, i))
+
+
 def _frac_load(obj):
     return Fraction(obj["num"], obj["den"])
 
@@ -295,9 +335,10 @@ def _decomp_json(d):
 
 
 def _decomp_load(root_data, items):
-    return decompose.RepDecomposition(
-        root_data, {tuple(e["hw"]): e["mult"] for e in items}
-    )
+    entries = {tuple(e["hw"]): e["mult"] for e in items}
+    if len(entries) != len(items):
+        raise FixtureError("a highest weight is listed twice in %s" % items)
+    return decompose.RepDecomposition(root_data, entries)
 
 
 def descriptor_to_dict(c):
@@ -315,24 +356,30 @@ def descriptor_to_dict(c):
     }
 
 
-def descriptor_from_dict(obj):
-    g_data = lie.RootData(tuple(obj["G"]["factors"]))
-    h_data = lie.RootData(tuple(obj["H"]["factors"]))
-    matrix = tuple(
-        tuple(_frac_load(x) for x in row) for row in obj["restriction"]
-    )
-    return CosetDescriptor(
-        name=obj["name"],
-        g_data=g_data,
-        h_data=h_data,
-        restriction=decompose.RestrictionMap(matrix),
-        b_g_pair=obj["B_G"]["pair"],
-        b_h_pair=obj["B_H"]["pair"],
-        mstar=_decomp_load(h_data, obj["mstar"]),
-        mstar_holomorphic=_decomp_load(h_data, obj["mstar_holomorphic"]),
-        g_adjoint=_decomp_load(g_data, obj["g_adjoint"]),
-        h_adjoint=_decomp_load(h_data, obj["h_adjoint"]),
-    ).validate()
+def descriptor_from_dict(obj, path="descriptor"):
+    """Build and validate one descriptor from its JSON form; FixtureError
+    names the JSON path, starting at ``path``, of what is wrong."""
+    _check_schema(obj, _DESCRIPTOR_SCHEMA, path)
+    try:
+        g_data = lie.RootData(tuple(obj["G"]["factors"]))
+        h_data = lie.RootData(tuple(obj["H"]["factors"]))
+        matrix = tuple(
+            tuple(_frac_load(x) for x in row) for row in obj["restriction"]
+        )
+        return CosetDescriptor(
+            name=obj["name"],
+            g_data=g_data,
+            h_data=h_data,
+            restriction=decompose.RestrictionMap(matrix),
+            b_g_pair=obj["B_G"]["pair"],
+            b_h_pair=obj["B_H"]["pair"],
+            mstar=_decomp_load(h_data, obj["mstar"]),
+            mstar_holomorphic=_decomp_load(h_data, obj["mstar_holomorphic"]),
+            g_adjoint=_decomp_load(g_data, obj["g_adjoint"]),
+            h_adjoint=_decomp_load(h_data, obj["h_adjoint"]),
+        ).validate()
+    except (ValueError, ZeroDivisionError, FixtureError) as exc:
+        raise FixtureError("%s: %s" % (path, exc)) from None
 
 
 def dump_fixtures():
@@ -350,16 +397,26 @@ def dump_fixtures():
 def load_fixtures(path):
     """Load and validate coset descriptors from a JSON fixture file.
 
-    Returns a dict mapping canonical coset names to descriptors.  Every
-    descriptor passes the full construction invariants; corrupt data raises
-    :class:`FixtureError`.
+    Returns a dict mapping canonical coset names to descriptors.  The file
+    must describe each of the four cosets once, and every descriptor passes
+    the full construction invariants; corrupt data raises
+    :class:`FixtureError` with the JSON path of the bad field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("schema") != FIXTURE_SCHEMA:
-        raise FixtureError(
-            "unsupported fixture schema %r" % (data.get("schema"),)
-        )
-    return {
-        obj["name"]: descriptor_from_dict(obj) for obj in data["cosets"]
-    }
+    _check_schema(data, {"schema": str, "cosets": [dict]}, "")
+    if data["schema"] != FIXTURE_SCHEMA:
+        raise FixtureError("schema: unsupported fixture schema %r" % data["schema"])
+    table = {}
+    for i, obj in enumerate(data["cosets"]):
+        where = "cosets[%d]" % i
+        c = descriptor_from_dict(obj, where)
+        if c.name not in COSET_NAMES or c.name in table:
+            raise FixtureError(
+                "%s.name: %r is not a coset or is listed twice" % (where, c.name)
+            )
+        table[c.name] = c
+    missing = [name for name in COSET_NAMES if name not in table]
+    if missing:
+        raise FixtureError("cosets: no descriptor for %s" % ", ".join(missing))
+    return table

@@ -1,10 +1,15 @@
 """Tensor products, branching and highest-weight peel-off.
 
-Every decomposition is obtained from exact character arithmetic: multiply or
-restrict weight multisets, then repeatedly strip the character of the
-irreducible generated by a maximal-height remaining weight.  Dimension
-conservation is asserted on every tensor product and branching; the peel-off
-raises :class:`NotACharacterError` if the input multiset is not Weyl-closed.
+Tensor products follow the Brauer-Klimyk rule (Humphreys, *Introduction to
+Lie Algebras and Representation Theory*, section 24): V(lambda) (x) V(mu) is
+the signed sum of V(w(lambda + nu + delta) - delta) over the weights nu of
+the smaller factor, with w the Weyl element that makes lambda + nu + delta
+dominant; a weight fixed by a reflection contributes nothing.  Only one
+character is built.  Branching restricts the character of the G-irreducible
+and repeatedly strips the character of the irreducible generated by a
+maximal-height remaining weight.  Dimension conservation is checked on every
+tensor product and branching; the peel-off raises
+:class:`NotACharacterError` if the input multiset is not Weyl-closed.
 """
 
 from __future__ import annotations
@@ -40,14 +45,6 @@ class RepDecomposition:
 
     def mult(self, hw):
         return self.entries.get(tuple(hw), 0)
-
-    def character(self):
-        """Re-expanded weight character of the whole decomposition."""
-        char = {}
-        for hw, mult in self.entries.items():
-            for w, m in lie.weight_multiplicities(self.root_data, hw).weights.items():
-                char[w] = char.get(w, 0) + mult * m
-        return lie.WeightCharacter(self.root_data, char)
 
     def scaled(self, k):
         return RepDecomposition(
@@ -115,9 +112,18 @@ def peel_off(char):
     remaining = {w: m for w, m in char.weights.items() if m != 0}
     if any(m < 0 for m in remaining.values()):
         raise NotACharacterError("negative multiplicity in input multiset")
+    h = rd.height_vector
+    # Subtraction only removes weights (a weight it would add is negative),
+    # so the maximal remaining weight is the first of this order still left.
+    order = sorted(
+        remaining,
+        key=lambda w: (sum(a * b for a, b in zip(h, w)), w),
+        reverse=True,
+    )
     entries = {}
-    while remaining:
-        top = max(remaining, key=lambda w: (rd.height(w), w))
+    for top in order:
+        if top not in remaining:
+            continue
         if not rd.is_dominant(top):
             raise NotACharacterError(
                 "maximal-height weight %r is not dominant" % (top,)
@@ -140,20 +146,31 @@ def peel_off(char):
 
 def tensor_decompose(root_data, hw1, hw2):
     """Irreducible decomposition of the tensor product of two irreducibles."""
-    root_data.require_dominant(hw1)
-    root_data.require_dominant(hw2)
-    c1 = lie.weight_multiplicities(root_data, hw1)
-    c2 = lie.weight_multiplicities(root_data, hw2)
-    prod = {}
-    for w1, m1 in c1.weights.items():
-        for w2, m2 in c2.weights.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            prod[w] = prod.get(w, 0) + m1 * m2
-    result = peel_off(lie.WeightCharacter(root_data, prod))
-    expected = lie.dimension(root_data, hw1) * lie.dimension(root_data, hw2)
-    if result.dimension() != expected:
+    dim1 = lie.dimension(root_data, hw1)
+    dim2 = lie.dimension(root_data, hw2)
+    if dim2 > dim1:
+        hw1, hw2 = hw2, hw1
+    delta = root_data.delta()
+    shifted = tuple(a + b for a, b in zip(hw1, delta))
+    entries = {}
+    for nu, m in lie.weight_multiplicities(root_data, hw2).weights.items():
+        image, sign = root_data.reflect_to_dominant(
+            tuple(a + b for a, b in zip(shifted, nu))
+        )
+        if any(image[i] == 0 for i in root_data.simple_coords):
+            continue  # on a wall: fixed by a reflection
+        hw = tuple(a - b for a, b in zip(image, delta))
+        entries[hw] = entries.get(hw, 0) + sign * m
+    entries = {hw: m for hw, m in entries.items() if m}
+    if any(m < 0 for m in entries.values()):
         raise ConsistencyError(
-            "tensor product dimension %d != %d" % (result.dimension(), expected)
+            "Brauer-Klimyk gave a negative multiplicity in V%r x V%r: %s"
+            % (hw1, hw2, entries)
+        )
+    result = RepDecomposition(root_data, entries)
+    if result.dimension() != dim1 * dim2:
+        raise ConsistencyError(
+            "tensor product dimension %d != %d" % (result.dimension(), dim1 * dim2)
         )
     return result
 

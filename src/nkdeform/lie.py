@@ -6,23 +6,23 @@ contributes a single integer charge.  The algebra itself is described by a
 :class:`RootData` value listing its factor tags.
 
 The character of an irreducible is computed with the Freudenthal recursion
-and cross-checked against the Weyl dimension formula on every call to
-:func:`dimension`; a mismatch raises :class:`ConsistencyError` and means an
-implementation bug, never bad input.
+and cross-checked against the Weyl dimension formula on every character
+built; a mismatch raises :class:`ConsistencyError` and means an
+implementation bug, never bad input.  Dimensions come from the Weyl product
+formula in integers, over the coroot pairings <w, alpha^vee> of each simple
+type, which are checked to be integral when the type is constructed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import ConsistencyError, NonDominantWeightError
-from . import ratlinalg
-
-Weight = tuple
 
 _F = Fraction
 
@@ -38,6 +38,12 @@ class SimpleType:
     definite form on fundamental-weight coordinates; any normalization works
     for multiplicities, and the one stored matches the negated invariant
     form used by the Casimir module for this algebra in its ambient role.
+
+    Construction checks the tables against each other and raises
+    :class:`ConsistencyError` unless the Cartan matrix has 2 on its diagonal
+    and entries <= 0 off it, the simple roots closed under the simple
+    reflections are exactly the listed positive roots and their negatives,
+    and every coroot pairing is integral.
     """
 
     name: str
@@ -46,12 +52,80 @@ class SimpleType:
     positive_roots: tuple
     gram: tuple
 
-    @property
-    def fundamental_weights(self):
-        """Fundamental weights as rational vectors in simple-root coordinates."""
-        return tuple(
-            tuple(row) for row in ratlinalg.inverse([list(r) for r in self.cartan])
-        )
+    def __post_init__(self):
+        n = self.rank
+        if any(
+            self.cartan[i][j] != 2 if i == j else self.cartan[i][j] > 0
+            for i in range(n)
+            for j in range(n)
+        ):
+            raise ConsistencyError(
+                "%s: Cartan matrix %s needs 2 on the diagonal and entries <= 0"
+                " off it" % (self.name, self.cartan)
+            )
+        listed = [self.root_fund(r) for r in self.positive_roots]
+        expected = set(listed) | {tuple(-c for c in r) for r in listed}
+        roots = set(self.cartan)
+        frontier = roots
+        # A Cartan matrix of infinite type never closes; stop once the
+        # closure is larger than the listed root system.
+        while frontier and len(roots) <= len(expected):
+            frontier = {self.reflect(r, i) for r in frontier for i in range(n)}
+            frontier -= roots
+            roots |= frontier
+        if (
+            roots != expected
+            or len(expected) != 2 * len(listed)
+            or any(c < 0 for r in self.positive_roots for c in r)
+        ):
+            raise ConsistencyError(
+                "%s: positive_roots %s are not the positive roots of the"
+                " Cartan matrix" % (self.name, self.positive_roots)
+            )
+        self.coroots  # raises on a non-integral pairing
+
+    @cached_property
+    def coroots(self):
+        """One integer vector k per positive root alpha, with
+        <w, alpha^vee> = 2(w, alpha)/(alpha, alpha) = sum_j w_j k_j."""
+        # The ratio is scale-free, so an integer multiple of gram will do.
+        scale = math.lcm(*(_F(x).denominator for row in self.gram for x in row))
+        gram = [[int(x * scale) for x in row] for row in self.gram]
+        out = []
+        for r in self.positive_roots:
+            a = self.root_fund(r)
+            # (omega_j, alpha) for every j, then (alpha, alpha)
+            pairings = [sum(g * c for g, c in zip(row, a)) for row in gram]
+            norm = sum(p * c for p, c in zip(pairings, a))
+            k = [divmod(2 * p, norm) for p in pairings]
+            if any(rest for _, rest in k):
+                raise ConsistencyError(
+                    "%s: coroot pairing %s/%d of root %s is not integral"
+                    % (self.name, [2 * p for p in pairings], norm, r)
+                )
+            out.append(tuple(q for q, _ in k))
+        return tuple(out)
+
+    @cached_property
+    def height_vector(self):
+        """Integer vector h with h.w = 2 x the height of w (the sum of its
+        simple-root coordinates): the sum of the coroot vectors, since the
+        positive coroots add up to twice the element pairing to 1 with
+        every simple root."""
+        return tuple(sum(col) for col in zip(*self.coroots))
+
+    def weyl_dimension(self, hw):
+        """prod <hw + delta, alpha^vee> // prod <delta, alpha^vee>."""
+        num = den = 1
+        for k in self.coroots:
+            num *= sum((a + 1) * b for a, b in zip(hw, k))
+            den *= sum(k)
+        dim, rest = divmod(num, den)
+        if rest:
+            raise ConsistencyError(
+                "Weyl formula gave non-integer %d/%d at %s" % (num, den, hw)
+            )
+        return dim
 
     def root_fund(self, root):
         """A root given in simple-root coordinates, in fundamental coordinates."""
@@ -72,30 +146,17 @@ class SimpleType:
         c = w[i]
         return tuple(w[j] - c * self.cartan[i][j] for j in range(self.rank))
 
-    def dominant_representative(self, w):
+    def reflect_to_dominant(self, w):
+        """(dominant weight in the Weyl orbit of ``w``, sign of the Weyl
+        element that takes ``w`` there)."""
         w = tuple(w)
+        sign = 1
         while True:
             i = next((k for k in range(self.rank) if w[k] < 0), None)
             if i is None:
-                return w
+                return w, sign
             w = self.reflect(w, i)
-
-    def fund_to_root(self, w):
-        """Fundamental-weight coordinates to (rational) simple-root coordinates."""
-        inv_t = _fund_to_root_matrix(self.name)
-        return tuple(sum(inv_t[i][j] * w[j] for j in range(self.rank))
-                     for i in range(self.rank))
-
-
-@lru_cache(maxsize=None)
-def _fund_to_root_matrix(type_name):
-    cartan = SIMPLE_TYPES[type_name].cartan
-    return tuple(
-        tuple(row)
-        for row in ratlinalg.inverse(
-            ratlinalg.transpose([list(r) for r in cartan])
-        )
-    )
+            sign = -sign
 
 
 SIMPLE_TYPES = {
@@ -127,20 +188,6 @@ SIMPLE_TYPES = {
 
 SIMPLE_TAGS = tuple(sorted(SIMPLE_TYPES))
 U1 = "U1"
-
-
-def _validate_simple_types():
-    # Construction-time sanity for the static tables.
-    for st in SIMPLE_TYPES.values():
-        for i in range(st.rank):
-            assert st.cartan[i][i] == 2
-            for j in range(st.rank):
-                assert i == j or st.cartan[i][j] <= 0
-        dim = st.rank + 2 * len(st.positive_roots)
-        assert len(st.positive_roots) == (dim - st.rank) // 2
-
-
-_validate_simple_types()
 
 
 @dataclass(frozen=True)
@@ -202,36 +249,31 @@ class RootData:
             w[i] = 1
         return tuple(w)
 
-    def height(self, w):
-        """Sum of the simple-root coordinates of ``w`` (charges contribute 0)."""
-        total = _F(0)
-        for tag, start, stop in self.blocks:
-            if tag == U1:
-                continue
-            total += sum(SIMPLE_TYPES[tag].fund_to_root(w[start:stop]))
-        return total
-
-    def simple_reflection(self, w, k):
-        """Reflection in the k-th simple coordinate (U1 charges have none)."""
-        self.check_weight(w)
-        if k not in self.simple_coords:
-            raise ValueError("coordinate %d is a U(1) charge" % k)
-        for tag, start, stop in self.blocks:
-            if start <= k < stop:
-                st = SIMPLE_TYPES[tag]
-                part = st.reflect(w[start:stop], k - start)
-                return w[:start] + part + w[stop:]
-        raise AssertionError
+    @cached_property
+    def height_vector(self):
+        """Integer vector h with h.w = 2 x the sum of the simple-root
+        coordinates of ``w`` (charges contribute 0)."""
+        out = []
+        for tag, _, _ in self.blocks:
+            out.extend((0,) if tag == U1 else SIMPLE_TYPES[tag].height_vector)
+        return tuple(out)
 
     def dominant_representative(self, w):
         self.check_weight(w)
+        return self.reflect_to_dominant(w)[0]
+
+    def reflect_to_dominant(self, w):
+        """(dominant weight in the Weyl orbit of ``w``, sign of the Weyl
+        element used), reflecting block by block; charges stay."""
         out = []
+        sign = 1
         for tag, start, stop in self.blocks:
             part = w[start:stop]
             if tag != U1:
-                part = SIMPLE_TYPES[tag].dominant_representative(part)
+                part, s = SIMPLE_TYPES[tag].reflect_to_dominant(part)
+                sign *= s
             out.extend(part)
-        return tuple(out)
+        return tuple(out), sign
 
 
 @dataclass
@@ -247,12 +289,6 @@ class WeightCharacter:
     def mult(self, w):
         return self.weights.get(tuple(w), 0)
 
-    def items(self):
-        return sorted(self.weights.items())
-
-    def copy(self):
-        return WeightCharacter(self.root_data, dict(self.weights))
-
 
 @lru_cache(maxsize=None)
 def _simple_character(tag, hw):
@@ -265,27 +301,28 @@ def _simple_character(tag, hw):
     def add(u, v, k=1):
         return tuple(a + k * b for a, b in zip(u, v))
 
-    def is_member(w):
-        d = st.dominant_representative(w)
-        diff = st.fund_to_root(add(hw, d, -1))
-        return all(c.denominator == 1 and c >= 0 for c in diff)
-
+    # The weights are the smallest set holding hw and every alpha-string
+    # w, w - alpha, ..., w - <w, alpha^vee> alpha through its members
+    # (Humphreys, section 13.4, Lemma B).
     members = {hw}
     frontier = [hw]
     while frontier:
         nxt = []
         for w in frontier:
-            for a in roots_fund:
-                w2 = add(w, a, -1)
-                if w2 not in members and is_member(w2):
-                    members.add(w2)
-                    nxt.append(w2)
+            for a, k in zip(roots_fund, st.coroots):
+                p = sum(c * b for c, b in zip(w, k))
+                for i in range(1, p + 1) if p > 0 else range(p, 0):
+                    w2 = add(w, a, -i)
+                    if w2 not in members:
+                        members.add(w2)
+                        nxt.append(w2)
         frontier = nxt
 
     hw_norm = st.ip(add(hw, delta), add(hw, delta))
+    height = st.height_vector
     dominants = sorted(
         (w for w in members if all(c >= 0 for c in w)),
-        key=lambda w: (sum(st.fund_to_root(add(hw, w, -1))), w),
+        key=lambda w: (-sum(h * c for h, c in zip(height, w)), w),
     )
     mults = {}
     for mu in dominants:
@@ -297,7 +334,7 @@ def _simple_character(tag, hw):
             k = 1
             while True:
                 w2 = add(mu, a, k)
-                rep = st.dominant_representative(w2)
+                rep = st.reflect_to_dominant(w2)[0]
                 if rep not in mults:
                     break
                 acc += mults[rep] * st.ip(w2, a)
@@ -310,9 +347,13 @@ def _simple_character(tag, hw):
             )
         mults[mu] = int(m)
 
-    return MappingProxyType(
-        {w: mults[st.dominant_representative(w)] for w in members}
-    )
+    char = {w: mults[st.reflect_to_dominant(w)[0]] for w in members}
+    if sum(char.values()) != st.weyl_dimension(hw):
+        raise ConsistencyError(
+            "weight count %d != Weyl formula %d for %s %s"
+            % (sum(char.values()), st.weyl_dimension(hw), tag, hw)
+        )
+    return MappingProxyType(char)
 
 
 def weight_multiplicities(root_data, hw):
@@ -336,38 +377,19 @@ def weight_multiplicities(root_data, hw):
 
 
 def weyl_dimension(root_data, hw):
-    """Dimension by the Weyl product formula (exact; no character needed)."""
+    """Dimension by the Weyl product formula, in integers (no character is
+    built)."""
     root_data.require_dominant(hw)
-    dim = _F(1)
+    dim = 1
     for tag, start, stop in root_data.blocks:
-        if tag == U1:
-            continue
-        st = SIMPLE_TYPES[tag]
-        part = hw[start:stop]
-        delta = (1,) * st.rank
-        shifted = tuple(a + b for a, b in zip(part, delta))
-        for r in st.positive_roots:
-            a = st.root_fund(r)
-            dim *= st.ip(shifted, a) / st.ip(delta, a)
-    if dim.denominator != 1:
-        raise ConsistencyError("Weyl formula gave non-integer %s at %s" % (dim, hw))
-    return int(dim)
+        if tag != U1:
+            dim *= SIMPLE_TYPES[tag].weyl_dimension(hw[start:stop])
+    return dim
 
 
-def dimension(root_data, hw):
-    """Dimension of the irreducible with highest weight ``hw``.
-
-    Computed both by counting weights and by the Weyl formula; the two routes
-    must agree exactly.
-    """
-    counted = weight_multiplicities(root_data, hw).total()
-    closed = weyl_dimension(root_data, hw)
-    if counted != closed:
-        raise ConsistencyError(
-            "weight count %d != Weyl formula %d for %s over %s"
-            % (counted, closed, hw, root_data.factors)
-        )
-    return counted
+# Every character that is built is checked against the Weyl formula, so the
+# formula alone gives the dimension.
+dimension = weyl_dimension
 
 
 def dominant_weights_in_box(root_data, bound):

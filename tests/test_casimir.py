@@ -6,6 +6,8 @@ import pytest
 from nkdeform import casimir, lie
 from nkdeform.errors import NonDominantWeightError, UnknownTagError
 
+import slow_oracle
+
 
 def test_fundamental_weight_gram_matrices():
     assert casimir.bilinear_form("su3-in-g2").gram == (
@@ -200,3 +202,16 @@ def test_smallest_g2_eigenvalues():
 def test_non_dominant_rejected():
     with pytest.raises(NonDominantWeightError):
         casimir.casimir_eigenvalue(casimir.context("g2"), (0, -1))
+
+
+@pytest.mark.parametrize("tag", casimir.PAIR_TAGS)
+def test_integer_casimir_matches_fraction_oracle(tag):
+    ctx = casimir.context(tag)
+    for hw in lie.dominant_weights_in_box(ctx.root_data, 3):
+        value = casimir.casimir_eigenvalue(ctx, hw)
+        assert type(value) is F
+        assert value == slow_oracle.casimir(ctx, hw), (tag, hw)
+        found = casimir.irreps_with_casimir(ctx, value)
+        assert hw in found
+        assert all(slow_oracle.casimir(ctx, w) == value for w in found)
+        assert casimir.irreps_with_casimir(ctx, value - F(1, 97)) == []

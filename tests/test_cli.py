@@ -199,3 +199,106 @@ def test_version():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def _mutated(mutate):
+    def text():
+        doc = json.loads(cosets.dump_fixtures())
+        mutate(doc)
+        return json.dumps(doc)
+    return text
+
+
+def _set(path, value):
+    def mutate(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    return mutate
+
+
+# (maker of the file text, JSON path the message must name, or None)
+MALFORMED_FIXTURES = {
+    "missing-mstar": (_mutated(_delete(["cosets", 0, "mstar"])), "cosets[0].mstar"),
+    "string-mult": (
+        _mutated(_set(["cosets", 0, "mstar", 0, "mult"], "1")),
+        "cosets[0].mstar[0].mult",
+    ),
+    "missing-coset": (_mutated(lambda doc: doc["cosets"].pop()), "cosets"),
+    "g2-with-sp2-form": (
+        _mutated(_set(["cosets", 0, "B_G", "pair"], "sp2")),
+        "B_G.pair",
+    ),
+    "foreign-h-form": (
+        _mutated(_set(["cosets", 2, "B_H", "pair"], "su3-in-g2")),
+        "B_H.pair",
+    ),
+    "bool-mult": (
+        _mutated(_set(["cosets", 1, "g_adjoint", 0, "mult"], True)),
+        "cosets[1].g_adjoint[0].mult",
+    ),
+    "float-weight": (
+        _mutated(_set(["cosets", 3, "mstar", 0, "hw", 1], 0.5)),
+        "cosets[3].mstar[0].hw[1]",
+    ),
+    "zero-denominator": (
+        _mutated(_set(["cosets", 0, "restriction", 0, 0, "den"], 0)),
+        "cosets[0]",
+    ),
+    "missing-numerator": (
+        _mutated(_delete(["cosets", 0, "restriction", 1, 0, "num"])),
+        "cosets[0].restriction[1][0].num",
+    ),
+    "restriction-not-a-list": (
+        _mutated(_set(["cosets", 2, "restriction"], {"num": 1, "den": 1})),
+        "cosets[2].restriction",
+    ),
+    "unknown-factor": (_mutated(_set(["cosets", 0, "G", "factors"], ["E8"])), "cosets[0]"),
+    "unknown-pair": (_mutated(_set(["cosets", 0, "B_H", "pair"], "so5")), "cosets[0]"),
+    "non-dominant-weight": (
+        _mutated(_set(["cosets", 0, "mstar", 0, "hw"], [-1, 0])),
+        "cosets[0]",
+    ),
+    "repeated-weight": (
+        _mutated(lambda doc: doc["cosets"][1]["mstar"].append({"hw": [2], "mult": 1})),
+        "cosets[1]",
+    ),
+    "repeated-coset": (
+        _mutated(lambda doc: doc["cosets"].append(doc["cosets"][0])),
+        "cosets[4].name",
+    ),
+    "unknown-coset": (_mutated(_set(["cosets", 1, "name"], "S7")), "cosets[1].name"),
+    "wrong-multiplicity": (
+        _mutated(_set(["cosets", 2, "mstar", 0, "mult"], 3)),
+        "cosets[2]",
+    ),
+    "cosets-not-a-list": (_mutated(_set(["cosets"], {})), "cosets"),
+    "top-level-list": (lambda: "[]", "fixture file"),
+    "not-json": (lambda: "{\"schema\": ", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
+def test_malformed_fixtures_are_refused_in_one_line(name, tmp_path, capsys):
+    make_text, where = MALFORMED_FIXTURES[name]
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(make_text(), encoding="utf-8")
+    code = cli.main(["tables", "thm-5.2-H", "--fixtures", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (1, 2)
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    if where is not None:
+        assert code == 2
+        assert where in err, err

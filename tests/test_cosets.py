@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -187,3 +188,10 @@ def test_corrupt_fixture_rejected(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(FixtureError):
         cosets.load_fixtures(path)
+
+
+def test_form_on_the_wrong_algebra_rejected():
+    c = cosets.coset("g2su3")
+    for changes in ({"b_g_pair": "sp2"}, {"b_h_pair": "sp1u1-in-sp2"}):
+        with pytest.raises(FixtureError):
+            dataclasses.replace(c, **changes).validate()

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from nkdeform import decompose, lie
+from nkdeform import cli, decompose, lie
 from nkdeform.errors import (
+    ConsistencyError,
     MalformedEmbeddingError,
     NonDominantWeightError,
     NotACharacterError,
 )
+
+import slow_oracle
 
 
 SP2_TO_SP1U1 = decompose.RestrictionMap(((1, 1), (1, 0)))
@@ -162,7 +165,11 @@ def test_peel_off_round_trips_decomposition_character():
         decompose.tensor_decompose(lie.A1_CUBED, (1, 1, 0), (0, 1, 1)),
     ]
     for dec in cases:
-        assert decompose.peel_off(dec.character()) == dec
+        char = {}
+        for hw, mult in dec.entries.items():
+            for w, m in lie.weight_multiplicities(dec.root_data, hw).weights.items():
+                char[w] = char.get(w, 0) + mult * m
+        assert decompose.peel_off(lie.WeightCharacter(dec.root_data, char)) == dec
 
 
 def test_peel_off_rejects_non_characters():
@@ -220,3 +227,55 @@ def test_su3_torus_tensor_lines():
                 decompose.tensor_decompose(lie.U1_U1, charge, m)
             )
         assert total == d(lie.U1_U1, {hw: 1 for hw in expected}), charge
+
+
+def _tensor_grid(rd):
+    # coordinates 0..2 and charges -2..2 on algebras of at most two
+    # coordinates, 0..1 and -1..1 otherwise
+    b = 2 if rd.num_coords <= 2 else 1
+    simple = set(rd.simple_coords)
+    return list(
+        itertools.product(
+            *(
+                range(0, b + 1) if i in simple else range(-b, b + 1)
+                for i in range(rd.num_coords)
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("tag", sorted(cli.TENSOR_ALGEBRAS))
+def test_brauer_klimyk_matches_character_product(tag):
+    rd = cli.TENSOR_ALGEBRAS[tag]
+    grid = _tensor_grid(rd)
+    for a, b in itertools.product(grid, grid):
+        expected, dim = slow_oracle.tensor_by_characters(rd, a, b)
+        got = decompose.tensor_decompose(rd, a, b)
+        assert got == expected, (tag, a, b)
+        assert got.dimension() == dim
+
+
+def test_g2_large_tensor_product():
+    # 226 summands; the character-product route needs about a minute here
+    got = decompose.tensor_decompose(lie.G2, (5, 5), (5, 5))
+    assert len(got.entries) == 226
+    assert got.dimension() == 46656 ** 2
+    assert got.mult((10, 10)) == 1 and got.mult((0, 0)) == 1
+
+
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        # nu = -8: (2) + (-8) + delta reflects to (5) with sign -1, so V(4)
+        # gets multiplicity -1
+        ({(-8,): 1}, "negative"),
+        ({(-2,): 1}, "dimension"),
+    ],
+)
+def test_brauer_klimyk_checks_fire_on_a_false_character(monkeypatch, weights, message):
+    def false_character(rd, hw):
+        return lie.WeightCharacter(rd, dict(weights))
+
+    monkeypatch.setattr(lie, "weight_multiplicities", false_character)
+    with pytest.raises(ConsistencyError, match=message):
+        decompose.tensor_decompose(lie.A1, (2,), (2,))

@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from nkdeform import lie
-from nkdeform.errors import NonDominantWeightError
+from nkdeform import lie, ratlinalg
+from nkdeform.errors import ConsistencyError, NonDominantWeightError
 
+import slow_oracle
 import weyl_oracle
 
 
@@ -67,7 +69,59 @@ def test_dimension_equals_weyl_formula_on_random_weights():
     for rd in ALGEBRAS.values():
         for _ in range(50):
             hw = tuple(rng.randint(0, 4) for _ in range(rd.num_coords))
-            assert lie.dimension(rd, hw) == lie.weyl_dimension(rd, hw)
+            count = lie.weight_multiplicities(rd, hw).total()
+            assert count == lie.weyl_dimension(rd, hw)
+
+
+def test_integer_weyl_dimension_matches_fraction_formula():
+    for rd in list(ALGEBRAS.values()) + [lie.A1_CUBED, lie.A1_U1, lie.U1_U1]:
+        for hw in lie.dominant_weights_in_box(rd, 5 if rd.num_coords < 3 else 3):
+            assert lie.weyl_dimension(rd, hw) == slow_oracle.weyl_dimension(rd, hw)
+
+
+def test_character_checked_against_weyl_formula(monkeypatch):
+    monkeypatch.setattr(lie.SimpleType, "weyl_dimension", lambda self, hw: 7)
+    with pytest.raises(ConsistencyError):
+        lie._simple_character.__wrapped__("A2", (1, 1))
+
+
+def test_height_vector_is_twice_the_height():
+    # the height of w is sum_j w_j x (height of the j-th fundamental weight)
+    for rd in (lie.A1, lie.A2, lie.C2, lie.G2, lie.A1_U1, lie.A1_CUBED):
+        for w in itertools.product(range(-3, 4), repeat=rd.num_coords):
+            height = Fraction(0)
+            for tag, start, stop in rd.blocks:
+                if tag != lie.U1:
+                    fw = _fundamental_weights(lie.SIMPLE_TYPES[tag])
+                    height += sum(c * sum(f) for c, f in zip(w[start:stop], fw))
+            assert sum(a * b for a, b in zip(rd.height_vector, w)) == 2 * height
+
+
+def _g2_tables(**changes):
+    st = lie.SIMPLE_TYPES["G2"]
+    fields = dict(name="G2", rank=2, cartan=st.cartan,
+                  positive_roots=st.positive_roots, gram=st.gram)
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"cartan": ((3, -1), (-3, 2))},  # diagonal entry not 2
+        {"cartan": ((2, 1), (-3, 2))},  # positive off-diagonal entry
+        {"cartan": ((2, -2), (-3, 2))},  # infinite type: the closure never ends
+        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1))},  # one short
+        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (4, 2))},
+        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (-3, -2))},
+        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 1))},
+        {"gram": ((Fraction(1), Fraction(3, 2)), (Fraction(3, 2), Fraction(4)))},
+    ],
+)
+def test_corrupted_root_tables_raise(changes):
+    lie.SimpleType(**_g2_tables())
+    with pytest.raises(ConsistencyError):
+        lie.SimpleType(**_g2_tables(**changes))
 
 
 def test_dimension_on_product_algebras():
@@ -92,7 +146,14 @@ def test_weyl_invariance_of_characters():
             char = lie.weight_multiplicities(rd, hw)
             for w, m in char.weights.items():
                 for k in rd.simple_coords:
-                    assert char.mult(rd.simple_reflection(w, k)) == m
+                    assert char.mult(_simple_reflection(rd, w, k)) == m
+
+
+def _simple_reflection(rd, w, k):
+    for tag, start, stop in rd.blocks:
+        if start <= k < stop:
+            part = lie.SIMPLE_TYPES[tag].reflect(w[start:stop], k - start)
+            return w[:start] + part + w[stop:]
 
 
 def test_u1_charges_ride_along():
@@ -120,9 +181,14 @@ def test_dominant_weights_in_box():
     assert mixed == [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
-def test_static_factor_tables():
-    from fractions import Fraction
+def _fundamental_weights(st):
+    """Fundamental weights in simple-root coordinates."""
+    return tuple(
+        tuple(row) for row in ratlinalg.inverse([list(r) for r in st.cartan])
+    )
 
+
+def test_static_factor_tables():
     for st in lie.SIMPLE_TYPES.values():
         # Cartan matrix shape constraints
         for i in range(st.rank):
@@ -135,13 +201,13 @@ def test_static_factor_tables():
     assert len(lie.SIMPLE_TYPES["C2"].positive_roots) == 4
     assert len(lie.SIMPLE_TYPES["G2"].positive_roots) == 6
     # fundamental weights in simple-root coordinates invert the Cartan pairing
-    fw = lie.SIMPLE_TYPES["A2"].fundamental_weights
+    fw = _fundamental_weights(lie.SIMPLE_TYPES["A2"])
     assert fw == (
         (Fraction(2, 3), Fraction(1, 3)),
         (Fraction(1, 3), Fraction(2, 3)),
     )
     for st in lie.SIMPLE_TYPES.values():
-        for j, w in enumerate(st.fundamental_weights):
+        for j, w in enumerate(_fundamental_weights(st)):
             fund = tuple(
                 sum(Fraction(w[i]) * st.cartan[i][k] for i in range(st.rank))
                 for k in range(st.rank)
