@@ -190,8 +190,8 @@ def bilinear_form(pair):
 def context(pair):
     rec = _pair_record(pair)
     delta = rec.root_data.delta()
-    d = math.lcm(*(x.denominator for row in rec.gram for x in row))
-    gram_int = tuple(tuple(int(x * d) for x in row) for row in rec.gram)
+    d, gram_int = ratlinalg.integer_scaled(rec.gram)
+    gram_int = tuple(map(tuple, gram_int))
     linear = tuple(2 * sum(g * c for g, c in zip(row, delta)) for row in gram_int)
     minv = ratlinalg.inverse([[-x for x in row] for row in rec.gram])
     return CasimirContext(

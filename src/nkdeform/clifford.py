@@ -14,13 +14,18 @@ algebra, and the trace of a product is 8 times its scalar part.  A unit
 spinor psi determines the three-form P and four-form Q through
 8 psi psi^T = 1 + P - Q; from these the almost complex structure J, the
 two-form omega = *Q and the eigenspace structure of contraction with Q on
-two-forms all follow and are verified.  The dense-matrix route is kept as a
-test oracle (``tests/clifford_oracle.py``).
+two-forms all follow and are verified.  P, Q, omega and J are built once
+per public call.  The checks of the contraction spectrum run on integers:
+the operator times its common denominator, primitive integer eigenvectors
+and J times its denominator, every check being homogeneous in the scale;
+bracket closure is checked on unordered pairs.  The dense-matrix route is
+kept as a test oracle (``tests/clifford_oracle.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -435,18 +440,28 @@ def complex_structure(rep, psi):
     """The almost complex structure J with (J u) . psi = Vol . u . psi.
 
     Returns J as a 6x6 exact matrix (columns are images of the basis
-    vectors); verifies J^2 = -1, orthogonality, and that the two-form omega
-    defined by Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being
-    8 times the scalar part of omega u v.
+    vectors); verifies that Vol . e_a . psi lies in the span of the e_b . psi,
+    J^2 = -1, orthogonality, and that the two-form omega defined by
+    Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being 8 times the
+    scalar part of omega u v.
     """
     _, q = extract_PQ(rep, psi)
+    return _complex_structure(rep, psi, q)
+
+
+def _complex_structure(rep, psi, q):
+    """:func:`complex_structure` given Q.  The generators are skew and
+    anticommute, so for the unit spinor psi the e_a psi are orthonormal and
+    J_ba = <e_b psi, Vol e_a psi>."""
     images = [_apply(rep.blades[1 << a], psi) for a in range(DIM)]
-    columns_matrix = ratlinalg.transpose([list(v) for v in images])
-    j_cols = [
-        ratlinalg.solve(columns_matrix, list(_apply(rep.blades[VOL_MASK], v)))
-        for v in images
-    ]
-    j = ratlinalg.transpose(j_cols)
+    targets = [_apply(rep.blades[VOL_MASK], v) for v in images]
+    j = [[_F(sum(x * y for x, y in zip(u, t))) for t in targets] for u in images]
+    for a, target in enumerate(targets):
+        spanned = [sum(j[b][a] * u[i] for b, u in enumerate(images)) for i in range(8)]
+        if spanned != list(target):
+            raise ConsistencyError(
+                "Vol . e_%d . psi is not in the span of the e_b . psi" % (a + 1)
+            )
     minus_ident = ratlinalg.mat_scale(ratlinalg.identity(DIM), -1)
     if ratlinalg.mat_mul(j, j) != minus_ident:
         raise IdentityViolationError("complex-structure-square")
@@ -500,7 +515,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     p, q = extract_PQ(rep, psi)
     star_p = p.star()
     star_q = q.star()
-    j = complex_structure(rep, psi)
+    j = _complex_structure(rep, psi, q)
     rng = random.Random(1729)
     vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
 
@@ -639,25 +654,34 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
 # Contraction with Q on two-forms
 
 
-_PAIRS_2FORM = [(a, b) for a in range(1, DIM + 1) for b in range(a + 1, DIM + 1)]
+_PAIRS_2FORM = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
+_MASKS_2FORM = [(1 << a) | (1 << b) for a, b in _PAIRS_2FORM]
 
 
 def _two_form_coords(mv):
-    return [
-        mv.coeffs[(1 << (a - 1)) | (1 << (b - 1))] for a, b in _PAIRS_2FORM
-    ]
+    return [mv.coeffs[mask] for mask in _MASKS_2FORM]
 
 
 def _skew_matrix(coords):
-    m = [[_F(0)] * DIM for _ in range(DIM)]
+    m = [[0] * DIM for _ in range(DIM)]
     for (a, b), c in zip(_PAIRS_2FORM, coords):
-        m[a - 1][b - 1] = c
-        m[b - 1][a - 1] = -c
+        m[a][b] = c
+        m[b][a] = -c
     return m
 
 
-def _skew_coords(m):
-    return [m[a - 1][b - 1] for a, b in _PAIRS_2FORM]
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational v."""
+    d = ratlinalg.common_denominator(v)
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _minus_scalar(a, c):
+    """a - c * 1 for a square matrix a."""
+    return [[x - c if i == k else x for k, x in enumerate(row)]
+            for i, row in enumerate(a)]
 
 
 @dataclass(frozen=True)
@@ -675,12 +699,29 @@ class TwoFormSpectrum:
 def q_contraction_operator(rep, psi):
     """Matrix of beta -> beta -| Q on the ordered basis e_ab (a < b)."""
     _, q = extract_PQ(rep, psi)
-    cols = []
-    for a, b in _PAIRS_2FORM:
-        mask = (1 << (a - 1)) | (1 << (b - 1))
-        image = Multivector.blade(mask).contract(q)
-        cols.append(_two_form_coords(image))
-    return ratlinalg.transpose(cols)
+    return _q_operator(q)
+
+
+def _q_operator(q):
+    return ratlinalg.transpose(
+        [_two_form_coords(Multivector.blade(mask).contract(q))
+         for mask in _MASKS_2FORM]
+    )
+
+
+def _check_bracket_closure(a_int, d, skews):
+    """Raise ``SpectrumError`` unless the commutator of every pair of the
+    integer skew matrices is a (-1)-eigenvector of op = a_int / d, i.e.
+    a_int c = -d c for its upper coordinates c.  Only the pairs u < v are
+    formed: [u, u] = 0 and [v, u] = -[u, v] add no constraint."""
+    for i, su in enumerate(skews):
+        for sv in skews[i + 1:]:
+            bracket = [
+                sum(su[a][k] * sv[k][b] - sv[a][k] * su[k][b] for k in range(DIM))
+                for a, b in _PAIRS_2FORM
+            ]
+            if ratlinalg.mat_vec(a_int, bracket) != [-d * c for c in bracket]:
+                raise SpectrumError("(-1)-eigenspace is not bracket-closed")
 
 
 def q_contraction_spectrum(rep, psi):
@@ -692,71 +733,69 @@ def q_contraction_spectrum(rep, psi):
     eight-dimensional and closed under the commutator bracket of the
     corresponding skew endomorphisms, and every (-1)-eigenvector is checked
     to be omega-orthogonal and invariant under the complex structure.
+
+    The checks run on integers: A = d op for the common denominator d of
+    op, whose rational eigenvalues d lam are integers; primitive integer
+    eigenvectors v; e J for the denominator e of J.  Every check is
+    homogeneous, so no verdict changes: P_int v = den v for the projector
+    P_int / den, P_int = prod (A - d lam) and den = prod d (-1 - lam) over
+    lam != -1; (e J)^T S (e J) = e^2 S for the skew matrix S of v; and
+    A c = -d c for a bracket c (:func:`_check_bracket_closure`).
     """
-    op = q_contraction_operator(rep, psi)
+    _, q = extract_PQ(rep, psi)
+    op = _q_operator(q)
     n = len(op)
+    d, a_int = ratlinalg.integer_scaled(op)
     roots = ratlinalg.rational_roots(ratlinalg.charpoly(op))
     entries = []
+    shifted = {}
     for lam in sorted(roots):
-        shifted = ratlinalg.mat_sub(
-            op, ratlinalg.mat_scale(ratlinalg.identity(n), lam)
-        )
-        dim = n - ratlinalg.rank(shifted)
+        if (d * lam).denominator != 1:
+            raise SpectrumError("eigenvalue %s times %d is not an integer" % (lam, d))
+        shifted[lam] = _minus_scalar(a_int, int(d * lam))
+        dim = n - ratlinalg.rank(shifted[lam])
         if dim != roots[lam]:
             raise SpectrumError(
                 "eigenvalue %s: geometric %d != algebraic %d"
                 % (lam, dim, roots[lam])
             )
         entries.append((lam, dim))
-    if sum(d for _, d in entries) != n:
+    if sum(m for _, m in entries) != n:
         raise SpectrumError("eigenspace dimensions do not fill the two-forms")
 
-    minus_one = ratlinalg.mat_add(op, ratlinalg.identity(n))
-    basis = ratlinalg.nullspace(minus_one)
+    # A + d has the reduced row echelon form of op + 1, so the same basis.
+    basis = ratlinalg.nullspace(_minus_scalar(a_int, -d))
+    vectors = [_primitive(v) for v in basis]
 
-    projector = ratlinalg.identity(n)
+    p_int = [[int(i == k) for k in range(n)] for i in range(n)]
+    den = 1
     for lam, _ in entries:
-        if lam == -1:
-            continue
-        factor = ratlinalg.mat_scale(
-            ratlinalg.mat_sub(op, ratlinalg.mat_scale(ratlinalg.identity(n), lam)),
-            _F(1, -1 - lam),
-        )
-        projector = ratlinalg.mat_mul(projector, factor)
+        if lam != -1:
+            p_int = ratlinalg.mat_mul(p_int, shifted[lam])
+            den *= int(d * (-1 - lam))
 
-    omega = kahler_form(rep, psi)
-    omega_coords = _two_form_coords(omega)
-    image = ratlinalg.mat_vec(op, omega_coords)
-    pivot = next(i for i in range(n) if omega_coords[i] != 0)
-    omega_eig = image[pivot] / omega_coords[pivot]
-    if image != [omega_eig * c for c in omega_coords]:
+    omega = _primitive(_two_form_coords(q.star()))
+    image = ratlinalg.mat_vec(a_int, omega)
+    pivot = next(i for i in range(n) if omega[i] != 0)
+    if any(x * omega[pivot] != image[pivot] * c for x, c in zip(image, omega)):
         raise SpectrumError("omega is not an eigenvector of contraction by Q")
+    omega_eig = _F(image[pivot], d * omega[pivot])
 
-    j = complex_structure(rep, psi)
-    skews = [_skew_matrix(v) for v in basis]
-    for v, skew in zip(basis, skews):
-        projected = ratlinalg.mat_vec(projector, v)
-        if projected != v:
+    e, j = ratlinalg.integer_scaled(_complex_structure(rep, psi, q))
+    jt = ratlinalg.transpose(j)
+    skews = [_skew_matrix(v) for v in vectors]
+    for v, skew in zip(vectors, skews):
+        if ratlinalg.mat_vec(p_int, v) != [den * x for x in v]:
             raise SpectrumError("projector does not fix the (-1)-eigenspace")
-        if ratlinalg.dot(v, omega_coords) != 0:
+        if ratlinalg.dot(v, omega) != 0:
             raise SpectrumError("(-1)-eigenvector is not omega-orthogonal")
-        conjugated = ratlinalg.mat_mul(
-            ratlinalg.transpose(j), ratlinalg.mat_mul(skew, j)
-        )
-        if conjugated != skew:
+        conjugated = ratlinalg.mat_mul(jt, ratlinalg.mat_mul(skew, j))
+        if conjugated != [[e * e * x for x in row] for row in skew]:
             raise SpectrumError("(-1)-eigenvector has a (2,0)+(0,2) part")
-    for su in skews:
-        for sv in skews:
-            bracket = ratlinalg.mat_sub(
-                ratlinalg.mat_mul(su, sv), ratlinalg.mat_mul(sv, su)
-            )
-            coords = _skew_coords(bracket)
-            if ratlinalg.mat_vec(op, coords) != [-c for c in coords]:
-                raise SpectrumError("(-1)-eigenspace is not bracket-closed")
-
+    _check_bracket_closure(a_int, d, skews)
     return TwoFormSpectrum(
         entries=tuple(entries),
         omega_eigenvalue=omega_eig,
-        projector=tuple(tuple(row) for row in projector),
+        projector=tuple(tuple(_F(x, den) for x in row) for row in p_int),
         minus_one_basis=tuple(tuple(v) for v in basis),
     )

@@ -6,6 +6,8 @@ forms, and the h-decomposition of the complexified cotangent representation
 m* together with its (1,0)-part V.  All of it is validated on construction:
 
 * each form is on the algebra it serves: B_G on g, B_H on h;
+* B_H is the restriction of B_G: gram_H^-1 = R gram_G^-1 R^T for the
+  restriction map R;
 * dim m* = 6, dim V = 3, and m* = V + conj(V);
 * every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
   curvature of the canonical connection is 4x the metric);
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import casimir, decompose, lie
+from . import casimir, decompose, lie, ratlinalg
 from .errors import FixtureError, UnknownTagError
 
 GAUGE_H = "H"
@@ -68,6 +70,14 @@ class CosetDescriptor:
                     "%s: %s.pair %r is a form on %s, not on %s"
                     % (self.name, key, pair, ctx.root_data.factors, data.factors)
                 )
+        r = self.restriction.matrix
+        dual_g, dual_h = (ratlinalg.inverse(self.context_g.form.gram),
+                          ratlinalg.inverse(self.context_h.form.gram))
+        if dual_h != ratlinalg.mat_mul(ratlinalg.mat_mul(r, dual_g), ratlinalg.transpose(r)):
+            raise FixtureError(
+                "%s: B_H %r is not the restriction of B_G %r: gram_H^-1 != "
+                "R gram_G^-1 R^T" % (self.name, self.b_h_pair, self.b_g_pair)
+            )
         if self.mstar.dimension() != 6:
             raise FixtureError("%s: dim m* = %d" % (self.name, self.mstar.dimension()))
         if self.mstar_holomorphic.dimension() != 3:

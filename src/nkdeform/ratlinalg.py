@@ -8,6 +8,7 @@ Faddeev-LeVerrier are entirely adequate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ConsistencyError, SpectrumError
@@ -15,6 +16,18 @@ from .errors import ConsistencyError, SpectrumError
 
 def _rows(mat):
     return [[Fraction(x) for x in row] for row in mat]
+
+
+def common_denominator(values):
+    """Least common multiple of the denominators of rationals or ints."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def integer_scaled(mat):
+    """(d, d * mat) for the common denominator d of the entries, so that
+    d * mat is an integer matrix."""
+    d = common_denominator(x for row in mat for x in row)
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in mat]
 
 
 def identity(n):
@@ -82,7 +95,24 @@ def rref(mat):
 
 
 def rank(mat):
-    return len(rref(mat)[1])
+    """Rank, by row reduction of the integer matrix d * mat; every reduced
+    row is divided by the gcd of its entries to keep them small."""
+    _, a = integer_scaled(mat)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        p = a[r][c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            if f:
+                row = [p * x - f * y for x, y in zip(a[i], a[r])]
+                g = math.gcd(*row) or 1
+                a[i] = [x // g for x in row]
+        r += 1
+    return r
 
 
 def nullspace(mat):
@@ -107,22 +137,6 @@ def inverse(mat):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in a]
-
-
-def solve(mat, rhs):
-    """Exact solution of a consistent system with full column rank.
-
-    Accepts overdetermined systems; raises ``ZeroDivisionError`` when the
-    system is inconsistent or the solution is not unique.
-    """
-    ncols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(_rows(mat), rhs)]
-    a, pivots = rref(aug)
-    if ncols in pivots:
-        raise ZeroDivisionError("inconsistent linear system")
-    if pivots != list(range(ncols)):
-        raise ZeroDivisionError("solution is not unique")
-    return [a[r][ncols] for r in range(ncols)]
 
 
 def det(mat):
@@ -160,12 +174,7 @@ def charpoly(mat):
     exact.
     """
     n = len(mat)
-    rows = _rows(mat)
-    d = 1
-    for row in rows:
-        for x in row:
-            d = d * x.denominator // _gcd(d, x.denominator)
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    d, a = integer_scaled(mat)
     coeffs = [Fraction(1)]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -201,9 +210,7 @@ def rational_roots(coeffs):
     the polynomial does not split over the rationals.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = common_denominator(coeffs)
     ipoly = [int(c * denom_lcm) for c in coeffs]
 
     roots = {}
@@ -213,42 +220,25 @@ def rational_roots(coeffs):
         ipoly = ipoly[:-1]
 
     def synth_div(poly, r):
-        out = [poly[0]]
+        out = [Fraction(poly[0])]
         for c in poly[1:]:
             out.append(c + out[-1] * r)
-        remainder = out.pop()
-        return out, remainder
+        return out[:-1], out[-1]
 
-    changed = True
-    while len(ipoly) > 1 and changed:
-        changed = False
-        lead, const = ipoly[0], ipoly[-1]
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    quot, rem = synth_div([Fraction(c) for c in ipoly], cand)
-                    if rem == 0:
-                        roots[cand] = roots.get(cand, 0) + 1
-                        scale = 1
-                        for c in quot:
-                            scale = scale * c.denominator // _gcd(
-                                scale, c.denominator
-                            )
-                        ipoly = [int(c * scale) for c in quot]
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    if len(ipoly) > 1:
-        raise SpectrumError(
-            "polynomial has an irrational factor of degree %d" % (len(ipoly) - 1)
+    while len(ipoly) > 1:
+        candidates = (
+            Fraction(sign * p, q)
+            for p in _divisors(ipoly[-1])
+            for q in _divisors(ipoly[0])
+            for sign in (1, -1)
         )
+        root = next((r for r in candidates if synth_div(ipoly, r)[1] == 0), None)
+        if root is None:
+            raise SpectrumError(
+                "polynomial has an irrational factor of degree %d" % (len(ipoly) - 1)
+            )
+        roots[root] = roots.get(root, 0) + 1
+        quot = synth_div(ipoly, root)[0]
+        scale = common_denominator(quot)
+        ipoly = [int(c * scale) for c in quot]
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

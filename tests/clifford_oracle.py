@@ -116,6 +116,14 @@ def extract_PQ(psi):
     return mv.grade_part(3), -mv.grade_part(4)
 
 
+def _solve(mat, rhs):
+    """The unique solution of a consistent system of full column rank."""
+    ncols = len(mat[0])
+    a, pivots = ratlinalg.rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    assert pivots == list(range(ncols))
+    return [a[r][ncols] for r in range(ncols)]
+
+
 def complex_structure(psi):
     """J from (J u) . psi = Vol . u . psi with dense matrices, checking the
     Kahler-form trace Tr(omega . e_a . e_b)/8 = -J_ab by a matrix trace."""
@@ -124,12 +132,7 @@ def complex_structure(psi):
     vol = _blades()[VOL_MASK]
     columns = ratlinalg.transpose([list(act_matrix(g, psi)) for g in gammas])
     j = ratlinalg.transpose(
-        [
-            ratlinalg.solve(
-                columns, list(act_matrix(ratlinalg.mat_mul(vol, g), psi))
-            )
-            for g in gammas
-        ]
+        [_solve(columns, act_matrix(ratlinalg.mat_mul(vol, g), psi)) for g in gammas]
     )
     omega = matrix(q.star())
     for a in range(DIM):
@@ -253,8 +256,11 @@ def charpoly(mat):
 
 
 def q_spectrum(psi):
-    """Eigenvalues, eigenspace dimensions and omega eigenvalue of
-    beta -> beta -| Q on two-forms, for Q from :func:`extract_PQ`."""
+    """Eigenvalues with eigenspace dimensions, the omega eigenvalue, the
+    projector onto the (-1)-eigenspace and that eigenspace's basis, for
+    beta -> beta -| Q on two-forms with Q from :func:`extract_PQ`.  The
+    projector is prod (op - lam) / (-1 - lam) over lam != -1 and the basis
+    the kernel of op + 1, both on the dense ``Fraction`` matrix op."""
     _, q = extract_PQ(psi)
     pairs = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
     masks = [(1 << a) | (1 << b) for a, b in pairs]
@@ -262,14 +268,26 @@ def q_spectrum(psi):
         [[Multivector.blade(m).contract(q).coeffs[k] for k in masks] for m in masks]
     )
     n = len(op)
+    ident = ratlinalg.identity(n)
     roots = ratlinalg.rational_roots(charpoly(op))
     entries = []
+    projector = ident
     for lam in sorted(roots):
-        shifted = ratlinalg.mat_sub(op, ratlinalg.mat_scale(ratlinalg.identity(n), lam))
-        entries.append((lam, n - ratlinalg.rank(shifted)))
+        shifted = ratlinalg.mat_sub(op, ratlinalg.mat_scale(ident, lam))
+        entries.append((lam, n - len(ratlinalg.rref(shifted)[1])))
+        if lam != -1:
+            projector = ratlinalg.mat_mul(
+                projector, ratlinalg.mat_scale(shifted, Fraction(1, -1 - lam))
+            )
+    basis = ratlinalg.nullspace(ratlinalg.mat_add(op, ident))
     omega = [q.star().coeffs[k] for k in masks]
     image = ratlinalg.mat_vec(op, omega)
     pivot = next(i for i in range(n) if omega[i] != 0)
     omega_eig = image[pivot] / omega[pivot]
     assert image == [omega_eig * c for c in omega]
-    return tuple(entries), omega_eig
+    return (
+        tuple(entries),
+        omega_eig,
+        tuple(tuple(row) for row in projector),
+        tuple(tuple(v) for v in basis),
+    )

@@ -243,6 +243,10 @@ MALFORMED_FIXTURES = {
         _mutated(_set(["cosets", 2, "B_H", "pair"], "su3-in-g2")),
         "B_H.pair",
     ),
+    "g-form-not-restricted": (
+        _mutated(_set(["cosets", 3, "B_G", "pair"], "su3-in-g2")),
+        "is not the restriction of B_G",
+    ),
     "bool-mult": (
         _mutated(_set(["cosets", 1, "g_adjoint", 0, "mult"], True)),
         "cosets[1].g_adjoint[0].mult",

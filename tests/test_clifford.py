@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 from nkdeform import clifford, ratlinalg
 from nkdeform.clifford import Multivector
-from nkdeform.errors import ConsistencyError, ConventionError
+from nkdeform.errors import ConsistencyError, ConventionError, SpectrumError
 
 import clifford_oracle as oracle
 
@@ -273,7 +274,7 @@ def test_fast_path_matches_matrix_route(rep, psi):
     assert [(r.name, r.passed) for r in report] == oracle.identity_suite(psi)
     assert clifford.complex_structure(rep, psi) == oracle.complex_structure(psi)
     spectrum = clifford.q_contraction_spectrum(rep, psi)
-    assert (spectrum.entries, spectrum.omega_eigenvalue) == oracle.q_spectrum(psi)
+    assert _spectrum_fields(spectrum) == oracle.q_spectrum(psi)
     spinors = [oracle.act_matrix(b, psi) for b in oracle.dense_blades(rep)]
     for mv in (p, q, p.star() + q):
         mat = oracle.matrix(mv)
@@ -297,3 +298,82 @@ def test_build_rep_rejects_a_corrupt_octonion_table(monkeypatch, corrupt):
     monkeypatch.setattr(clifford, "_octonion_table", lambda: table)
     with pytest.raises(ConsistencyError):
         clifford.build_rep()
+
+
+# Patterns (numerators, denominator) of dense rational unit spinors, each
+# taken with a seeded permutation and seeded signs.
+DENSE_SPINOR_PATTERNS = (
+    ((2, 3, 6, 0, 0, 0, 0, 0), 7),
+    ((1, 1, 1, 1, 0, 0, 0, 0), 2),
+    ((1, 1, 1, 1, 1, 1, 1, 3), 4),
+)
+
+
+def _seeded_spinor(pattern, seed):
+    import random
+
+    numerators, den = pattern
+    rng = random.Random(seed)
+    v = list(numerators)
+    rng.shuffle(v)
+    return tuple(F(x * rng.choice((1, -1)), den) for x in v)
+
+
+def _spectrum_fields(spectrum):
+    return (
+        spectrum.entries,
+        spectrum.omega_eigenvalue,
+        spectrum.projector,
+        spectrum.minus_one_basis,
+    )
+
+
+@pytest.mark.parametrize("pattern", DENSE_SPINOR_PATTERNS)
+def test_q_spectrum_matches_dense_oracle_on_dense_spinors(rep, pattern):
+    psi = _seeded_spinor(pattern, 101)
+    spectrum = clifford.q_contraction_spectrum(rep, psi)
+    fields = _spectrum_fields(spectrum)
+    assert fields == oracle.q_spectrum(psi)
+    assert type(spectrum.omega_eigenvalue) is F
+    for mat in fields[2:]:
+        assert all(type(x) is F for row in mat for x in row)
+
+
+def _spectrum_operator(rep, psi):
+    op = clifford.q_contraction_operator(rep, psi)
+    d, a_int = ratlinalg.integer_scaled(op)
+    return op, d, a_int
+
+
+def _integer_skews(vectors):
+    return [clifford._skew_matrix(clifford._primitive(v)) for v in vectors]
+
+
+def test_bracket_closure_accepts_the_minus_one_eigenspace(rep):
+    _, d, a_int = _spectrum_operator(rep, PSI_B)
+    basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
+    clifford._check_bracket_closure(a_int, d, _integer_skews(basis))
+
+
+def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
+    # Seven su(3) vectors and one (+1)-eigenvector: [su(3), m] lies in the
+    # (+1)-eigenspace m, so this eight-dimensional subspace is not closed.
+    op, d, a_int = _spectrum_operator(rep, PSI_B)
+    basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
+    plus_one = ratlinalg.nullspace(
+        ratlinalg.mat_sub(op, ratlinalg.identity(len(op)))
+    )
+    subspace = list(basis[:7]) + [plus_one[0]]
+    assert ratlinalg.rank(subspace) == 8
+    with pytest.raises(SpectrumError, match="bracket-closed"):
+        clifford._check_bracket_closure(a_int, d, _integer_skews(subspace))
+
+
+def test_complex_structure_refuses_a_volume_element_off_the_span(rep):
+    # With e_1 in place of Vol, Vol . e_1 . psi = -psi, which is orthogonal
+    # to every e_b . psi.
+    blades = list(rep.blades)
+    blades[clifford.VOL_MASK] = blades[1]
+    broken = dataclasses.replace(rep, blades=tuple(blades))
+    with pytest.raises(ConsistencyError, match="span"):
+        clifford.complex_structure(broken, PSI)

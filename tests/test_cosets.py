@@ -195,3 +195,12 @@ def test_form_on_the_wrong_algebra_rejected():
     for changes in ({"b_g_pair": "sp2"}, {"b_h_pair": "sp1u1-in-sp2"}):
         with pytest.raises(FixtureError):
             dataclasses.replace(c, **changes).validate()
+
+
+def test_form_that_is_not_the_restriction_rejected():
+    # su3-ambient is a form on A2, the right algebra for SU(3) in G2, but
+    # with the ambient normalization, not the one B_G = g2 restricts to.
+    c = cosets.coset("g2su3")
+    assert casimir.context("su3-ambient").root_data == c.h_data
+    with pytest.raises(FixtureError, match="not the restriction of B_G"):
+        dataclasses.replace(c, b_h_pair="su3-ambient").validate()

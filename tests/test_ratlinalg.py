@@ -22,13 +22,6 @@ def test_rank_and_nullspace():
     assert len(ratlinalg.nullspace(m)) == 1
 
 
-def test_solve_overdetermined():
-    m = [[1, 0], [0, 1], [1, 1]]
-    assert ratlinalg.solve(m, [2, 3, 5]) == [2, 3]
-    with pytest.raises(ZeroDivisionError):
-        ratlinalg.solve(m, [2, 3, 6])
-
-
 def test_charpoly_and_rational_roots():
     m = [[2, 0, 0], [0, 2, 0], [0, 0, -1]]
     coeffs = ratlinalg.charpoly(m)
@@ -85,3 +78,30 @@ def test_charpoly_matches_det_on_q_operator(rep):
 
     op = clifford.q_contraction_operator(rep, (F(3, 5), F(4, 5)) + (F(0),) * 6)
     _check_charpoly_against_det(op)
+
+
+def test_common_denominator_and_integer_scaled():
+    assert ratlinalg.common_denominator([F(1, 6), 2, F(-3, 4)]) == 12
+    assert ratlinalg.common_denominator([]) == 1
+    d, a = ratlinalg.integer_scaled([[F(1, 6), 2], [F(-3, 4), 0]])
+    assert (d, a) == (12, [[2, 24], [-9, 0]])
+    assert all(type(x) is int for row in a for x in row)
+
+
+def test_integer_rank_matches_rational_row_reduction():
+    # Products of random n x k and k x m rational matrices have rank <= k;
+    # the integer elimination of `rank` must agree with the pivots of `rref`.
+    import random
+
+    rng = random.Random(23)
+    for _ in range(40):
+        n, m, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+        left = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]
+                for _ in range(n)]
+        right = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
+                 for _ in range(k)]
+        mat = (ratlinalg.mat_mul(left, right) if k
+               else [[F(0)] * m for _ in range(n)])
+        r = ratlinalg.rank(mat)
+        assert r == len(ratlinalg.rref(mat)[1])
+        assert r <= min(n, m, k)
