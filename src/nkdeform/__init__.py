@@ -7,68 +7,23 @@ Sp(2)/Sp(1)xU(1) and SU(3)/U(1)^2: Casimir spectra, tensor and branching
 decompositions, curvature-operator spectra, the Frobenius-reciprocity count
 of instanton deformations, and the Clifford-algebra identities of the
 underlying SU(3)-structures.
+
+The package re-exports no names.  Its modules (``lie``, ``casimir``,
+``decompose``, ``cosets``, ``deform``, ``clifford``, ``ratlinalg``,
+``cli``) are imported on first use, as ``from nkdeform import lie`` or as
+``nkdeform.lie`` after ``import nkdeform``, so a command loads only the
+modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .lie import (  # noqa: F401
-    A1,
-    A1_CUBED,
-    A1_U1,
-    A2,
-    C2,
-    G2,
-    U1_U1,
-    RootData,
-    WeightCharacter,
-    dimension,
-    dominant_weights_in_box,
-    weight_multiplicities,
-    weyl_dimension,
-)
-from .casimir import (  # noqa: F401
-    BilinearForm,
-    CasimirContext,
-    PAIR_TAGS,
-    bilinear_form,
-    casimir_eigenvalue,
-    context,
-    irreps_with_casimir,
-    verify_form_by_trace,
-)
-from .decompose import (  # noqa: F401
-    RepDecomposition,
-    RestrictionMap,
-    branch,
-    peel_off,
-    tensor_decompose,
-)
-from .cosets import (  # noqa: F401
-    COSET_NAMES,
-    CosetDescriptor,
-    GAUGE_H,
-    GAUGE_SU3,
-    coset,
-    dump_fixtures,
-    gauge_rep,
-    load_fixtures,
-)
-from .deform import (  # noqa: F401
-    CurvatureSpectrum,
-    DeformationSpace,
-    abelian_rigidity_check,
-    curvature_spectrum,
-    deformation_space,
-)
-from .clifford import (  # noqa: F401
-    CliffordRep,
-    Multivector,
-    STANDARD_SPINOR,
-    build_rep,
-    complex_structure,
-    extract_PQ,
-    kahler_form,
-    q_contraction_spectrum,
-    spinor_decomposition_spectra,
-    verify_identity_suite,
-)
+_MODULES = ("lie", "casimir", "decompose", "cosets", "deform", "clifford",
+            "ratlinalg", "errors", "cli")
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

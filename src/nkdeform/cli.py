@@ -22,8 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, casimir, clifford, cosets, decompose, deform, lie
-from .cosets import _frac_json
+from . import __version__, lie
 from .errors import (
     ConsistencyError,
     ConventionError,
@@ -122,6 +121,8 @@ def _document(command, inputs, result):
 
 
 def _coset_lookup(args):
+    from . import cosets
+
     if getattr(args, "fixtures", None):
         table = cosets.load_fixtures(args.fixtures)
 
@@ -137,6 +138,9 @@ def _coset_lookup(args):
 
 
 def cmd_tables(args, out):
+    from . import cosets, deform
+    from .ratlinalg import _frac_json
+
     lookup = _coset_lookup(args)
     which = args.which
     if which == "prop-4.2":
@@ -209,6 +213,9 @@ def cmd_tables(args, out):
 
 
 def cmd_casimir(args, out):
+    from . import casimir
+    from .ratlinalg import _frac_json
+
     ctx = casimir.context(args.pair)
     hw = _parse_weight(args.hw, ctx.root_data)
     value = casimir.casimir_eigenvalue(ctx, hw)
@@ -225,6 +232,8 @@ def cmd_casimir(args, out):
 
 
 def cmd_branch(args, out):
+    from . import decompose
+
     c = _coset_lookup(args)(args.coset)
     hw = _parse_weight(args.hw, c.g_data)
     result = decompose.branch(c.restriction, c.g_data, c.h_data, hw)
@@ -241,6 +250,8 @@ def cmd_branch(args, out):
 
 
 def cmd_tensor(args, out):
+    from . import decompose
+
     try:
         root_data = TENSOR_ALGEBRAS[args.algebra]
     except KeyError:
@@ -264,6 +275,9 @@ def cmd_tensor(args, out):
 
 
 def cmd_clifford_verify(args, out):
+    from . import clifford
+    from .ratlinalg import _frac_json
+
     rep = clifford.build_rep()
     psi = clifford.STANDARD_SPINOR
     p, _ = clifford.extract_PQ(rep, psi)

@@ -762,6 +762,10 @@ def q_contraction_spectrum(rep, psi):
         entries.append((lam, dim))
     if sum(m for _, m in entries) != n:
         raise SpectrumError("eigenspace dimensions do not fill the two-forms")
+    if roots.get(-1, 0) != 8:
+        raise SpectrumError(
+            "(-1)-eigenspace has dimension %d, not 8" % roots.get(-1, 0)
+        )
 
     # A + d has the reduced row echelon form of op + 1, so the same basis.
     basis = ratlinalg.nullspace(_minus_scalar(a_int, -d))

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 from . import casimir, decompose, lie, ratlinalg
 from .errors import FixtureError, UnknownTagError
+from .ratlinalg import _frac_json
 
 GAUGE_H = "H"
 GAUGE_SU3 = "SU3"
@@ -291,11 +292,6 @@ def gauge_rep(c, gauge):
 
 
 FIXTURE_SCHEMA = "nk-coset-fixtures-v1"
-
-
-def _frac_json(x):
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
 
 
 _DECOMP_SCHEMA = [{"hw": [int], "mult": int}]

@@ -30,6 +30,12 @@ def integer_scaled(mat):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in mat]
 
 
+def _frac_json(x):
+    """The package's one JSON form of a rational: {"num": int, "den": int}."""
+    f = Fraction(x)
+    return {"num": f.numerator, "den": f.denominator}
+
+
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

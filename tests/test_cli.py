@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +156,117 @@ def test_clifford_verify_matches_golden_output(fmt, golden):
     code, out = run(["clifford-verify", "--format", fmt])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# One command per subcommand besides clifford-verify, whose goldens are
+# checked above; stdout is compared byte for byte in text and JSON.
+GOLDEN_COMMANDS = {
+    "tables_prop-4.2": ["tables", "prop-4.2"],
+    "tables_thm-5.2-H": ["tables", "thm-5.2-H"],
+    "tables_thm-5.2-SU3": ["tables", "thm-5.2-SU3"],
+    "casimir_su2cubed": ["casimir", "--pair", "su2cubed", "--hw", "1,1,1"],
+    "branch_su3t2": ["branch", "--coset", "su3t2", "--hw", "2,1"],
+    "tensor_sp1u1": ["tensor", "--algebra", "sp1u1", "--a", "2,-3", "--b", "1,2"],
+}
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden_output(name, fmt, suffix):
+    code, out = run(GOLDEN_COMMANDS[name] + ["--format", fmt])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / ("%s.%s" % (name, suffix))).read_bytes()
+
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_python(*args):
+    """Stdout of a new interpreter that imports nkdeform from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED_MODULES = """
+import sys
+print(sorted(m for m in sys.modules if m.startswith("nkdeform.")))
+"""
+
+
+def test_import_loads_no_submodule():
+    assert fresh_python("-c", "import nkdeform" + _LOADED_MODULES) == "[]\n"
+
+
+def test_submodule_resolves_on_attribute_access():
+    code = "import nkdeform\nprint(nkdeform.clifford.__name__)" + _LOADED_MODULES
+    out = fresh_python("-c", code)
+    assert out == (
+        "nkdeform.clifford\n"
+        "['nkdeform.clifford', 'nkdeform.errors', 'nkdeform.ratlinalg']\n"
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    code = (
+        "import nkdeform\n"
+        "try:\n"
+        "    nkdeform.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(nkdeform, 'no_such_name'))" + _LOADED_MODULES
+    )
+    assert fresh_python("-c", code) == (
+        "module 'nkdeform' has no attribute 'no_such_name'\nFalse\n[]\n"
+    )
+
+
+_RUN_CLI = """
+import contextlib, io, sys
+from nkdeform import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+if code:
+    sys.exit(code)
+"""
+
+# Modules each subcommand loads besides nkdeform.cli, .errors and .lie.
+LOADED_BY = {
+    "--version": ([], []),
+    "tensor": (["--algebra", "su3", "--a", "1,0", "--b", "1,1"], ["decompose"]),
+    "casimir": (["--pair", "g2", "--hw", "0,1"], ["casimir", "ratlinalg"]),
+    "branch": (
+        ["--coset", "sp2", "--hw", "1,0"],
+        ["casimir", "cosets", "decompose", "ratlinalg"],
+    ),
+    "tables": (
+        ["thm-5.2-H"],
+        ["casimir", "cosets", "decompose", "deform", "ratlinalg"],
+    ),
+    "clifford-verify": ([], ["clifford", "ratlinalg"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADED_BY))
+def test_subcommand_loads_only_the_modules_it_runs(command):
+    args, extra = LOADED_BY[command]
+    out = fresh_python("-c", _RUN_CLI + _LOADED_MODULES, command, *args)
+    expected = sorted("nkdeform." + m for m in ["cli", "errors", "lie"] + extra)
+    assert out == "%r\n" % expected
+
+
+def test_module_entry_point_matches_golden_output():
+    out = fresh_python("-m", "nkdeform.cli", "tables", "thm-5.2-H", "--format", "json")
+    assert out.encode("utf-8") == (GOLDEN / "tables_thm-5.2-H.json").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -377,3 +377,26 @@ def test_complex_structure_refuses_a_volume_element_off_the_span(rep):
     broken = dataclasses.replace(rep, blades=tuple(blades))
     with pytest.raises(ConsistencyError, match="span"):
         clifford.complex_structure(broken, PSI)
+
+
+def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
+    rep, monkeypatch
+):
+    # The true operator with seven of its eight su(3) directions moved to
+    # eigenvalue +1.  Its roots are rational, it is diagonalizable, and the
+    # one (-1)-vector left is omega-orthogonal, of type (1,1) and trivially
+    # bracket-closed: only the dimension check can refuse it.
+    op = clifford.q_contraction_operator(rep, PSI)
+    columns = list(clifford.q_contraction_spectrum(rep, PSI).minus_one_basis)
+    values = [-1] + [1] * 7
+    for lam in (1, 2):
+        shift = ratlinalg.mat_scale(ratlinalg.identity(len(op)), lam)
+        kernel = ratlinalg.nullspace(ratlinalg.mat_sub(op, shift))
+        columns += kernel
+        values += [lam] * len(kernel)
+    basis = ratlinalg.transpose(columns)
+    scaled = [[x * lam for x, lam in zip(row, values)] for row in basis]
+    moved = ratlinalg.mat_mul(scaled, ratlinalg.inverse(basis))
+    monkeypatch.setattr(clifford, "_q_operator", lambda q: moved)
+    with pytest.raises(SpectrumError, match="dimension 1, not 8"):
+        clifford.q_contraction_spectrum(rep, PSI)
