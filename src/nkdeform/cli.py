@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, lie
+from . import __version__
 from .errors import (
     ConsistencyError,
     ConventionError,
@@ -57,17 +57,18 @@ _INVARIANT_ERRORS = (
 
 TABLE_IDS = ("prop-4.2", "thm-5.2-H", "thm-5.2-SU3")
 
+# Tag -> name of its lie.RootData, resolved in cmd_tensor so cli need not import lie.
 TENSOR_ALGEBRAS = {
-    "su2": lie.A1,
-    "a1": lie.A1,
-    "su3": lie.A2,
-    "a2": lie.A2,
-    "sp2": lie.C2,
-    "c2": lie.C2,
-    "g2": lie.G2,
-    "su2cubed": lie.A1_CUBED,
-    "sp1u1": lie.A1_U1,
-    "u1u1": lie.U1_U1,
+    "su2": "A1",
+    "a1": "A1",
+    "su3": "A2",
+    "a2": "A2",
+    "sp2": "C2",
+    "c2": "C2",
+    "g2": "G2",
+    "su2cubed": "A1_CUBED",
+    "sp1u1": "A1_U1",
+    "u1u1": "U1_U1",
 }
 
 
@@ -250,10 +251,10 @@ def cmd_branch(args, out):
 
 
 def cmd_tensor(args, out):
-    from . import decompose
+    from . import decompose, lie
 
     try:
-        root_data = TENSOR_ALGEBRAS[args.algebra]
+        root_data = getattr(lie, TENSOR_ALGEBRAS[args.algebra])
     except KeyError:
         raise UnknownTagError(
             "unknown algebra %r (known: %s)"

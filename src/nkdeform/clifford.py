@@ -15,18 +15,23 @@ spinor psi determines the three-form P and four-form Q through
 8 psi psi^T = 1 + P - Q; from these the almost complex structure J, the
 two-form omega = *Q and the eigenspace structure of contraction with Q on
 two-forms all follow and are verified.  P, Q, omega and J are built once
-per public call.  The checks of the contraction spectrum run on integers:
-the operator times its common denominator, primitive integer eigenvectors
-and J times its denominator, every check being homogeneous in the scale;
-bracket closure is checked on unordered pairs.  The dense-matrix route is
-kept as a test oracle (``tests/clifford_oracle.py``).
+per public call, in integers: psi = psi~ / d for the integer spinor psi~,
+|psi~|^2 = d^2 is checked exactly, d^2 P, d^2 Q and d^2 J are integral,
+and ``Fraction`` values are built only for what is returned.  The checks of
+the contraction spectrum run on integers too: the operator times its
+common denominator, primitive integer eigenvectors and d^2 J, every check
+being homogeneous in the scale; bracket closure is checked on unordered
+pairs.  Of the eight identities of the suite, grade-brackets and
+vector-sandwich involve only the algebra and are proved once per process
+on basis blades; the other six run per spinor on the P, Q and J of psi~.
+The dense-matrix route and the sampled route are kept as a test oracle
+(``tests/clifford_oracle.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +68,12 @@ def _merge_sign(a, b):
         if _popcount(higher) % 2:
             sign = -sign
     return sign
+
+
+def _contraction_sign(bit, mask):
+    """Sign of e_i -| e_mask = +-e_{mask xor bit} for bit = 1 << i in mask:
+    a transposition per generator of e_mask below e_i."""
+    return -1 if _popcount(mask & (bit - 1)) % 2 else 1
 
 
 @functools.cache
@@ -156,14 +167,6 @@ class Multivector:
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
 
-    def grade_part(self, k):
-        return Multivector(
-            tuple(
-                a if _popcount(mask) == k else _F(0)
-                for mask, a in enumerate(self.coeffs)
-            )
-        )
-
     def grades(self):
         return sorted(
             {_popcount(mask) for mask, a in enumerate(self.coeffs) if a != 0}
@@ -179,9 +182,7 @@ class Multivector:
         for mask, a in enumerate(self.coeffs):
             if a == 0 or not mask & bit:
                 continue
-            below = mask & (bit - 1)
-            sign = -1 if _popcount(below) % 2 else 1
-            out[mask ^ bit] += sign * a
+            out[mask ^ bit] += _contraction_sign(bit, mask) * a
         return Multivector(tuple(out))
 
     def contract(self, other):
@@ -295,7 +296,7 @@ class CliffordRep:
 
     def act(self, mv, spinor):
         """Clifford multiplication of a spinor by a multivector."""
-        out = [_ZERO] * 8
+        out = [0] * 8
         for mask, a in enumerate(mv.coeffs):
             if a == 0:
                 continue
@@ -359,45 +360,53 @@ def build_rep():
 STANDARD_SPINOR = (_F(1), _F(0), _F(0), _F(0), _F(0), _F(0), _F(0), _F(0))
 
 
-def _check_unit(psi):
-    if sum(x * x for x in psi) != 1:
+def _integer_forms(rep, psi):
+    """(psi~, d^2, d^2 P, d^2 Q), all integral, for psi~ = d psi and d the
+    common denominator of psi: the blade-A coefficient of 8 psi psi^T is
+    <e_A psi, psi> = <e_A psi~, psi~> / d^2, and its grade-0 part is 1 once
+    |psi~|^2 = d^2 is checked.  Raises :class:`ConventionError` as
+    :func:`extract_PQ` does."""
+    d, (spinor,) = ratlinalg.integer_scaled([psi])
+    d2 = d * d
+    if sum(x * x for x in spinor) != d2:
         raise ConventionError("spinor is not of unit length")
+    coeffs = [
+        sum(sign * x * spinor[row] for (row, sign), x in zip(blade, spinor))
+        for blade in rep.blades
+    ]
+    grades = [_popcount(mask) for mask in range(N_BLADES)]
+    if any(c for c, k in zip(coeffs, grades) if k not in _GRADE_SYMMETRIC):
+        raise ConventionError(
+            "8 psi psi^T has components outside grades {0, 3, 4}"
+        )
+    p = Multivector(tuple(c if k == 3 else 0 for c, k in zip(coeffs, grades)))
+    q = Multivector(tuple(-c if k == 4 else 0 for c, k in zip(coeffs, grades)))
+    return spinor, d2, p, q
+
+
+def _over(mv, d2):
+    """The multivector mv / d^2 with ``Fraction`` coefficients."""
+    return Multivector(tuple(_F(c, d2) for c in mv.coeffs))
 
 
 def extract_PQ(rep, psi):
     """The unique three-form P and four-form Q with 8 psi psi^T = 1 + P - Q.
 
-    The blade-A coefficient of 8 psi psi^T is Tr(e_A^T 8 psi psi^T)/8 =
-    <e_A psi, psi>.  Raises :class:`ConventionError` when psi is not a unit
-    spinor or the rank-one projector has residue outside grades {0, 3, 4}.
+    Raises :class:`ConventionError` when psi is not a unit spinor or the
+    rank-one projector has residue outside grades {0, 3, 4}.
     """
-    _check_unit(psi)
-    mv = Multivector(
-        tuple(
-            _F(sum(x * y for x, y in zip(_apply(blade, psi), psi)))
-            for blade in rep.blades
-        )
-    )
-    if mv.coeffs[0] != 1:
-        raise ConventionError("grade-0 part of 8 psi psi^T is %s" % mv.coeffs[0])
-    residue = mv - Multivector.scalar(1) - mv.grade_part(3) - mv.grade_part(4)
-    if not residue.is_zero():
-        raise ConventionError(
-            "8 psi psi^T has components outside grades {0, 3, 4}"
-        )
-    p = mv.grade_part(3)
-    q = -mv.grade_part(4)
-    return p, q
+    _, d2, p, q = _integer_forms(rep, psi)
+    return _over(p, d2), _over(q, d2)
 
 
-def _eigenvalue_on(rep, mv, spinor):
-    """Exact eigenvalue of Clifford multiplication by mv on a nonzero spinor."""
+def _eigenvalue_on(rep, mv, spinor, d2):
+    """Exact eigenvalue of Clifford multiplication by mv / d^2 on a nonzero
+    integer spinor, compared by cross-multiplication."""
     image = rep.act(mv, spinor)
     pivot = next(i for i in range(8) if spinor[i] != 0)
-    lam = image[pivot] / spinor[pivot]
-    if any(image[i] != lam * spinor[i] for i in range(8)):
+    if any(y * spinor[pivot] != image[pivot] * x for x, y in zip(spinor, image)):
         raise ConsistencyError("vector is not an eigenvector")
-    return lam
+    return _F(image[pivot], d2 * spinor[pivot])
 
 
 @dataclass(frozen=True)
@@ -411,29 +420,23 @@ class SpinorBlockSpectra:
 def spinor_decomposition_spectra(rep, psi):
     """Eigenvalues of Clifford multiplication by P and Q on the three blocks
     of S = span(psi) + {u.psi} + span(Vol.psi); also verifies that the eight
-    vectors spanning those blocks are orthonormal."""
-    p, q = extract_PQ(rep, psi)
-    basis = [tuple(psi)]
-    basis += [_apply(rep.blades[1 << a], psi) for a in range(DIM)]
-    basis.append(_apply(rep.blades[VOL_MASK], psi))
+    vectors spanning those blocks are orthonormal.  Runs on psi~ = d psi,
+    d^2 P and d^2 Q, whose inner products and eigenvalues carry d^2."""
+    spinor, d2, p, q = _integer_forms(rep, psi)
+    basis = [tuple(spinor)]
+    basis += [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
+    basis.append(_apply(rep.blades[VOL_MASK], spinor))
     for i in range(8):
         for j in range(8):
-            ip = sum(x * y for x, y in zip(basis[i], basis[j]))
-            if ip != (1 if i == j else 0):
+            if ratlinalg.dot(basis[i], basis[j]) != (d2 if i == j else 0):
                 raise ConsistencyError(
                     "spinor blocks are not orthonormal (%d, %d)" % (i, j)
                 )
-    p0 = _eigenvalue_on(rep, p, basis[0])
-    p6 = _eigenvalue_on(rep, p, basis[7])
-    q0 = _eigenvalue_on(rep, q, basis[0])
-    q6 = _eigenvalue_on(rep, q, basis[7])
-    p1s = {_eigenvalue_on(rep, p, basis[a]) for a in range(1, 7)}
-    q1s = {_eigenvalue_on(rep, q, basis[a]) for a in range(1, 7)}
-    if len(p1s) != 1 or len(q1s) != 1:
+    ps = [_eigenvalue_on(rep, p, v, d2) for v in basis]
+    qs = [_eigenvalue_on(rep, q, v, d2) for v in basis]
+    if len(set(ps[1:7])) != 1 or len(set(qs[1:7])) != 1:
         raise ConsistencyError("P or Q is not scalar on the one-form block")
-    return SpinorBlockSpectra(
-        (p0, p1s.pop(), p6), (q0, q1s.pop(), q6)
-    )
+    return SpinorBlockSpectra((ps[0], ps[1], ps[7]), (qs[0], qs[1], qs[7]))
 
 
 def complex_structure(rep, psi):
@@ -445,33 +448,42 @@ def complex_structure(rep, psi):
     Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being 8 times the
     scalar part of omega u v.
     """
-    _, q = extract_PQ(rep, psi)
-    return _complex_structure(rep, psi, q)
+    spinor, d2, _, q = _integer_forms(rep, psi)
+    return _fraction_matrix(_complex_structure(rep, spinor, d2, q), d2)
 
 
-def _complex_structure(rep, psi, q):
-    """:func:`complex_structure` given Q.  The generators are skew and
-    anticommute, so for the unit spinor psi the e_a psi are orthonormal and
-    J_ba = <e_b psi, Vol e_a psi>."""
-    images = [_apply(rep.blades[1 << a], psi) for a in range(DIM)]
+def _fraction_matrix(mat, d2):
+    return [[_F(x, d2) for x in row] for row in mat]
+
+
+def _complex_structure(rep, spinor, d2, q):
+    """d^2 J, an integer matrix, from psi~ = d psi and d^2 Q.  The generators
+    are skew and anticommute, so the e_a psi~ are orthogonal of norm d^2
+    and d^2 J_ba = <e_b psi~, Vol e_a psi~>; the checks below carry the
+    matching powers of d^2."""
+    images = [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     targets = [_apply(rep.blades[VOL_MASK], v) for v in images]
-    j = [[_F(sum(x * y for x, y in zip(u, t))) for t in targets] for u in images]
+    j = [[ratlinalg.dot(u, t) for t in targets] for u in images]
     for a, target in enumerate(targets):
         spanned = [sum(j[b][a] * u[i] for b, u in enumerate(images)) for i in range(8)]
-        if spanned != list(target):
+        if spanned != [d2 * x for x in target]:
             raise ConsistencyError(
                 "Vol . e_%d . psi is not in the span of the e_b . psi" % (a + 1)
             )
-    minus_ident = ratlinalg.mat_scale(ratlinalg.identity(DIM), -1)
-    if ratlinalg.mat_mul(j, j) != minus_ident:
+    minus_d4 = [[-d2 * d2 * (a == b) for b in range(DIM)] for a in range(DIM)]
+    if ratlinalg.mat_mul(j, j) != minus_d4:
         raise IdentityViolationError("complex-structure-square")
-    if ratlinalg.mat_mul(ratlinalg.transpose(j), j) != ratlinalg.identity(DIM):
+    # Given J^2 = -1, J^T J = 1 is J^T = -J.
+    if ratlinalg.transpose(j) != [[-x for x in row] for row in j]:
         raise IdentityViolationError("complex-structure-orthogonality")
-    omega = q.star()
-    for a in range(1, DIM + 1):
-        for b in range(1, DIM + 1):
-            uv = Multivector.vector(a) * Multivector.vector(b)
-            if omega.scalar_product(uv) != -j[a - 1][b - 1]:
+    # With e_a e_b = s(a, b) e_m for m = a xor b, the scalar part of
+    # omega e_a e_b is s(m, m) s(a, b) omega_m.
+    omega = q.star().coeffs
+    signs = _product_signs()
+    for a in range(DIM):
+        for b in range(DIM):
+            m = (1 << a) ^ (1 << b)
+            if signs[m][m] * signs[1 << a][1 << b] * omega[m] != -j[a][b]:
                 raise IdentityViolationError("kahler-form-trace")
     return j
 
@@ -493,50 +505,54 @@ class CheckResult:
     passed: bool
 
 
-def _random_form(rng, grade):
-    mv = Multivector.zero()
-    for mask in range(N_BLADES):
-        if _popcount(mask) == grade:
-            mv = mv + Multivector.blade(
-                mask, _F(rng.randint(-6, 6), rng.randint(1, 4))
-            )
-    return mv
+@functools.cache
+def _algebra_identities():
+    """Verdicts (grade-brackets, vector-sandwich), proved on basis blades.
+
+    Both identities involve only the algebra, and both sides are bilinear
+    in (alpha, beta), respectively linear in eps.  So checking alpha = e_i
+    against every blade beta of grade 1-3, and eps = e_i, is a proof.  On
+    blades e_i e_B = s(i, B) e_{i xor B}; e_i ^ e_B is that product when i
+    is not in B and 0 otherwise; e_i -| e_B is the contraction sign times
+    e_{i xor B} when i is in B and 0 otherwise.
+    """
+    signs = _product_signs()
+    brackets = True
+    for bit in (1 << i for i in range(DIM)):
+        for mask in (m for m in range(1, N_BLADES) if _popcount(m) <= 3):
+            ab, ba = signs[bit][mask], signs[mask][bit]
+            wedge, contr = (0, _contraction_sign(bit, mask)) if mask & bit else (ab, 0)
+            # odd grade: [a, b] = 2 a ^ b, {a, b} = -2 a -| b; even: swapped
+            comm, anti = (wedge, -contr) if _popcount(mask) % 2 else (-contr, wedge)
+            brackets &= ab - ba == 2 * comm and ab + ba == 2 * anti
+    # e_a e_i e_a = s(a, i) s(a xor i, a) e_i
+    sandwich = all(
+        sum(signs[1 << a][1 << i] * signs[(1 << a) ^ (1 << i)][1 << a]
+            for a in range(DIM)) == 4
+        for i in range(DIM)
+    )
+    return brackets, sandwich
 
 
 def verify_identity_suite(rep, psi, raise_on_failure=True):
     """Run the eight named pointwise identities; each must hold exactly.
 
-    The Clifford-product identities are checked with the geometric product,
-    which the representation matches blade for blade (see :func:`build_rep`).
+    Grade-brackets and vector-sandwich involve only the algebra: they are
+    proved once per process on basis blades (:func:`_algebra_identities`).
+    The other six run per spinor, on the P, Q and J that the integer spinor
+    psi~ = d psi yields, with the geometric product, which the
+    representation matches blade for blade (see :func:`build_rep`).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
     """
-    p, q = extract_PQ(rep, psi)
+    spinor, d2, p_int, q_int = _integer_forms(rep, psi)
+    p, q = _over(p_int, d2), _over(q_int, d2)
     star_p = p.star()
     star_q = q.star()
-    j = _complex_structure(rep, psi, q)
-    rng = random.Random(1729)
+    j = _fraction_matrix(_complex_structure(rep, spinor, d2, q_int), d2)
+    brackets, sandwich = _algebra_identities()
     vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
-
-    def check_grade_brackets():
-        for _ in range(4):
-            alpha = _random_form(rng, 1)
-            for grade in (1, 2, 3):
-                beta = _random_form(rng, grade)
-                contr = alpha.contract(beta)
-                if grade % 2 == 1:
-                    comm_expect = alpha.wedge(beta).scale(2)
-                    anti_expect = contr.scale(-2)
-                else:
-                    comm_expect = contr.scale(-2)
-                    anti_expect = alpha.wedge(beta).scale(2)
-                ab, ba = alpha * beta, beta * alpha
-                if ab - ba != comm_expect:
-                    return False
-                if ab + ba != anti_expect:
-                    return False
-        return True
 
     def check_degree_identities():
         lhs1 = Multivector.zero()
@@ -573,17 +589,6 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
                     return False
         return True
 
-    def check_vector_sandwich():
-        forms = list(vectors)
-        forms.append(_random_form(rng, 1))
-        for eps in forms:
-            acc = Multivector.zero()
-            for e in vectors:
-                acc = acc + e * eps * e
-            if acc != eps.scale(4):
-                return False
-        return True
-
     def check_three_form_square():
         correction = Multivector.zero()
         for a in range(1, DIM + 1):
@@ -601,7 +606,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
             "grade-brackets",
             "Clifford (anti)commutators of a one-form against odd/even forms "
             "reduce to wedge and contraction",
-            check_grade_brackets,
+            lambda: brackets,
         ),
         (
             "degree-identities",
@@ -627,7 +632,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         (
             "vector-sandwich",
             "sum_a e^a . eps . e^a = 4 eps for one-forms",
-            check_vector_sandwich,
+            lambda: sandwich,
         ),
         (
             "three-form-square",
@@ -736,13 +741,14 @@ def q_contraction_spectrum(rep, psi):
 
     The checks run on integers: A = d op for the common denominator d of
     op, whose rational eigenvalues d lam are integers; primitive integer
-    eigenvectors v; e J for the denominator e of J.  Every check is
-    homogeneous, so no verdict changes: P_int v = den v for the projector
-    P_int / den, P_int = prod (A - d lam) and den = prod d (-1 - lam) over
-    lam != -1; (e J)^T S (e J) = e^2 S for the skew matrix S of v; and
-    A c = -d c for a bracket c (:func:`_check_bracket_closure`).
+    eigenvectors v; e J for e = d^2 of the integer spinor psi~ = d psi.
+    Every check is homogeneous, so no verdict changes: P_int v = den v for
+    the projector P_int / den, P_int = prod (A - d lam) and den =
+    prod d (-1 - lam) over lam != -1; (e J)^T S (e J) = e^2 S for the skew
+    matrix S of v; and A c = -d c for a bracket c (:func:`_check_bracket_closure`).
     """
-    _, q = extract_PQ(rep, psi)
+    spinor, e, _, q_int = _integer_forms(rep, psi)
+    q = _over(q_int, e)
     op = _q_operator(q)
     n = len(op)
     d, a_int = ratlinalg.integer_scaled(op)
@@ -785,7 +791,7 @@ def q_contraction_spectrum(rep, psi):
         raise SpectrumError("omega is not an eigenvector of contraction by Q")
     omega_eig = _F(image[pivot], d * omega[pivot])
 
-    e, j = ratlinalg.integer_scaled(_complex_structure(rep, psi, q))
+    j = _complex_structure(rep, spinor, e, q_int)
     jt = ratlinalg.transpose(j)
     skews = [_skew_matrix(v) for v in vectors]
     for v, skew in zip(vectors, skews):

@@ -44,14 +44,6 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     c = Fraction(c)
     return [[c * x for x in row] for row in a]

@@ -9,7 +9,9 @@ shares with the package only the octonion table, the exterior-algebra
 operations of ``Multivector`` (wedge, contraction, Hodge star) and the
 exact linear algebra of ``ratlinalg``; it never uses the geometric product
 or the signed-permutation blades, except in :func:`dense_blades`, which
-checks the latter against the dense ones.
+checks the latter against the dense ones, and in :func:`sampled_brackets`
+and :func:`sampled_sandwich`, the sampled route of the two identities the
+package proves on basis blades.
 """
 
 import random
@@ -99,21 +101,85 @@ def act_matrix(mat, spinor):
     return tuple(sum(row[j] * spinor[j] for j in range(8)) for row in mat)
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def _commutator(a, b):
-    return ratlinalg.mat_sub(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+    return mat_sub(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
 
 
 def _anticommutator(a, b):
-    return ratlinalg.mat_add(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+    return mat_add(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
+
+
+def random_form(rng, grade):
+    """A form of the given grade with seeded rational coefficients on every
+    blade of that grade."""
+    mv = Multivector.zero()
+    for mask in range(N_BLADES):
+        if bin(mask).count("1") == grade:
+            mv = mv + Multivector.blade(
+                mask, Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            )
+    return mv
+
+
+def _bracket_expectations(alpha, beta, grade):
+    """The commutator and anticommutator that grade-brackets predicts for a
+    one-form alpha and a form beta of the given grade."""
+    wedge = alpha.wedge(beta).scale(2)
+    contr = alpha.contract(beta).scale(-2)
+    return (wedge, contr) if grade % 2 == 1 else (contr, wedge)
+
+
+def sampled_brackets(rng):
+    """Grade-brackets on 4 seeded one-forms against seeded forms of grades
+    1-3, with the geometric product of ``Multivector``."""
+    for _ in range(4):
+        alpha = random_form(rng, 1)
+        for grade in (1, 2, 3):
+            beta = random_form(rng, grade)
+            comm_expect, anti_expect = _bracket_expectations(alpha, beta, grade)
+            ab, ba = alpha * beta, beta * alpha
+            if ab - ba != comm_expect or ab + ba != anti_expect:
+                return False
+    return True
+
+
+def sampled_sandwich(rng):
+    """Vector-sandwich on the six basis vectors and one seeded one-form,
+    with the geometric product of ``Multivector``."""
+    vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
+    for eps in vectors + [random_form(rng, 1)]:
+        acc = Multivector.zero()
+        for e in vectors:
+            acc = acc + e * eps * e
+        if acc != eps.scale(4):
+            return False
+    return True
+
+
+def grade_part(mv, k):
+    return Multivector(
+        tuple(
+            a if bin(mask).count("1") == k else Fraction(0)
+            for mask, a in enumerate(mv.coeffs)
+        )
+    )
 
 
 def extract_PQ(psi):
     """P and Q from the blade expansion of the matrix 8 psi psi^T."""
     mv = multivector([[8 * psi[i] * psi[j] for j in range(8)] for i in range(8)])
     assert mv.coeffs[0] == 1
-    residue = mv - Multivector.scalar(1) - mv.grade_part(3) - mv.grade_part(4)
+    residue = mv - Multivector.scalar(1) - grade_part(mv, 3) - grade_part(mv, 4)
     assert residue.is_zero()
-    return mv.grade_part(3), -mv.grade_part(4)
+    return grade_part(mv, 3), -grade_part(mv, 4)
 
 
 def _solve(mat, rhs):
@@ -137,9 +203,32 @@ def complex_structure(psi):
     omega = matrix(q.star())
     for a in range(DIM):
         for b in range(DIM):
-            prod = ratlinalg.mat_mul(ratlinalg.mat_mul(omega, gammas[a]), gammas[b])
-            assert ratlinalg.trace(prod) / 8 == -j[a][b]
+            # Tr(omega g_a g_b) = sum_ik omega_ik (g_a g_b)_ki
+            gab = ratlinalg.mat_mul(gammas[a], gammas[b])
+            trace = sum(omega[i][k] * gab[k][i] for i in range(8) for k in range(8))
+            assert trace / 8 == -j[a][b]
     return j
+
+
+def block_spectra(psi):
+    """Eigenvalues of the dense matrices of P and Q on psi, the e_a psi and
+    Vol psi, as ((P on the three blocks), (Q on the three blocks))."""
+    p, q = extract_PQ(psi)
+    basis = [tuple(psi)] + [act_matrix(g, psi) for g in _gammas()]
+    basis.append(act_matrix(_blades()[VOL_MASK], psi))
+
+    def values(mat):
+        out = []
+        for v in basis:
+            image = act_matrix(mat, v)
+            pivot = next(i for i in range(8) if v[i])
+            lam = image[pivot] / v[pivot]
+            assert image == tuple(lam * x for x in v)
+            out.append(lam)
+        assert len(set(out[1:7])) == 1
+        return out[0], out[1], out[7]
+
+    return values(matrix(p)), values(matrix(q))
 
 
 def identity_suite(psi):
@@ -154,16 +243,11 @@ def identity_suite(psi):
 
     def grade_brackets():
         for _ in range(4):
-            alpha = clifford._random_form(rng, 1)
+            alpha = random_form(rng, 1)
             for grade in (1, 2, 3):
-                beta = clifford._random_form(rng, grade)
+                beta = random_form(rng, grade)
                 ma, mb = matrix(alpha), matrix(beta)
-                contr = alpha.contract(beta)
-                wedge = alpha.wedge(beta).scale(2)
-                if grade % 2 == 1:
-                    comm_expect, anti_expect = wedge, contr.scale(-2)
-                else:
-                    comm_expect, anti_expect = contr.scale(-2), wedge
+                comm_expect, anti_expect = _bracket_expectations(alpha, beta, grade)
                 if _commutator(ma, mb) != matrix(comm_expect):
                     return False
                 if _anticommutator(ma, mb) != matrix(anti_expect):
@@ -203,12 +287,12 @@ def identity_suite(psi):
         return True
 
     def vector_sandwich():
-        forms = vectors + [clifford._random_form(rng, 1)]
+        forms = vectors + [random_form(rng, 1)]
         for eps in forms:
             me = matrix(eps)
             acc = [[Fraction(0)] * 8 for _ in range(8)]
             for g in gammas:
-                acc = ratlinalg.mat_add(
+                acc = mat_add(
                     acc, ratlinalg.mat_mul(g, ratlinalg.mat_mul(me, g))
                 )
             if acc != ratlinalg.mat_scale(me, 4):
@@ -255,31 +339,37 @@ def charpoly(mat):
     return coeffs
 
 
-def q_spectrum(psi):
+def q_spectrum(psi, eigenvalues=None):
     """Eigenvalues with eigenspace dimensions, the omega eigenvalue, the
     projector onto the (-1)-eigenspace and that eigenspace's basis, for
     beta -> beta -| Q on two-forms with Q from :func:`extract_PQ`.  The
     projector is prod (op - lam) / (-1 - lam) over lam != -1 and the basis
-    the kernel of op + 1, both on the dense ``Fraction`` matrix op."""
+    the kernel of op + 1, both on the dense ``Fraction`` matrix op.
+
+    The eigenvalues are the rational roots of the Fraction characteristic
+    polynomial.  Given candidate ``eigenvalues`` instead, the charpoly is
+    skipped: their eigenspace dimensions, by ``rref`` pivots, must then add
+    up to 15, which proves that they are all the eigenvalues."""
     _, q = extract_PQ(psi)
     pairs = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
     masks = [(1 << a) | (1 << b) for a, b in pairs]
-    op = ratlinalg.transpose(
-        [[Multivector.blade(m).contract(q).coeffs[k] for k in masks] for m in masks]
-    )
+    images = [Multivector.blade(m).contract(q) for m in masks]
+    op = ratlinalg.transpose([[image.coeffs[k] for k in masks] for image in images])
     n = len(op)
     ident = ratlinalg.identity(n)
-    roots = ratlinalg.rational_roots(charpoly(op))
+    if eigenvalues is None:
+        eigenvalues = ratlinalg.rational_roots(charpoly(op))
     entries = []
     projector = ident
-    for lam in sorted(roots):
-        shifted = ratlinalg.mat_sub(op, ratlinalg.mat_scale(ident, lam))
+    for lam in sorted(eigenvalues):
+        shifted = mat_sub(op, ratlinalg.mat_scale(ident, lam))
         entries.append((lam, n - len(ratlinalg.rref(shifted)[1])))
         if lam != -1:
             projector = ratlinalg.mat_mul(
                 projector, ratlinalg.mat_scale(shifted, Fraction(1, -1 - lam))
             )
-    basis = ratlinalg.nullspace(ratlinalg.mat_add(op, ident))
+    assert sum(dim for _, dim in entries) == n
+    basis = ratlinalg.nullspace(mat_add(op, ident))
     omega = [q.star().coeffs[k] for k in masks]
     image = ratlinalg.mat_vec(op, omega)
     pivot = next(i for i in range(n) if omega[i] != 0)

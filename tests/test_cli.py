@@ -239,18 +239,18 @@ if code:
     sys.exit(code)
 """
 
-# Modules each subcommand loads besides nkdeform.cli, .errors and .lie.
+# Modules each subcommand loads besides nkdeform.cli and .errors.
 LOADED_BY = {
     "--version": ([], []),
-    "tensor": (["--algebra", "su3", "--a", "1,0", "--b", "1,1"], ["decompose"]),
-    "casimir": (["--pair", "g2", "--hw", "0,1"], ["casimir", "ratlinalg"]),
+    "tensor": (["--algebra", "su3", "--a", "1,0", "--b", "1,1"], ["decompose", "lie"]),
+    "casimir": (["--pair", "g2", "--hw", "0,1"], ["casimir", "lie", "ratlinalg"]),
     "branch": (
         ["--coset", "sp2", "--hw", "1,0"],
-        ["casimir", "cosets", "decompose", "ratlinalg"],
+        ["casimir", "cosets", "decompose", "lie", "ratlinalg"],
     ),
     "tables": (
         ["thm-5.2-H"],
-        ["casimir", "cosets", "decompose", "deform", "ratlinalg"],
+        ["casimir", "cosets", "decompose", "deform", "lie", "ratlinalg"],
     ),
     "clifford-verify": ([], ["clifford", "ratlinalg"]),
 }
@@ -260,8 +260,33 @@ LOADED_BY = {
 def test_subcommand_loads_only_the_modules_it_runs(command):
     args, extra = LOADED_BY[command]
     out = fresh_python("-c", _RUN_CLI + _LOADED_MODULES, command, *args)
-    expected = sorted("nkdeform." + m for m in ["cli", "errors", "lie"] + extra)
+    expected = sorted("nkdeform." + m for m in ["cli", "errors"] + extra)
     assert out == "%r\n" % expected
+
+
+def test_every_tensor_tag_resolves_to_its_root_data():
+    from nkdeform import lie
+
+    factors = {
+        "su2": ("A1",), "a1": ("A1",), "su3": ("A2",), "a2": ("A2",),
+        "sp2": ("C2",), "c2": ("C2",), "g2": ("G2",),
+        "su2cubed": ("A1", "A1", "A1"), "sp1u1": ("A1", "U1"),
+        "u1u1": ("U1", "U1"),
+    }
+    assert sorted(cli.TENSOR_ALGEBRAS) == sorted(factors)
+    for tag, expected in factors.items():
+        root_data = getattr(lie, cli.TENSOR_ALGEBRAS[tag])
+        assert isinstance(root_data, lie.RootData)
+        assert root_data.factors == expected
+
+
+def test_unknown_tensor_tag_is_a_usage_error(capsys):
+    code, out = run(["tensor", "--algebra", "e8", "--a", "1", "--b", "1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: unknown algebra 'e8' (known: a1, a2, c2, g2, sp1u1, sp2, "
+        "su2, su2cubed, su3, u1u1)\n"
+    )
 
 
 def test_module_entry_point_matches_golden_output():

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -76,8 +81,8 @@ def test_wedge_grading():
     for _ in range(10):
         k = rng.randint(0, 3)
         l = rng.randint(0, 3)
-        a = clifford._random_form(rng, k)
-        b = clifford._random_form(rng, l)
+        a = oracle.random_form(rng, k)
+        b = oracle.random_form(rng, l)
         w = a.wedge(b)
         assert w.is_zero() or w.grades() == [k + l]
 
@@ -157,7 +162,7 @@ def test_torsion_metric_trace_diagonal_value(rep):
     p, _ = clifford.extract_PQ(rep, PSI)
     pm = oracle.matrix(p)
     x = oracle.matrix(Multivector.vector(1))
-    anti = ratlinalg.mat_add(ratlinalg.mat_mul(x, pm), ratlinalg.mat_mul(pm, x))
+    anti = oracle.mat_add(ratlinalg.mat_mul(x, pm), ratlinalg.mat_mul(pm, x))
     assert -ratlinalg.trace(ratlinalg.mat_mul(anti, anti)) / 32 == 2
 
 
@@ -167,7 +172,7 @@ def test_vector_sandwich_on_basis(rep):
     acc = [[F(0)] * 8 for _ in range(8)]
     for a in range(6):
         ga = blades[1 << a]
-        acc = ratlinalg.mat_add(acc, ratlinalg.mat_mul(ga, ratlinalg.mat_mul(g3, ga)))
+        acc = oracle.mat_add(acc, ratlinalg.mat_mul(ga, ratlinalg.mat_mul(g3, ga)))
     assert acc == ratlinalg.mat_scale(g3, 4)
 
 
@@ -235,8 +240,8 @@ def test_contraction_convention():
     for _ in range(6):
         ka = rng.randint(1, 3)
         kb = rng.randint(1, 3)
-        a = clifford._random_form(rng, ka)
-        b = clifford._random_form(rng, kb)
+        a = oracle.random_form(rng, ka)
+        b = oracle.random_form(rng, kb)
         for u in range(1, 7):
             lhs = a.wedge(b).contract_vector(u)
             rhs = a.contract_vector(u).wedge(b) + a.wedge(
@@ -361,7 +366,7 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
     op, d, a_int = _spectrum_operator(rep, PSI_B)
     basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
     plus_one = ratlinalg.nullspace(
-        ratlinalg.mat_sub(op, ratlinalg.identity(len(op)))
+        oracle.mat_sub(op, ratlinalg.identity(len(op)))
     )
     subspace = list(basis[:7]) + [plus_one[0]]
     assert ratlinalg.rank(subspace) == 8
@@ -391,7 +396,7 @@ def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
     values = [-1] + [1] * 7
     for lam in (1, 2):
         shift = ratlinalg.mat_scale(ratlinalg.identity(len(op)), lam)
-        kernel = ratlinalg.nullspace(ratlinalg.mat_sub(op, shift))
+        kernel = ratlinalg.nullspace(oracle.mat_sub(op, shift))
         columns += kernel
         values += [lam] * len(kernel)
     basis = ratlinalg.transpose(columns)
@@ -400,3 +405,160 @@ def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
     monkeypatch.setattr(clifford, "_q_operator", lambda q: moved)
     with pytest.raises(SpectrumError, match="dimension 1, not 8"):
         clifford.q_contraction_spectrum(rep, PSI)
+
+
+def _benchmark_spinors(seed):
+    """The three seeded spinors of a clifford-spinors benchmark round of
+    that seed: one generator draws all three, pattern by pattern."""
+    rng = random.Random(seed)
+    out = []
+    for numerators, den in DENSE_SPINOR_PATTERNS:
+        v = list(numerators)
+        rng.shuffle(v)
+        out.append(tuple(F(x * rng.choice((1, -1)), den) for x in v))
+    return out
+
+
+ORACLE_SPINORS = [PSI, PSI_B, PSI_C] + [
+    psi for seed in range(101, 111) for psi in _benchmark_spinors(seed)
+]
+
+REPORT = [
+    (
+        "grade-brackets",
+        "Clifford (anti)commutators of a one-form against odd/even forms "
+        "reduce to wedge and contraction",
+    ),
+    (
+        "degree-identities",
+        "sum_a e^a ^ (e^a ^ P + e^a -| Q) = 4Q and "
+        "sum_a e^a ^ (-e^a -| *P - e^a ^ *Q) = -3*P",
+    ),
+    ("kahler-square", "*Q . *Q = -3 + 2Q"),
+    (
+        "holomorphic-contraction",
+        "(v - i Jv) -| (P + i *P) = 0 for every basis vector",
+    ),
+    ("torsion-metric-trace", "-(1/32) Tr({X, P}{Y, P}) = 2 g(X, Y)"),
+    ("vector-sandwich", "sum_a e^a . eps . e^a = 4 eps for one-forms"),
+    ("three-form-square", "P . P = |P|^2 - sum_a (e^a -| P) ^ (e^a -| P)"),
+    ("contraction-norm", "sum_a |e^a -| P|^2 = 3 |P|^2"),
+]
+
+
+def _all_fractions(values):
+    return all(type(x) is F for x in values)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_SPINORS)))
+def test_integer_route_matches_the_oracle(rep, index):
+    psi = ORACLE_SPINORS[index]
+    p, q = clifford.extract_PQ(rep, psi)
+    assert (p, q) == oracle.extract_PQ(psi)
+    assert _all_fractions(p.coeffs + q.coeffs)
+
+    blocks = clifford.spinor_decomposition_spectra(rep, psi)
+    assert (blocks.p_values, blocks.q_values) == oracle.block_spectra(psi)
+    assert _all_fractions(blocks.p_values + blocks.q_values)
+
+    j = clifford.complex_structure(rep, psi)
+    assert j == oracle.complex_structure(psi)
+    assert _all_fractions(x for row in j for x in row)
+
+    spectrum = clifford.q_contraction_spectrum(rep, psi)
+    eigenvalues = [lam for lam, _ in spectrum.entries]
+    assert _spectrum_fields(spectrum) == oracle.q_spectrum(psi, eigenvalues)
+    assert _all_fractions(eigenvalues + [spectrum.omega_eigenvalue])
+    assert all(type(dim) is int for _, dim in spectrum.entries)
+    for mat in (spectrum.projector, spectrum.minus_one_basis):
+        assert _all_fractions(x for row in mat for x in row)
+
+    report = clifford.verify_identity_suite(rep, psi)
+    assert all(type(r) is clifford.CheckResult for r in report)
+    assert [(r.name, r.description) for r in report] == REPORT
+    assert [r.passed for r in report] == [True] * 8
+    assert all(type(r.passed) is bool for r in report)
+
+
+def test_basis_proof_agrees_with_the_sampled_route():
+    rng = random.Random(1729)
+    sampled = (oracle.sampled_brackets(rng), oracle.sampled_sandwich(rng))
+    assert clifford._algebra_identities() == sampled == (True, True)
+
+
+def test_basis_proof_is_lazy_and_runs_once_per_process(rep):
+    code = (
+        "from nkdeform import clifford\n"
+        "clifford.build_rep()\n"
+        "print(clifford._algebra_identities.cache_info().misses)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    clifford._algebra_identities.cache_clear()
+    for psi in (PSI, PSI_B, PSI_C):
+        clifford.verify_identity_suite(rep, psi)
+    info = clifford._algebra_identities.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.fixture
+def flipped_sign(monkeypatch):
+    """Flip s(a, b) of e_a e_b = s(a, b) e_{a xor b} in the product table;
+    both caches are cleared before and after."""
+    clifford._product_signs.cache_clear()
+    clifford._algebra_identities.cache_clear()
+
+    def flip(a, b):
+        table = [list(row) for row in clifford._product_signs()]
+        table[a][b] = -table[a][b]
+        flipped = tuple(tuple(row) for row in table)
+        monkeypatch.setattr(clifford, "_product_signs", lambda: flipped)
+
+    yield flip
+    monkeypatch.undo()
+    clifford._product_signs.cache_clear()
+    clifford._algebra_identities.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "a,b,sandwich",
+    [
+        (0b000001, 0b000110, True),  # e_1 e_23: only grade-brackets reads it
+        (0b000011, 0b000001, False),  # e_12 e_1: read by both
+    ],
+)
+def test_a_flipped_product_sign_fails_the_basis_proof(rep, flipped_sign, a, b, sandwich):
+    flipped_sign(a, b)
+    report = clifford.verify_identity_suite(rep, PSI, raise_on_failure=False)
+    passed = {r.name: r.passed for r in report}
+    assert passed["grade-brackets"] is False
+    assert passed["vector-sandwich"] is sandwich
+    rng = random.Random(1729)
+    assert (oracle.sampled_brackets(rng), oracle.sampled_sandwich(rng)) == (
+        False, sandwich)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        (F(2, 3), F(2, 3)) + (F(0),) * 6,  # |psi~|^2 = 8 = d^2 - 1
+        (F(1), F(1, 3)) + (F(0),) * 6,  # |psi~|^2 = 10 = d^2 + 1
+    ],
+)
+def test_integer_norm_off_by_one_from_d_squared_is_refused(rep, psi):
+    assert sum((3 * x) ** 2 for x in psi) in (8, 10)
+    for fn in (
+        clifford.extract_PQ,
+        clifford.spinor_decomposition_spectra,
+        clifford.complex_structure,
+        clifford.kahler_form,
+        clifford.verify_identity_suite,
+        clifford.q_contraction_operator,
+        clifford.q_contraction_spectrum,
+    ):
+        with pytest.raises(ConventionError, match="unit length"):
+            fn(rep, psi)

@@ -246,7 +246,7 @@ def _tensor_grid(rd):
 
 @pytest.mark.parametrize("tag", sorted(cli.TENSOR_ALGEBRAS))
 def test_brauer_klimyk_matches_character_product(tag):
-    rd = cli.TENSOR_ALGEBRAS[tag]
+    rd = getattr(lie, cli.TENSOR_ALGEBRAS[tag])
     grid = _tensor_grid(rd)
     for a, b in itertools.product(grid, grid):
         expected, dim = slow_oracle.tensor_by_characters(rd, a, b)
