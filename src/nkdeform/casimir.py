@@ -7,10 +7,11 @@ as an isometry algebra differ by a factor 4/3.  Each supported (algebra,
 ambient) pair therefore gets its own tag, and the tag selects the Gram
 matrix of B on fundamental-weight coordinates.
 
-For every tag the Gram matrix can be recomputed from first principles by
-tracing the squared Cartan action over the stored decomposition of g into
-irreducibles of the subalgebra (:func:`verify_form_by_trace`); disagreement
-with the stored matrix is a fixture bug and raises ``ConsistencyError``.
+No Gram matrix is stored.  On each simple factor of the ambient algebra B is
+the factor's invariant form (:class:`lie.SimpleType`) scaled so that the
+adjoint representation has Casimir -12: the Killing form gives it Casimir 1.
+A subalgebra's form is the restriction of B, through the restriction map of
+weights stored with each pair here and shared with the coset fixtures.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import lie, ratlinalg
-from .errors import ConsistencyError, UnknownTagError
+from .errors import UnknownTagError
 
 _F = Fraction
 
@@ -32,21 +33,6 @@ class BilinearForm:
     """Gram matrix of the invariant form on fundamental-weight coordinates."""
 
     gram: tuple
-    ambient: str
-
-    def __post_init__(self):
-        n = len(self.gram)
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ConsistencyError("form Gram matrix is not symmetric")
-        for k, minor in enumerate(
-            ratlinalg.leading_principal_minors([list(r) for r in self.gram])
-        ):
-            if (minor > 0) != (k % 2 == 1) or minor == 0:
-                raise ConsistencyError(
-                    "form Gram matrix is not negative definite"
-                )
 
 
 @dataclass(frozen=True)
@@ -72,101 +58,18 @@ class CasimirContext:
         )
 
 
-def _gram(rows):
-    return tuple(tuple(_F(x) for x in row) for row in rows)
-
-
-@dataclass(frozen=True)
-class _PairData:
-    root_data: lie.RootData
-    gram: tuple
-    ambient: str
-    # decomposition of the ambient algebra as a representation of this one
-    ambient_branching: tuple
-    # scale from the weight-trace matrix T to the Gram matrix on the basis
-    # the fixture's source uses (negative for a dual Cartan basis, positive
-    # for a compact real basis, with an extra 1/4 for su(2) rotation bases)
-    basis_scale: Fraction
-
-
+# tag -> (algebra, ambient algebra, restriction of weights from the ambient
+# algebra with rows indexed by the algebra's coordinates, or None for the
+# ambient algebra itself).
 _PAIRS = {
-    "su3-in-g2": _PairData(
-        lie.A2,
-        _gram([[-1, _F(-1, 2)], [_F(-1, 2), -1]]),
-        "g2",
-        (((1, 1), 1), ((1, 0), 1), ((0, 1), 1)),
-        _F(-1, 12),
-    ),
-    "g2": _PairData(
-        lie.G2,
-        _gram([[-1, _F(-3, 2)], [_F(-3, 2), -3]]),
-        "g2",
-        (((0, 1), 1),),
-        _F(-1, 12),
-    ),
-    "su2-diagonal-in-su2cubed": _PairData(
-        lie.A1,
-        _gram([[_F(-1, 2)]]),
-        "su2cubed",
-        (((2,), 3),),
-        _F(1, 48),
-    ),
-    "su2cubed": _PairData(
-        lie.A1_CUBED,
-        _gram(
-            [
-                [_F(-3, 2), 0, 0],
-                [0, _F(-3, 2), 0],
-                [0, 0, _F(-3, 2)],
-            ]
-        ),
-        "su2cubed",
-        (((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)),
-        _F(1, 48),
-    ),
-    "sp1u1-in-sp2": _PairData(
-        lie.A1_U1,
-        _gram([[-1, 0], [0, -1]]),
-        "sp2",
-        (
-            ((2, 0), 1),
-            ((0, 0), 1),
-            ((1, 1), 1),
-            ((1, -1), 1),
-            ((0, 2), 1),
-            ((0, -2), 1),
-        ),
-        _F(1, 12),
-    ),
-    "sp2": _PairData(
-        lie.C2,
-        _gram([[-2, -1], [-1, -1]]),
-        "sp2",
-        (((0, 2), 1),),
-        _F(-1, 12),
-    ),
-    "u1u1-in-su3": _PairData(
-        lie.U1_U1,
-        _gram([[_F(-4, 3), _F(-2, 3)], [_F(-2, 3), _F(-4, 3)]]),
-        "su3",
-        (
-            ((0, 0), 2),
-            ((2, -1), 1),
-            ((-1, 2), 1),
-            ((-1, -1), 1),
-            ((-2, 1), 1),
-            ((1, -2), 1),
-            ((1, 1), 1),
-        ),
-        _F(1, 12),
-    ),
-    "su3-ambient": _PairData(
-        lie.A2,
-        _gram([[_F(-4, 3), _F(-2, 3)], [_F(-2, 3), _F(-4, 3)]]),
-        "su3",
-        (((1, 1), 1),),
-        _F(-1, 12),
-    ),
+    "su3-in-g2": (lie.A2, lie.G2, ((1, 1), (0, 1))),
+    "g2": (lie.G2, lie.G2, None),
+    "su2-diagonal-in-su2cubed": (lie.A1, lie.A1_CUBED, ((1, 1, 1),)),
+    "su2cubed": (lie.A1_CUBED, lie.A1_CUBED, None),
+    "sp1u1-in-sp2": (lie.A1_U1, lie.C2, ((1, 1), (1, 0))),
+    "sp2": (lie.C2, lie.C2, None),
+    "u1u1-in-su3": (lie.U1_U1, lie.A2, ((1, 0), (0, 1))),
+    "su3-ambient": (lie.A2, lie.A2, None),
 }
 
 PAIR_TAGS = tuple(sorted(_PAIRS))
@@ -181,22 +84,50 @@ def _pair_record(pair):
         ) from None
 
 
+def restriction(pair):
+    """The pair's restriction map of weights from its ambient algebra (None
+    for an ambient algebra itself)."""
+    return _pair_record(pair)[2]
+
+
+def _dual_gram(root_data):
+    """gram^-1 of B = -(1/12) Killing on a semisimple algebra, one block
+    E^-1 C / s per simple factor with Cartan matrix C and symmetrizer E:
+    the factor's form (alpha_i, alpha_j) = C_ij e_j has weight Gram matrix
+    E C^-T, and s = -12 / (theta, theta + 2 delta), theta the highest root,
+    gives the adjoint Casimir -12."""
+    n = root_data.num_coords
+    dual = [[_F(0)] * n for _ in range(n)]
+    for tag, start, _ in root_data.blocks:
+        st = lie.SIMPLE_TYPES[tag]
+        theta = max(st.positive_roots, key=sum)
+        cas = st.root_pairing([x + 2 for x in st.root_fund(theta)], theta)
+        for i, (row, e) in enumerate(zip(st.cartan, st.symmetrizer)):
+            for j, c in enumerate(row):
+                dual[start + i][start + j] = _F(-c * cas, 12 * e)
+    return dual
+
+
 def bilinear_form(pair):
-    rec = _pair_record(pair)
-    return BilinearForm(rec.gram, rec.ambient)
+    return context(pair).form
 
 
 @lru_cache(maxsize=None)
 def context(pair):
-    rec = _pair_record(pair)
-    delta = rec.root_data.delta()
-    d, gram_int = ratlinalg.integer_scaled(rec.gram)
+    """The pair's form and its integer data.  A subalgebra's form is B
+    restricted along R: gram^-1 = R gram_ambient^-1 R^T."""
+    root_data, ambient, r = _pair_record(pair)
+    dual = _dual_gram(ambient)
+    if r is not None:
+        dual = ratlinalg.mat_mul(ratlinalg.mat_mul(r, dual), ratlinalg.transpose(r))
+    gram = tuple(map(tuple, ratlinalg.inverse(dual)))
+    delta = root_data.delta()
+    d, gram_int = ratlinalg.integer_scaled(gram)
     gram_int = tuple(map(tuple, gram_int))
     linear = tuple(2 * sum(g * c for g, c in zip(row, delta)) for row in gram_int)
-    minv = ratlinalg.inverse([[-x for x in row] for row in rec.gram])
     return CasimirContext(
-        rec.root_data, bilinear_form(pair), d, gram_int, linear,
-        tuple(minv[i][i] for i in range(len(minv))),
+        root_data, BilinearForm(gram), d, gram_int, linear,
+        tuple(-dual[i][i] for i in range(len(dual))),
     )
 
 
@@ -205,56 +136,6 @@ def casimir_eigenvalue(ctx, hw):
     with highest weight ``hw``."""
     ctx.root_data.require_dominant(hw)
     return _F(ctx.scaled_casimir(hw), ctx.denominator)
-
-
-def _weight_trace_matrix(pair):
-    """T_ij = sum of w_i * w_j over all weights of g viewed through the pair."""
-    rec = _pair_record(pair)
-    n = rec.root_data.num_coords
-    t = [[_F(0)] * n for _ in range(n)]
-    for hw, mult in rec.ambient_branching:
-        char = lie.weight_multiplicities(rec.root_data, hw)
-        for w, m in char.weights.items():
-            for i in range(n):
-                for j in range(n):
-                    t[i][j] += mult * m * w[i] * w[j]
-    return t
-
-
-@dataclass(frozen=True)
-class GeneratorBasisForm:
-    """Gram matrix of B on a generator basis of the subalgebra.
-
-    Unlike :class:`BilinearForm` this carries no definiteness constraint:
-    on a compact real basis B is positive definite, on a dual Cartan basis
-    negative definite.
-    """
-
-    gram: tuple
-    ambient: str
-
-
-def verify_form_by_trace(pair):
-    """Recompute the form from the trace over the stored branching of g.
-
-    Returns the Gram matrix on the generator basis the fixture's source
-    states it in (dual Cartan basis or compact real basis).  Before
-    returning, checks that the trace-derived form agrees with
-    :func:`bilinear_form` after the change to fundamental-weight
-    coordinates, i.e. that gram == -12 * T^(-1).
-    """
-    rec = _pair_record(pair)
-    t = _weight_trace_matrix(pair)
-    recovered = ratlinalg.mat_scale(ratlinalg.inverse(t), -12)
-    stored = [list(row) for row in rec.gram]
-    if recovered != stored:
-        raise ConsistencyError(
-            "trace-recomputed form for %r is %s, fixture stores %s"
-            % (pair, recovered, stored)
-        )
-    return GeneratorBasisForm(
-        _gram(ratlinalg.mat_scale(t, rec.basis_scale)), rec.ambient
-    )
 
 
 def irreps_with_casimir(ctx, value):

@@ -14,9 +14,9 @@ m* together with its (1,0)-part V.  All of it is validated on construction:
 * branching the adjoint of g along the restriction map reproduces the
   adjoint of h plus m*.
 
-The restriction maps were derived once by hand from explicit Cartan bases
-of the embeddings h in g and are frozen here; the adjoint-branching
-invariant guards against transcription errors.
+The restriction maps are stored once, with the algebra pairs of
+:mod:`casimir`, which derives B_H from B_G through the same matrices; the
+adjoint-branching invariant guards against transcription errors.
 
 Descriptors can also be serialized to / loaded from JSON with all rationals
 as exact numerator/denominator pairs (see :func:`load_fixtures`).  A
@@ -137,7 +137,7 @@ def _build_g2su3():
         name="G2/SU(3)",
         g_data=lie.G2,
         h_data=h,
-        restriction=decompose.RestrictionMap(((1, 1), (0, 1))),
+        restriction=decompose.RestrictionMap(casimir.restriction("su3-in-g2")),
         b_g_pair="g2",
         b_h_pair="su3-in-g2",
         mstar=_decomp(h, [((1, 0), 1), ((0, 1), 1)]),
@@ -153,7 +153,9 @@ def _build_su2cubed():
         name="SU(2)^3/SU(2)",
         g_data=lie.A1_CUBED,
         h_data=h,
-        restriction=decompose.RestrictionMap(((1, 1, 1),)),
+        restriction=decompose.RestrictionMap(
+            casimir.restriction("su2-diagonal-in-su2cubed")
+        ),
         b_g_pair="su2cubed",
         b_h_pair="su2-diagonal-in-su2cubed",
         mstar=_decomp(h, [((2,), 2)]),
@@ -171,7 +173,7 @@ def _build_sp2():
         name="Sp(2)/Sp(1)xU(1)",
         g_data=lie.C2,
         h_data=h,
-        restriction=decompose.RestrictionMap(((1, 1), (1, 0))),
+        restriction=decompose.RestrictionMap(casimir.restriction("sp1u1-in-sp2")),
         b_g_pair="sp2",
         b_h_pair="sp1u1-in-sp2",
         mstar=_decomp(
@@ -189,7 +191,7 @@ def _build_su3t2():
         name="SU(3)/U(1)^2",
         g_data=lie.A2,
         h_data=h,
-        restriction=decompose.RestrictionMap(((1, 0), (0, 1))),
+        restriction=decompose.RestrictionMap(casimir.restriction("u1u1-in-su3")),
         b_g_pair="su3-ambient",
         b_h_pair="u1u1-in-su3",
         mstar=_decomp(
@@ -369,14 +371,29 @@ def descriptor_from_dict(obj, path="descriptor"):
     try:
         g_data = lie.RootData(tuple(obj["G"]["factors"]))
         h_data = lie.RootData(tuple(obj["H"]["factors"]))
-        matrix = tuple(
-            tuple(_frac_load(x) for x in row) for row in obj["restriction"]
+    except ValueError as exc:
+        raise FixtureError("%s: %s" % (path, exc)) from None
+    rows = obj["restriction"]
+    where = path + ".restriction"
+    if len(rows) != h_data.num_coords or any(
+        len(row) != g_data.num_coords for row in rows
+    ):
+        raise FixtureError(
+            "%s: expected a %dx%d matrix, a row per H coordinate and a column"
+            " per G coordinate" % (where, h_data.num_coords, g_data.num_coords)
         )
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x["den"] == 0:
+                raise FixtureError("%s[%d][%d].den: zero denominator" % (where, i, j))
+    try:
         return CosetDescriptor(
             name=obj["name"],
             g_data=g_data,
             h_data=h_data,
-            restriction=decompose.RestrictionMap(matrix),
+            restriction=decompose.RestrictionMap(
+                tuple(tuple(_frac_load(x) for x in row) for row in rows)
+            ),
             b_g_pair=obj["B_G"]["pair"],
             b_h_pair=obj["B_H"]["pair"],
             mstar=_decomp_load(h_data, obj["mstar"]),
@@ -384,7 +401,7 @@ def descriptor_from_dict(obj, path="descriptor"):
             g_adjoint=_decomp_load(g_data, obj["g_adjoint"]),
             h_adjoint=_decomp_load(h_data, obj["h_adjoint"]),
         ).validate()
-    except (ValueError, ZeroDivisionError, FixtureError) as exc:
+    except (ValueError, FixtureError) as exc:
         raise FixtureError("%s: %s" % (path, exc)) from None
 
 

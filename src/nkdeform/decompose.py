@@ -82,7 +82,8 @@ class RestrictionMap:
 
     ``matrix`` rows are indexed by target (subalgebra) coordinates.  Images
     of integral weights must be integral; a non-integral image signals a
-    wrongly transcribed embedding.
+    wrongly transcribed embedding.  A row whose length is not that of the
+    weight raises ``ValueError``.
     """
 
     matrix: tuple
@@ -90,7 +91,7 @@ class RestrictionMap:
     def apply(self, w):
         out = []
         for row in self.matrix:
-            v = sum(Fraction(a) * c for a, c in zip(row, w))
+            v = sum(Fraction(a) * c for a, c in zip(row, w, strict=True))
             if v.denominator != 1:
                 raise MalformedEmbeddingError(
                     "weight %r restricts to non-integral coordinate %s" % (w, v)

@@ -5,12 +5,14 @@ block of coordinates per factor of the (reductive) algebra; each U(1) factor
 contributes a single integer charge.  The algebra itself is described by a
 :class:`RootData` value listing its factor tags.
 
-The character of an irreducible is computed with the Freudenthal recursion
-and cross-checked against the Weyl dimension formula on every character
-built; a mismatch raises :class:`ConsistencyError` and means an
-implementation bug, never bad input.  Dimensions come from the Weyl product
-formula in integers, over the coroot pairings <w, alpha^vee> of each simple
-type, which are checked to be integral when the type is constructed.
+Each simple type is given by its Cartan matrix alone.  The positive roots
+(by reflection closure), the integer symmetrizer of the invariant form and
+the coroots are derived from it, in integers.  The character of an
+irreducible is computed with the Freudenthal recursion in integers and
+cross-checked against the Weyl dimension formula on every character built;
+a mismatch raises :class:`ConsistencyError` and means an implementation
+bug, never bad input.  Dimensions come from the Weyl product formula over
+the integer coroot pairings <w, alpha^vee>.
 """
 
 from __future__ import annotations
@@ -18,92 +20,127 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import ConsistencyError, NonDominantWeightError
 
-_F = Fraction
+
+def _det(m):
+    """Determinant of a small integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
 
 
 @dataclass(frozen=True)
 class SimpleType:
-    """Combinatorics of one simple-factor type.
+    """Combinatorics of one simple-factor type, derived from its Cartan
+    matrix.
 
-    ``cartan`` rows are the simple roots in fundamental-weight coordinates
-    (row i is alpha_i, with cartan[i][j] = alpha_i evaluated on the j-th
-    dual basis element of the Cartan subalgebra).  ``positive_roots`` are
-    given in simple-root coordinates.  ``gram`` is a Weyl-invariant positive
-    definite form on fundamental-weight coordinates; any normalization works
-    for multiplicities, and the one stored matches the negated invariant
-    form used by the Casimir module for this algebra in its ambient role.
-
-    Construction checks the tables against each other and raises
-    :class:`ConsistencyError` unless the Cartan matrix has 2 on its diagonal
-    and entries <= 0 off it, the simple roots closed under the simple
-    reflections are exactly the listed positive roots and their negatives,
-    and every coroot pairing is integral.
+    ``cartan`` rows are the simple roots in fundamental-weight coordinates:
+    cartan[i][j] = <alpha_i, alpha_j^vee>.  The matrix is the only
+    hand-entered datum, so construction checks it and raises
+    :class:`ConsistencyError` unless it has 2 on its diagonal and entries
+    <= 0 off it, is symmetrizable, and is of finite type.
     """
 
     name: str
-    rank: int
     cartan: tuple
-    positive_roots: tuple
-    gram: tuple
 
     def __post_init__(self):
-        n = self.rank
+        c = self.cartan
+        n = len(c)
         if any(
-            self.cartan[i][j] != 2 if i == j else self.cartan[i][j] > 0
+            c[i][j] != 2 if i == j else c[i][j] > 0
             for i in range(n)
             for j in range(n)
         ):
             raise ConsistencyError(
                 "%s: Cartan matrix %s needs 2 on the diagonal and entries <= 0"
-                " off it" % (self.name, self.cartan)
+                " off it" % (self.name, c)
             )
-        listed = [self.root_fund(r) for r in self.positive_roots]
-        expected = set(listed) | {tuple(-c for c in r) for r in listed}
-        roots = set(self.cartan)
-        frontier = roots
-        # A Cartan matrix of infinite type never closes; stop once the
-        # closure is larger than the listed root system.
-        while frontier and len(roots) <= len(expected):
-            frontier = {self.reflect(r, i) for r in frontier for i in range(n)}
-            frontier -= roots
-            roots |= frontier
-        if (
-            roots != expected
-            or len(expected) != 2 * len(listed)
-            or any(c < 0 for r in self.positive_roots for c in r)
-        ):
+        e = self.symmetrizer
+        if any(c[i][j] * e[j] != c[j][i] * e[i] for i in range(n) for j in range(n)):
             raise ConsistencyError(
-                "%s: positive_roots %s are not the positive roots of the"
-                " Cartan matrix" % (self.name, self.positive_roots)
+                "%s: Cartan matrix %s is not symmetrizable" % (self.name, c)
             )
-        self.coroots  # raises on a non-integral pairing
+        # A symmetrizable Cartan matrix is of finite type iff its symmetrized
+        # form is positive definite, i.e. iff its leading principal minors
+        # are positive (Kac, *Infinite Dimensional Lie Algebras*, ch. 4).
+        if any(_det([row[:k] for row in c[:k]]) <= 0 for k in range(1, n + 1)):
+            raise ConsistencyError(
+                "%s: Cartan matrix %s is not of finite type" % (self.name, c)
+            )
+
+    @cached_property
+    def symmetrizer(self):
+        """Smallest positive integers e with cartan[i][j] * e[j] symmetric:
+        (alpha_i, alpha_j) = cartan[i][j] * e[j] is the invariant form in
+        which a shortest root has (alpha, alpha) = 2.  Not checked here: a
+        non-symmetrizable matrix gets some vector, which the constructor
+        refuses."""
+        c = self.cartan
+        e = [0] * len(c)
+        for start in range(len(c)):
+            if e[start]:
+                continue
+            e[start] = 1
+            todo = [start]
+            while todo:
+                i = todo.pop()
+                for j, cij in enumerate(c[i]):
+                    if cij and c[j][i] and not e[j]:
+                        # e_j = c_ji e_i / c_ij, after scaling e to keep it integral
+                        num = c[j][i] * e[i]
+                        k = abs(cij) // math.gcd(num, cij)
+                        e = [x * k for x in e]
+                        e[j] = num * k // cij
+                        todo.append(j)
+        g = math.gcd(*e)
+        return tuple(x // g for x in e)
+
+    def root_pairing(self, w, r):
+        """(w, alpha) = sum_i r_i e_i w_i for a weight w in fundamental
+        coordinates and alpha = sum_i r_i alpha_i, since (w, alpha_i) =
+        w_i e_i in the form of :attr:`symmetrizer`."""
+        return sum(a * b * c for a, b, c in zip(r, self.symmetrizer, w))
+
+    @cached_property
+    def positive_roots(self):
+        """Positive roots in simple-root coordinates, by height, the highest
+        root last: the closure of the simple roots under the simple
+        reflections s_i(r) = r - <r, alpha_i^vee> alpha_i, which holds every
+        root (Humphreys, *Introduction to Lie Algebras and Representation
+        Theory*, section 10.3), cut to those with coordinates >= 0."""
+        c = self.cartan
+        n = len(c)
+        frontier = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        roots = set(frontier)
+        while frontier:
+            frontier = {
+                r[:i] + (r[i] - sum(a * row[i] for a, row in zip(r, c)),) + r[i + 1:]
+                for r in frontier
+                for i in range(n)
+            } - roots
+            roots |= frontier
+        return tuple(
+            sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
+        )
 
     @cached_property
     def coroots(self):
-        """One integer vector k per positive root alpha, with
-        <w, alpha^vee> = 2(w, alpha)/(alpha, alpha) = sum_j w_j k_j."""
-        # The ratio is scale-free, so an integer multiple of gram will do.
-        scale = math.lcm(*(_F(x).denominator for row in self.gram for x in row))
-        gram = [[int(x * scale) for x in row] for row in self.gram]
+        """One integer vector k per positive root alpha = sum_j r_j alpha_j,
+        with <w, alpha^vee> = 2(w, alpha)/(alpha, alpha) = sum_j w_j k_j:
+        k_j = 2 r_j e_j / (alpha, alpha), the coordinates of alpha^vee on
+        the simple coroots."""
         out = []
         for r in self.positive_roots:
-            a = self.root_fund(r)
-            # (omega_j, alpha) for every j, then (alpha, alpha)
-            pairings = [sum(g * c for g, c in zip(row, a)) for row in gram]
-            norm = sum(p * c for p, c in zip(pairings, a))
-            k = [divmod(2 * p, norm) for p in pairings]
-            if any(rest for _, rest in k):
-                raise ConsistencyError(
-                    "%s: coroot pairing %s/%d of root %s is not integral"
-                    % (self.name, [2 * p for p in pairings], norm, r)
-                )
-            out.append(tuple(q for q, _ in k))
+            norm = self.root_pairing(self.root_fund(r), r)
+            out.append(tuple(2 * a * b // norm for a, b in zip(r, self.symmetrizer)))
         return tuple(out)
 
     @cached_property
@@ -129,22 +166,15 @@ class SimpleType:
 
     def root_fund(self, root):
         """A root given in simple-root coordinates, in fundamental coordinates."""
-        n = self.rank
         return tuple(
-            sum(root[i] * self.cartan[i][j] for i in range(n)) for j in range(n)
-        )
-
-    def ip(self, u, v):
-        return sum(
-            _F(u[i]) * self.gram[i][j] * _F(v[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
+            sum(a * row[j] for a, row in zip(root, self.cartan))
+            for j in range(len(self.cartan))
         )
 
     def reflect(self, w, i):
         """Simple reflection s_i acting on a weight in fundamental coordinates."""
         c = w[i]
-        return tuple(w[j] - c * self.cartan[i][j] for j in range(self.rank))
+        return tuple(x - c * y for x, y in zip(w, self.cartan[i]))
 
     def reflect_to_dominant(self, w):
         """(dominant weight in the Weyl orbit of ``w``, sign of the Weyl
@@ -152,7 +182,7 @@ class SimpleType:
         w = tuple(w)
         sign = 1
         while True:
-            i = next((k for k in range(self.rank) if w[k] < 0), None)
+            i = next((k for k, x in enumerate(w) if x < 0), None)
             if i is None:
                 return w, sign
             w = self.reflect(w, i)
@@ -160,30 +190,12 @@ class SimpleType:
 
 
 SIMPLE_TYPES = {
-    "A1": SimpleType("A1", 1, ((2,),), ((1,),), ((_F(1),),)),
-    "A2": SimpleType(
-        "A2",
-        2,
-        ((2, -1), (-1, 2)),
-        ((1, 0), (0, 1), (1, 1)),
-        ((_F(1), _F(1, 2)), (_F(1, 2), _F(1))),
-    ),
+    "A1": SimpleType("A1", ((2,),)),
+    "A2": SimpleType("A2", ((2, -1), (-1, 2))),
     # Labelling follows the five-dimensional first fundamental representation:
     # alpha_1 is the long simple root, so dim V(1,0) = 5 and dim V(0,1) = 4.
-    "C2": SimpleType(
-        "C2",
-        2,
-        ((2, -2), (-1, 2)),
-        ((1, 0), (0, 1), (1, 1), (1, 2)),
-        ((_F(2), _F(1)), (_F(1), _F(1))),
-    ),
-    "G2": SimpleType(
-        "G2",
-        2,
-        ((2, -1), (-3, 2)),
-        ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
-        ((_F(1), _F(3, 2)), (_F(3, 2), _F(3))),
-    ),
+    "C2": SimpleType("C2", ((2, -2), (-1, 2))),
+    "G2": SimpleType("G2", ((2, -1), (-3, 2))),
 }
 
 SIMPLE_TAGS = tuple(sorted(SIMPLE_TYPES))
@@ -207,7 +219,7 @@ class RootData:
         out = []
         pos = 0
         for tag in self.factors:
-            width = 1 if tag == U1 else SIMPLE_TYPES[tag].rank
+            width = 1 if tag == U1 else len(SIMPLE_TYPES[tag].cartan)
             out.append((tag, pos, pos + width))
             pos += width
         return tuple(out)
@@ -294,60 +306,56 @@ class WeightCharacter:
 def _simple_character(tag, hw):
     """Weight system of the irreducible of one simple factor (read-only)."""
     st = SIMPLE_TYPES[tag]
-    n = st.rank
-    delta = (1,) * n
-    roots_fund = [st.root_fund(r) for r in st.positive_roots]
-
-    def add(u, v, k=1):
-        return tuple(a + k * b for a, b in zip(u, v))
+    roots = [(r, st.root_fund(r), k) for r, k in zip(st.positive_roots, st.coroots)]
 
     # The weights are the smallest set holding hw and every alpha-string
     # w, w - alpha, ..., w - <w, alpha^vee> alpha through its members
-    # (Humphreys, section 13.4, Lemma B).
-    members = {hw}
+    # (Humphreys, section 13.4, Lemma B).  Each maps to its offset hw - w in
+    # simple-root coordinates.
+    offsets = {hw: (0,) * len(hw)}
     frontier = [hw]
     while frontier:
         nxt = []
         for w in frontier:
-            for a, k in zip(roots_fund, st.coroots):
+            for r, a, k in roots:
                 p = sum(c * b for c, b in zip(w, k))
                 for i in range(1, p + 1) if p > 0 else range(p, 0):
-                    w2 = add(w, a, -i)
-                    if w2 not in members:
-                        members.add(w2)
+                    w2 = tuple(x - i * y for x, y in zip(w, a))
+                    if w2 not in offsets:
+                        offsets[w2] = tuple(x + i * y for x, y in zip(offsets[w], r))
                         nxt.append(w2)
         frontier = nxt
 
-    hw_norm = st.ip(add(hw, delta), add(hw, delta))
-    height = st.height_vector
+    # Highest first: the height of w is the height of hw minus sum(offset).
     dominants = sorted(
-        (w for w in members if all(c >= 0 for c in w)),
-        key=lambda w: (-sum(h * c for h, c in zip(height, w)), w),
+        (w for w in offsets if min(w) >= 0), key=lambda w: (sum(offsets[w]), w)
     )
     mults = {}
     for mu in dominants:
         if mu == hw:
             mults[mu] = 1
             continue
-        acc = _F(0)
-        for a in roots_fund:
+        acc = 0
+        for r, a, _ in roots:
             k = 1
             while True:
-                w2 = add(mu, a, k)
+                w2 = tuple(x + k * y for x, y in zip(mu, a))
                 rep = st.reflect_to_dominant(w2)[0]
                 if rep not in mults:
                     break
-                acc += mults[rep] * st.ip(w2, a)
+                acc += mults[rep] * st.root_pairing(w2, r)
                 k += 1
-        denom = hw_norm - st.ip(add(mu, delta), add(mu, delta))
-        m = 2 * acc / denom
-        if m.denominator != 1 or m <= 0:
+        # (hw + delta)^2 - (mu + delta)^2 = (hw + mu + 2 delta, hw - mu)
+        denom = st.root_pairing([x + y + 2 for x, y in zip(hw, mu)], offsets[mu])
+        m, rest = divmod(2 * acc, denom)
+        if rest or m <= 0:
             raise ConsistencyError(
-                "Freudenthal recursion produced multiplicity %s at %s" % (m, mu)
+                "Freudenthal recursion produced multiplicity %d/%d at %s"
+                % (2 * acc, denom, mu)
             )
-        mults[mu] = int(m)
+        mults[mu] = m
 
-    char = {w: mults[st.reflect_to_dominant(w)[0]] for w in members}
+    char = {w: mults[st.reflect_to_dominant(w)[0]] for w in offsets}
     if sum(char.values()) != st.weyl_dimension(hw):
         raise ConsistencyError(
             "weight count %d != Weyl formula %d for %s %s"

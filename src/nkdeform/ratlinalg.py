@@ -44,11 +44,6 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
@@ -135,32 +130,6 @@ def inverse(mat):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in a]
-
-
-def det(mat):
-    a = _rows(mat)
-    n = len(a)
-    sign = Fraction(1)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        result *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
-
-
-def leading_principal_minors(mat):
-    n = len(mat)
-    return [det([row[: k + 1] for row in mat[: k + 1]]) for k in range(n)]
 
 
 def charpoly(mat):

@@ -109,6 +109,11 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def mat_scale(a, c):
+    c = Fraction(c)
+    return [[c * x for x in row] for row in a]
+
+
 def _commutator(a, b):
     return mat_sub(ratlinalg.mat_mul(a, b), ratlinalg.mat_mul(b, a))
 
@@ -295,7 +300,7 @@ def identity_suite(psi):
                 acc = mat_add(
                     acc, ratlinalg.mat_mul(g, ratlinalg.mat_mul(me, g))
                 )
-            if acc != ratlinalg.mat_scale(me, 4):
+            if acc != mat_scale(me, 4):
                 return False
         return True
 
@@ -362,11 +367,11 @@ def q_spectrum(psi, eigenvalues=None):
     entries = []
     projector = ident
     for lam in sorted(eigenvalues):
-        shifted = mat_sub(op, ratlinalg.mat_scale(ident, lam))
+        shifted = mat_sub(op, mat_scale(ident, lam))
         entries.append((lam, n - len(ratlinalg.rref(shifted)[1])))
         if lam != -1:
             projector = ratlinalg.mat_mul(
-                projector, ratlinalg.mat_scale(shifted, Fraction(1, -1 - lam))
+                projector, mat_scale(shifted, Fraction(1, -1 - lam))
             )
     assert sum(dim for _, dim in entries) == n
     basis = ratlinalg.nullspace(mat_add(op, ident))

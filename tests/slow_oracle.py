@@ -1,50 +1,225 @@
-"""The package's former slow routes, kept as references for its fast paths.
+"""The package's former slow routes and hand-entered tables, kept as
+references for what it now computes or derives.
 
 * :func:`tensor_by_characters` multiplies the two characters and peels off
   irreducibles; the package uses the Brauer-Klimyk rule.
 * :func:`casimir` is B(hw, hw) + 2 B(hw, delta) in ``Fraction`` arithmetic
-  on the stored Gram matrix; the package uses the integer form D * Cas.
+  on the hand-entered Gram matrix of :data:`PAIRS`; the package derives the
+  Gram matrix from the Cartan matrices and uses the integer form D * Cas.
 * :func:`weyl_dimension` is the Weyl product formula in ``Fraction``
-  arithmetic on each simple type's Gram matrix; the package uses integer
+  arithmetic on the hand-entered positive roots and weight Gram matrices of
+  :data:`ROOT_TABLES`; the package derives the roots and uses integer
   coroot pairings.
+* :func:`verify_form_by_trace` recomputes each pair's form as a trace over
+  the hand-entered decomposition of the ambient algebra.
+* :func:`det` and :func:`leading_principal_minors`, by Fraction
+  elimination, are the references for ``ratlinalg.charpoly`` and for the
+  definiteness of the derived forms.
 
 The tests compare each pair exactly.
 """
 
-from fractions import Fraction
+from fractions import Fraction as F
 
-from nkdeform import decompose, lie
+from nkdeform import casimir as _casimir, decompose, lie, ratlinalg
+from nkdeform.errors import ConsistencyError
+
+from weyl_oracle import CARTAN
 
 
-def _ip(gram, u, v):
+def _gram(rows):
+    return tuple(tuple(F(x) for x in row) for row in rows)
+
+
+# Simple type -> (positive roots in simple-root coordinates, a Weyl-invariant
+# positive definite form on fundamental-weight coordinates).
+ROOT_TABLES = {
+    "A1": (((1,),), _gram([[1]])),
+    "A2": (((1, 0), (0, 1), (1, 1)), _gram([[1, F(1, 2)], [F(1, 2), 1]])),
+    "C2": (((1, 0), (0, 1), (1, 1), (1, 2)), _gram([[2, 1], [1, 1]])),
+    "G2": (
+        ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
+        _gram([[1, F(3, 2)], [F(3, 2), 3]]),
+    ),
+}
+
+# Pair tag -> (factors, Gram matrix of B on fundamental-weight coordinates,
+# decomposition of the ambient algebra as a representation of the pair's
+# algebra, scale from the weight-trace matrix T to the Gram matrix on the
+# generator basis the form is stated in: negative for a dual Cartan basis,
+# positive for a compact real basis, with an extra 1/4 for su(2) rotation
+# bases).
+PAIRS = {
+    "su3-in-g2": (
+        ("A2",),
+        _gram([[-1, F(-1, 2)], [F(-1, 2), -1]]),
+        (((1, 1), 1), ((1, 0), 1), ((0, 1), 1)),
+        F(-1, 12),
+    ),
+    "g2": (
+        ("G2",),
+        _gram([[-1, F(-3, 2)], [F(-3, 2), -3]]),
+        (((0, 1), 1),),
+        F(-1, 12),
+    ),
+    "su2-diagonal-in-su2cubed": (
+        ("A1",),
+        _gram([[F(-1, 2)]]),
+        (((2,), 3),),
+        F(1, 48),
+    ),
+    "su2cubed": (
+        ("A1", "A1", "A1"),
+        _gram([[F(-3, 2), 0, 0], [0, F(-3, 2), 0], [0, 0, F(-3, 2)]]),
+        (((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)),
+        F(1, 48),
+    ),
+    "sp1u1-in-sp2": (
+        ("A1", lie.U1),
+        _gram([[-1, 0], [0, -1]]),
+        (
+            ((2, 0), 1),
+            ((0, 0), 1),
+            ((1, 1), 1),
+            ((1, -1), 1),
+            ((0, 2), 1),
+            ((0, -2), 1),
+        ),
+        F(1, 12),
+    ),
+    "sp2": (
+        ("C2",),
+        _gram([[-2, -1], [-1, -1]]),
+        (((0, 2), 1),),
+        F(-1, 12),
+    ),
+    "u1u1-in-su3": (
+        (lie.U1, lie.U1),
+        _gram([[F(-4, 3), F(-2, 3)], [F(-2, 3), F(-4, 3)]]),
+        (
+            ((0, 0), 2),
+            ((2, -1), 1),
+            ((-1, 2), 1),
+            ((-1, -1), 1),
+            ((-2, 1), 1),
+            ((1, -2), 1),
+            ((1, 1), 1),
+        ),
+        F(1, 12),
+    ),
+    "su3-ambient": (
+        ("A2",),
+        _gram([[F(-4, 3), F(-2, 3)], [F(-2, 3), F(-4, 3)]]),
+        (((1, 1), 1),),
+        F(-1, 12),
+    ),
+}
+
+
+def ip(gram, u, v):
+    """u.gram.v in Fraction arithmetic."""
     n = len(gram)
     return sum(
-        Fraction(u[i]) * gram[i][j] * Fraction(v[j])
+        F(u[i]) * gram[i][j] * F(v[j])
         for i in range(n)
         for j in range(n)
     )
 
 
-def casimir(ctx, hw):
-    """B(hw, hw) + 2 B(hw, delta) on the Gram matrix of the context's form."""
-    gram = ctx.form.gram
-    return _ip(gram, hw, hw) + 2 * _ip(gram, hw, ctx.root_data.delta())
+def root_fund(tag, root):
+    """A root in simple-root coordinates, in fundamental coordinates."""
+    cartan = CARTAN[tag]
+    return tuple(
+        sum(root[i] * cartan[i][j] for i in range(len(root)))
+        for j in range(len(root))
+    )
+
+
+def casimir(tag, hw):
+    """B(hw, hw) + 2 B(hw, delta) on the pair's hand-entered Gram matrix."""
+    factors, gram, _, _ = PAIRS[tag]
+    delta = []
+    for f in factors:
+        delta += [0] if f == lie.U1 else [1] * len(CARTAN[f])
+    return ip(gram, hw, hw) + 2 * ip(gram, hw, delta)
 
 
 def weyl_dimension(root_data, hw):
     """prod (hw + delta, alpha) / (delta, alpha) over the positive roots of
     every simple factor, as a Fraction."""
-    dim = Fraction(1)
+    dim = F(1)
     for tag, start, stop in root_data.blocks:
         if tag == lie.U1:
             continue
-        st = lie.SIMPLE_TYPES[tag]
-        delta = (1,) * st.rank
+        roots, gram = ROOT_TABLES[tag]
+        delta = (1,) * len(roots[0])
         shifted = tuple(a + 1 for a in hw[start:stop])
-        for r in st.positive_roots:
-            a = st.root_fund(r)
-            dim *= _ip(st.gram, shifted, a) / _ip(st.gram, delta, a)
+        for r in roots:
+            a = root_fund(tag, r)
+            dim *= ip(gram, shifted, a) / ip(gram, delta, a)
     return dim
+
+
+def _weight_trace_matrix(tag):
+    """T_ij = sum of w_i * w_j over all weights of g viewed through the pair."""
+    factors, _, branching, _ = PAIRS[tag]
+    root_data = lie.RootData(factors)
+    n = root_data.num_coords
+    t = [[F(0)] * n for _ in range(n)]
+    for hw, mult in branching:
+        char = lie.weight_multiplicities(root_data, hw)
+        for w, m in char.weights.items():
+            for i in range(n):
+                for j in range(n):
+                    t[i][j] += mult * m * w[i] * w[j]
+    return t
+
+
+def verify_form_by_trace(tag):
+    """Recompute the pair's form from the trace over the branching of g.
+
+    Returns the Gram matrix on the generator basis the form is stated in
+    (dual Cartan basis or compact real basis).  Before returning, checks
+    that the trace-derived form -12 T^-1 on fundamental-weight coordinates
+    equals both the hand-entered matrix and the package's derived one.
+    """
+    t = _weight_trace_matrix(tag)
+    recovered = _gram(ratlinalg.inverse([[-x / 12 for x in row] for row in t]))
+    for name, gram in (
+        ("the hand-entered table", PAIRS[tag][1]),
+        ("casimir.bilinear_form", _casimir.bilinear_form(tag).gram),
+    ):
+        if recovered != gram:
+            raise ConsistencyError(
+                "trace-recomputed form for %r is %s, %s has %s"
+                % (tag, recovered, name, gram)
+            )
+    return _gram([[PAIRS[tag][3] * x for x in row] for row in t])
+
+
+def det(mat):
+    a = [[F(x) for x in row] for row in mat]
+    n = len(a)
+    sign = F(1)
+    result = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        result *= a[c][c]
+        inv = F(1) / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return sign * result
+
+
+def leading_principal_minors(mat):
+    return [det([row[: k + 1] for row in mat[: k + 1]]) for k in range(len(mat))]
 
 
 def tensor_by_characters(root_data, hw1, hw2):

@@ -396,7 +396,17 @@ MALFORMED_FIXTURES = {
     ),
     "zero-denominator": (
         _mutated(_set(["cosets", 0, "restriction", 0, 0, "den"], 0)),
-        "cosets[0]",
+        "cosets[0].restriction[0][0].den",
+    ),
+    "restriction-extra-column": (
+        _mutated(
+            lambda doc: doc["cosets"][1]["restriction"][0].append({"num": 7, "den": 1})
+        ),
+        "cosets[1].restriction",
+    ),
+    "restriction-missing-row": (
+        _mutated(lambda doc: doc["cosets"][0]["restriction"].pop()),
+        "cosets[0].restriction",
     ),
     "missing-numerator": (
         _mutated(_delete(["cosets", 0, "restriction", 1, 0, "num"])),

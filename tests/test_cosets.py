@@ -197,6 +197,13 @@ def test_form_on_the_wrong_algebra_rejected():
             dataclasses.replace(c, **changes).validate()
 
 
+def test_cosets_share_the_restriction_of_their_h_form():
+    for name in cosets.COSET_NAMES:
+        c = cosets.coset(name)
+        assert c.restriction.matrix is casimir.restriction(c.b_h_pair)
+        assert casimir.restriction(c.b_g_pair) is None
+
+
 def test_form_that_is_not_the_restriction_rejected():
     # su3-ambient is a form on A2, the right algebra for SU(3) in G2, but
     # with the ambient normalization, not the one B_G = g2 restricts to.

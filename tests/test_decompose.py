@@ -127,6 +127,16 @@ def test_branch_rejects_non_integral_embedding():
         decompose.branch(half, lie.C2, lie.A1_U1, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "matrix", [((1, 1, 1, 7),), ((1, 1),), ((1, 1, 1), (1, 1, 1)), ()]
+)
+def test_branch_rejects_restriction_of_the_wrong_shape(matrix):
+    with pytest.raises(ValueError):
+        decompose.branch(
+            decompose.RestrictionMap(matrix), lie.A1_CUBED, lie.A1, (1, 1, 1)
+        )
+
+
 def test_peel_off_simple_sum():
     char = lie.WeightCharacter(lie.A1, {(-2,): 1, (0,): 2, (2,): 1})
     assert decompose.peel_off(char) == d(lie.A1, {(2,): 1, (0,): 1})

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -98,9 +99,7 @@ def test_height_vector_is_twice_the_height():
 
 
 def _g2_tables(**changes):
-    st = lie.SIMPLE_TYPES["G2"]
-    fields = dict(name="G2", rank=2, cartan=st.cartan,
-                  positive_roots=st.positive_roots, gram=st.gram)
+    fields = dict(name="G2", cartan=lie.SIMPLE_TYPES["G2"].cartan)
     fields.update(changes)
     return fields
 
@@ -110,18 +109,42 @@ def _g2_tables(**changes):
     [
         {"cartan": ((3, -1), (-3, 2))},  # diagonal entry not 2
         {"cartan": ((2, 1), (-3, 2))},  # positive off-diagonal entry
-        {"cartan": ((2, -2), (-3, 2))},  # infinite type: the closure never ends
-        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1))},  # one short
-        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (4, 2))},
-        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (-3, -2))},
-        {"positive_roots": ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 1))},
-        {"gram": ((Fraction(1), Fraction(3, 2)), (Fraction(3, 2), Fraction(4)))},
+        {"cartan": ((2, -2), (-3, 2))},  # infinite type: determinant -2
+        {"cartan": ((2, 0), (-1, 2))},  # not symmetrizable
+        # affine A2: every proper leading minor is positive, the determinant 0
+        {"cartan": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))},
     ],
 )
 def test_corrupted_root_tables_raise(changes):
     lie.SimpleType(**_g2_tables())
     with pytest.raises(ConsistencyError):
         lie.SimpleType(**_g2_tables(**changes))
+
+
+@pytest.mark.parametrize("tag", sorted(lie.SIMPLE_TYPES))
+def test_derived_root_data_matches_tables_and_kostant_oracle(tag):
+    st = lie.SIMPLE_TYPES[tag]
+    roots, gram = slow_oracle.ROOT_TABLES[tag]
+    assert sorted(st.positive_roots) == sorted(roots)
+    assert sorted(st.root_fund(r) for r in st.positive_roots) == sorted(
+        weyl_oracle.positive_roots(tag)
+    )
+    assert st.positive_roots[-1] == max(roots, key=sum)  # the highest root
+    # The symmetrizer's form is the table's up to scale: (alpha_i, alpha_i)
+    # is proportional to e_i, and (w, alpha) is the table's inner product.
+    e = st.symmetrizer
+    assert math.gcd(*e) == 1
+    norms = [slow_oracle.ip(gram, a, a) for a in st.cartan]
+    assert all(n * e[0] == norms[0] * x for n, x in zip(norms, e))
+    weights = list(itertools.product(range(-2, 3), repeat=len(e)))
+    for r, k in zip(st.positive_roots, st.coroots):
+        a = slow_oracle.root_fund(tag, r)
+        for w in weights:
+            table = slow_oracle.ip(gram, w, a)
+            assert st.root_pairing(w, r) * norms[0] == 2 * e[0] * table
+            assert sum(x * y for x, y in zip(w, k)) == 2 * table / slow_oracle.ip(
+                gram, a, a
+            )
 
 
 def test_dimension_on_product_algebras():
@@ -191,9 +214,9 @@ def _fundamental_weights(st):
 def test_static_factor_tables():
     for st in lie.SIMPLE_TYPES.values():
         # Cartan matrix shape constraints
-        for i in range(st.rank):
+        for i in range(len(st.cartan)):
             assert st.cartan[i][i] == 2
-            for j in range(st.rank):
+            for j in range(len(st.cartan)):
                 if i != j:
                     assert st.cartan[i][j] <= 0
     assert len(lie.SIMPLE_TYPES["A1"].positive_roots) == 1
@@ -209,11 +232,11 @@ def test_static_factor_tables():
     for st in lie.SIMPLE_TYPES.values():
         for j, w in enumerate(_fundamental_weights(st)):
             fund = tuple(
-                sum(Fraction(w[i]) * st.cartan[i][k] for i in range(st.rank))
-                for k in range(st.rank)
+                sum(Fraction(w[i]) * st.cartan[i][k] for i in range(len(w)))
+                for k in range(len(w))
             )
             assert fund == tuple(
-                Fraction(int(k == j)) for k in range(st.rank)
+                Fraction(int(k == j)) for k in range(len(w))
             )
 
 
