@@ -2,8 +2,8 @@
 its eight-dimensional spinor representation, and the SU(3)-structure data a
 unit spinor determines.
 
-Multivectors are indexed by bitmasks over the six generators, with
-``Fraction`` coefficients, and multiply by the sparse geometric product
+Multivectors are indexed by bitmasks over the six generators, with ``int``
+or ``Fraction`` coefficients, and multiply by the sparse geometric product
 e_A e_B = s(A, B) e_{A xor B} of bitmap blades (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*).  The generators act on spinors
 as left multiplications by imaginary octonion units, so every blade is a
@@ -17,15 +17,18 @@ two-form omega = *Q and the eigenspace structure of contraction with Q on
 two-forms all follow and are verified.  P, Q, omega and J are built once
 per public call, in integers: psi = psi~ / d for the integer spinor psi~,
 |psi~|^2 = d^2 is checked exactly, d^2 P, d^2 Q and d^2 J are integral,
-and ``Fraction`` values are built only for what is returned.  The checks of
-the contraction spectrum run on integers too: the operator times its
-common denominator, primitive integer eigenvectors and d^2 J, every check
+and ``Fraction`` values are built only for what is returned.  Of the eight
+identities of the suite, grade-brackets and vector-sandwich involve only
+the algebra and are proved once per process on basis blades; the other six
+run per spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J,
+each right-hand side carrying its power of d^2.  The contraction with Q is
+read off d^2 Q by signed lookups as an integer matrix over its common
+denominator; its eigenvalues come from minimal polynomials of basis vectors
+(``ratlinalg.eigenspace_dimensions``), and the checks of its spectrum run
+on integers too: primitive integer eigenvectors and d^2 J, every check
 being homogeneous in the scale; bracket closure is checked on unordered
-pairs.  Of the eight identities of the suite, grade-brackets and
-vector-sandwich involve only the algebra and are proved once per process
-on basis blades; the other six run per spinor on the P, Q and J of psi~.
-The dense-matrix route and the sampled route are kept as a test oracle
-(``tests/clifford_oracle.py``).
+pairs.  The dense-matrix route, the sampled route and the characteristic
+polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import (
 )
 
 _F = Fraction
-_ZERO = _F(0)
 
 DIM = 6
 N_BLADES = 1 << DIM
@@ -55,21 +57,6 @@ def _popcount(mask):
     return bin(mask).count("1")
 
 
-def _bits(mask):
-    return [i for i in range(DIM) if mask >> i & 1]
-
-
-def _merge_sign(a, b):
-    """Sign of reordering the generators of e_a followed by those of e_b into
-    increasing order (a transposition per pair i in a, j in b with i > j)."""
-    sign = 1
-    for i in _bits(b):
-        higher = a >> (i + 1)
-        if _popcount(higher) % 2:
-            sign = -sign
-    return sign
-
-
 def _contraction_sign(bit, mask):
     """Sign of e_i -| e_mask = +-e_{mask xor bit} for bit = 1 << i in mask:
     a transposition per generator of e_mask below e_i."""
@@ -78,36 +65,43 @@ def _contraction_sign(bit, mask):
 
 @functools.cache
 def _product_signs():
-    """Table s[A][B] of e_A e_B = s[A][B] e_{A xor B}, built on first use."""
-    return tuple(
-        tuple(
-            _merge_sign(a, b) * (-1 if _popcount(a & b) % 2 else 1)
-            for b in range(N_BLADES)
-        )
-        for a in range(N_BLADES)
-    )
+    """Table s[A][B] of e_A e_B = s[A][B] e_{A xor B}, built on first use
+    row by row: for the lowest generator e_i of A and A' = A xor e_i,
+    e_A e_B = e_i (e_A' e_B), so s[A][B] = s[A'][B] s[e_i][A' xor B], and
+    e_i e_C has a transposition per generator of e_C below e_i and
+    e_i e_i = -1."""
+    generators = {
+        bit: [-1 if (_popcount(c & (bit - 1)) + bool(c & bit)) % 2 else 1
+              for c in range(N_BLADES)]
+        for bit in (1 << i for i in range(DIM))
+    }
+    rows = [(1,) * N_BLADES]
+    for a in range(1, N_BLADES):
+        low = a & -a
+        rest, gen = rows[a ^ low], generators[low]
+        rows.append(tuple(s * gen[a ^ low ^ b] for b, s in enumerate(rest)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class Multivector:
-    """Element of the 64-dimensional Clifford algebra, exact coefficients."""
+    """Element of the 64-dimensional Clifford algebra with exact ``int``
+    or ``Fraction`` coefficients; zeros are ``0``."""
 
     coeffs: tuple
 
     @staticmethod
     def zero():
-        return Multivector((_F(0),) * N_BLADES)
+        return Multivector((0,) * N_BLADES)
 
     @staticmethod
     def scalar(value):
-        c = [_F(0)] * N_BLADES
-        c[0] = _F(value)
-        return Multivector(tuple(c))
+        return Multivector.blade(0, value)
 
     @staticmethod
     def blade(mask, value=1):
-        c = [_F(0)] * N_BLADES
-        c[mask] = _F(value)
+        c = [0] * N_BLADES
+        c[mask] = value
         return Multivector(tuple(c))
 
     @staticmethod
@@ -139,7 +133,7 @@ class Multivector:
         only over disjoint A, B, where e_A e_B = e_A ^ e_B."""
         signs = _product_signs()
         right = [(m, b) for m, b in enumerate(other.coeffs) if b]
-        out = [_ZERO] * N_BLADES
+        out = [0] * N_BLADES
         for m1, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -154,14 +148,12 @@ class Multivector:
         """Scalar part of self * other."""
         signs = _product_signs()
         return sum(
-            (signs[m][m] * (a * b)
-             for m, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
-             if a and b),
-            _ZERO,
+            signs[m][m] * (a * b)
+            for m, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
+            if a and b
         )
 
     def scale(self, k):
-        k = _F(k)
         return Multivector(tuple(k * a if a else a for a in self.coeffs))
 
     def is_zero(self):
@@ -178,37 +170,22 @@ class Multivector:
     def contract_vector(self, index):
         """Interior product e_index -| self (1-based index, orthonormal)."""
         bit = 1 << (index - 1)
-        out = [_F(0)] * N_BLADES
+        out = [0] * N_BLADES
         for mask, a in enumerate(self.coeffs):
-            if a == 0 or not mask & bit:
-                continue
-            out[mask ^ bit] += _contraction_sign(bit, mask) * a
+            if a and mask & bit:
+                out[mask ^ bit] = _contraction_sign(bit, mask) * a
         return Multivector(tuple(out))
 
-    def contract(self, other):
-        """Interior product self -| other, extending the metric pairing.
-
-        On basis blades (e_{i1} ^ ... ^ e_{ik}) -| w applies the contraction
-        by e_{i1} first, so that e_I -| e_I = +1.
-        """
-        out = Multivector.zero()
-        for mask, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            term = other
-            for i in _bits(mask):
-                term = term.contract_vector(i + 1)
-            out = out + term.scale(a)
-        return out
-
     def star(self):
-        """Hodge star with *1 = e_123456 (orthonormal, positive orientation)."""
-        out = [_F(0)] * N_BLADES
+        """Hodge star with *1 = e_123456 (orthonormal, positive orientation):
+        *e_A = s(A, A') e_A' for the complement A' of A, as e_A e_A' is then
+        the wedge e_A ^ e_A'."""
+        signs = _product_signs()
+        out = [0] * N_BLADES
         for mask, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            comp = VOL_MASK ^ mask
-            out[comp] += a * _merge_sign(mask, comp)
+            if a:
+                comp = VOL_MASK ^ mask
+                out[comp] = a * signs[mask][comp]
         return Multivector(tuple(out))
 
     def norm_sq(self):
@@ -490,8 +467,8 @@ def _complex_structure(rep, spinor, d2, q):
 
 def kahler_form(rep, psi):
     """The two-form omega = *Q of the SU(3)-structure defined by psi."""
-    _, q = extract_PQ(rep, psi)
-    return q.star()
+    _, d2, _, q = _integer_forms(rep, psi)
+    return _over(q.star(), d2)
 
 
 # ---------------------------------------------------------------------------
@@ -539,66 +516,69 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
 
     Grade-brackets and vector-sandwich involve only the algebra: they are
     proved once per process on basis blades (:func:`_algebra_identities`).
-    The other six run per spinor, on the P, Q and J that the integer spinor
-    psi~ = d psi yields, with the geometric product, which the
-    representation matches blade for blade (see :func:`build_rep`).
+    The other six run per spinor, with the geometric product that the
+    representation matches blade for blade (:func:`build_rep`), on the
+    integer p = d^2 P, q = d^2 Q and d^2 J of psi~ = d psi.  Three are
+    homogeneous; kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
+    torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, and
+    holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
     """
-    spinor, d2, p_int, q_int = _integer_forms(rep, psi)
-    p, q = _over(p_int, d2), _over(q_int, d2)
+    spinor, d2, p, q = _integer_forms(rep, psi)
     star_p = p.star()
     star_q = q.star()
-    j = _fraction_matrix(_complex_structure(rep, spinor, d2, q_int), d2)
+    j = _complex_structure(rep, spinor, d2, q)
     brackets, sandwich = _algebra_identities()
     vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
+    p_contr = [p.contract_vector(a) for a in range(1, DIM + 1)]
+    star_p_contr = [star_p.contract_vector(a) for a in range(1, DIM + 1)]
 
     def check_degree_identities():
         lhs1 = Multivector.zero()
         lhs2 = Multivector.zero()
-        for a in range(1, DIM + 1):
-            e = Multivector.vector(a)
-            lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a))
-            lhs2 = lhs2 + e.wedge(
-                -star_p.contract_vector(a) - e.wedge(star_q)
-            )
+        for a, e in enumerate(vectors):
+            lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a + 1))
+            lhs2 = lhs2 + e.wedge(-star_p_contr[a] - e.wedge(star_q))
         return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
 
     def check_kahler_square():
-        return star_q * star_q == Multivector.scalar(-3) + q.scale(2)
+        rhs = Multivector.scalar(-3 * d2 * d2) + q.scale(2 * d2)
+        return star_q * star_q == rhs
 
     def check_holomorphic_contraction():
-        for a in range(1, DIM + 1):
-            v = Multivector.vector(a)
-            jv = Multivector.zero()
-            for b in range(1, DIM + 1):
-                jv = jv + Multivector.vector(b).scale(j[b - 1][a - 1])
-            real = v.contract(p) + jv.contract(star_p)
-            imag = v.contract(star_p) - jv.contract(p)
-            if not real.is_zero() or not imag.is_zero():
-                return False
+        # (Jv) -| x = sum_b J_ba (e_b -| x) for v = e_a, on the blades
+        # where some e_b -| p or e_b -| *p is nonzero
+        pc = [x.coeffs for x in p_contr]
+        sc = [x.coeffs for x in star_p_contr]
+        slots = {m for x in pc + sc for m, c in enumerate(x) if c}
+        for a in range(DIM):
+            col = [row[a] for row in j]
+            for m in slots:
+                real = d2 * pc[a][m] + sum(c * x[m] for c, x in zip(col, sc))
+                imag = d2 * sc[a][m] - sum(c * x[m] for c, x in zip(col, pc))
+                if real or imag:
+                    return False
         return True
 
     def check_torsion_metric_trace():
         anti = [e * p + p * e for e in vectors]
         for a, xa in enumerate(anti):
             for b, xb in enumerate(anti):
-                trace = 8 * xa.scalar_product(xb)
-                if -trace / 32 != (2 if a == b else 0):
+                if xa.scalar_product(xb) != (-8 * d2 * d2 if a == b else 0):
                     return False
         return True
 
     def check_three_form_square():
         correction = Multivector.zero()
-        for a in range(1, DIM + 1):
-            pa = p.contract_vector(a)
+        for pa in p_contr:
             correction = correction + pa.wedge(pa)
         rhs = Multivector.scalar(p.norm_sq()) - correction
         return p * p == rhs
 
     def check_contraction_norm():
-        total = sum(p.contract_vector(a).norm_sq() for a in range(1, DIM + 1))
+        total = sum(pa.norm_sq() for pa in p_contr)
         return total == 3 * p.norm_sq()
 
     checks = [
@@ -675,20 +655,6 @@ def _skew_matrix(coords):
     return m
 
 
-def _primitive(v):
-    """The primitive integer vector on the ray of a nonzero rational v."""
-    d = ratlinalg.common_denominator(v)
-    ints = [x.numerator * (d // x.denominator) for x in v]
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
-
-
-def _minus_scalar(a, c):
-    """a - c * 1 for a square matrix a."""
-    return [[x - c if i == k else x for k, x in enumerate(row)]
-            for i, row in enumerate(a)]
-
-
 @dataclass(frozen=True)
 class TwoFormSpectrum:
     """Exact spectrum of beta -> beta -| Q on the 15-dimensional space of
@@ -703,15 +669,34 @@ class TwoFormSpectrum:
 
 def q_contraction_operator(rep, psi):
     """Matrix of beta -> beta -| Q on the ordered basis e_ab (a < b)."""
-    _, q = extract_PQ(rep, psi)
-    return _q_operator(q)
+    _, e, _, q = _integer_forms(rep, psi)
+    d, a = _q_operator(q, e)
+    return _fraction_matrix(a, d)
 
 
-def _q_operator(q):
-    return ratlinalg.transpose(
-        [_two_form_coords(Multivector.blade(mask).contract(q))
-         for mask in _MASKS_2FORM]
-    )
+# (four-form blade K, row, column, sign) for each two-form blade M = e_ij
+# (i < j) in K: e_M -| e_K = sign e_{K xor M}, contracting by e_i first;
+# M is the column and K xor M the row.
+_Q_LOOKUP = tuple(
+    (k, _MASKS_2FORM.index(k ^ m), col,
+     _contraction_sign(1 << i, k) * _contraction_sign(1 << j, k ^ (1 << i)))
+    for k in range(N_BLADES) if _popcount(k) == 4
+    for col, ((i, j), m) in enumerate(zip(_PAIRS_2FORM, _MASKS_2FORM))
+    if k & m == m
+)
+
+
+def _q_operator(q, e):
+    """(d, A) with A / d the matrix of beta -> beta -| (q / e) in lowest
+    terms, for an integer form q and e > 0: A is the integer matrix of
+    contraction with q, read off q's four-form coefficients by signed
+    lookups, divided by its common factor with e."""
+    n = len(_MASKS_2FORM)
+    a = [[0] * n for _ in range(n)]
+    for k, row, col, sign in _Q_LOOKUP:
+        a[row][col] = sign * q.coeffs[k]
+    g = math.gcd(e, *(x for r in a for x in r))
+    return e // g, [[x // g for x in r] for r in a]
 
 
 def _check_bracket_closure(a_int, d, skews):
@@ -732,59 +717,46 @@ def _check_bracket_closure(a_int, d, skews):
 def q_contraction_spectrum(rep, psi):
     """Classify contraction with Q on two-forms, exactly.
 
-    The characteristic polynomial is factored over the integers (the
-    eigenvalues are rational; anything else raises ``SpectrumError``),
-    eigenspace dimensions come from exact ranks, the (-1)-eigenspace must be
-    eight-dimensional and closed under the commutator bracket of the
-    corresponding skew endomorphisms, and every (-1)-eigenvector is checked
-    to be omega-orthogonal and invariant under the complex structure.
+    The operator must be diagonalizable with rational eigenvalues, found
+    from minimal polynomials of basis vectors with exact eigenspace ranks
+    (:func:`ratlinalg.eigenspace_dimensions`; anything else raises
+    ``SpectrumError``), the (-1)-eigenspace must be eight-dimensional and
+    closed under the commutator bracket of the corresponding skew
+    endomorphisms, and every (-1)-eigenvector is checked to be
+    omega-orthogonal and invariant under the complex structure.
 
     The checks run on integers: A = d op for the common denominator d of
-    op, whose rational eigenvalues d lam are integers; primitive integer
-    eigenvectors v; e J for e = d^2 of the integer spinor psi~ = d psi.
-    Every check is homogeneous, so no verdict changes: P_int v = den v for
-    the projector P_int / den, P_int = prod (A - d lam) and den =
-    prod d (-1 - lam) over lam != -1; (e J)^T S (e J) = e^2 S for the skew
-    matrix S of v; and A c = -d c for a bracket c (:func:`_check_bracket_closure`).
+    op (:func:`_q_operator`), whose rational eigenvalues d lam are
+    integers; primitive integer eigenvectors v; e J for e = d^2 of the
+    integer spinor psi~ = d psi.  Every check is homogeneous, so no verdict
+    changes: P_int v = den v for the projector P_int / den, P_int =
+    prod (A - d lam) and den = prod d (-1 - lam) over lam != -1;
+    (e J)^T S (e J) = e^2 S for the skew matrix S of v; and A c = -d c for
+    a bracket c (:func:`_check_bracket_closure`).
     """
     spinor, e, _, q_int = _integer_forms(rep, psi)
-    q = _over(q_int, e)
-    op = _q_operator(q)
-    n = len(op)
-    d, a_int = ratlinalg.integer_scaled(op)
-    roots = ratlinalg.rational_roots(ratlinalg.charpoly(op))
-    entries = []
-    shifted = {}
-    for lam in sorted(roots):
-        if (d * lam).denominator != 1:
-            raise SpectrumError("eigenvalue %s times %d is not an integer" % (lam, d))
-        shifted[lam] = _minus_scalar(a_int, int(d * lam))
-        dim = n - ratlinalg.rank(shifted[lam])
-        if dim != roots[lam]:
-            raise SpectrumError(
-                "eigenvalue %s: geometric %d != algebraic %d"
-                % (lam, dim, roots[lam])
-            )
-        entries.append((lam, dim))
-    if sum(m for _, m in entries) != n:
-        raise SpectrumError("eigenspace dimensions do not fill the two-forms")
-    if roots.get(-1, 0) != 8:
+    d, a_int = _q_operator(q_int, e)
+    n = len(a_int)
+    dims = ratlinalg.eigenspace_dimensions(a_int, d)
+    entries = sorted(dims.items())
+    if dims.get(-1, 0) != 8:
         raise SpectrumError(
-            "(-1)-eigenspace has dimension %d, not 8" % roots.get(-1, 0)
+            "(-1)-eigenspace has dimension %d, not 8" % dims.get(-1, 0)
         )
 
     # A + d has the reduced row echelon form of op + 1, so the same basis.
-    basis = ratlinalg.nullspace(_minus_scalar(a_int, -d))
-    vectors = [_primitive(v) for v in basis]
+    basis = ratlinalg.nullspace(ratlinalg.minus_scalar(a_int, -d))
+    vectors = [ratlinalg.primitive(v) for v in basis]
 
     p_int = [[int(i == k) for k in range(n)] for i in range(n)]
     den = 1
     for lam, _ in entries:
         if lam != -1:
-            p_int = ratlinalg.mat_mul(p_int, shifted[lam])
-            den *= int(d * (-1 - lam))
+            mu = (d * lam).numerator
+            p_int = ratlinalg.mat_mul(p_int, ratlinalg.minus_scalar(a_int, mu))
+            den *= -d - mu
 
-    omega = _primitive(_two_form_coords(q.star()))
+    omega = ratlinalg.primitive(_two_form_coords(q_int.star()))
     image = ratlinalg.mat_vec(a_int, omega)
     pivot = next(i for i in range(n) if omega[i] != 0)
     if any(x * omega[pivot] != image[pivot] * c for x, c in zip(image, omega)):

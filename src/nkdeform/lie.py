@@ -311,10 +311,15 @@ def _simple_character(tag, hw):
     # The weights are the smallest set holding hw and every alpha-string
     # w, w - alpha, ..., w - <w, alpha^vee> alpha through its members
     # (Humphreys, section 13.4, Lemma B).  Each maps to its offset hw - w in
-    # simple-root coordinates.
+    # simple-root coordinates.  More than dim V(hw) of them means that the
+    # coroots do not match the roots, and the closure would not end.
+    dim = st.weyl_dimension(hw)
     offsets = {hw: (0,) * len(hw)}
     frontier = [hw]
     while frontier:
+        if len(offsets) > dim:
+            raise ConsistencyError("%s %s: weight closure passed dimension %d"
+                                   % (tag, hw, dim))
         nxt = []
         for w in frontier:
             for r, a, k in roots:
@@ -356,10 +361,10 @@ def _simple_character(tag, hw):
         mults[mu] = m
 
     char = {w: mults[st.reflect_to_dominant(w)[0]] for w in offsets}
-    if sum(char.values()) != st.weyl_dimension(hw):
+    if sum(char.values()) != dim:
         raise ConsistencyError(
             "weight count %d != Weyl formula %d for %s %s"
-            % (sum(char.values()), st.weyl_dimension(hw), tag, hw)
+            % (sum(char.values()), dim, tag, hw)
         )
     return MappingProxyType(char)
 

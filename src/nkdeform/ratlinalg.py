@@ -2,8 +2,10 @@
 
 Matrices are sequences of sequences of ``Fraction`` (or int); every routine
 returns fresh ``list`` structures and never mutates its input.  Sizes in this
-package never exceed 15x15, so plain Gauss-Jordan elimination and
-Faddeev-LeVerrier are entirely adequate.
+package never exceed 15x15, so plain Gauss-Jordan elimination, fraction-free
+on integer matrices, is entirely adequate.  Eigenvalues come from minimal
+polynomials of basis vectors (:func:`eigenspace_dimensions`); no
+characteristic polynomial is formed.
 """
 
 from __future__ import annotations
@@ -11,11 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConsistencyError, SpectrumError
-
-
-def _rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+from .errors import SpectrumError
 
 
 def common_denominator(values):
@@ -28,6 +26,13 @@ def integer_scaled(mat):
     d * mat is an integer matrix."""
     d = common_denominator(x for row in mat for x in row)
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+
+
+def primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational v."""
+    _, (ints,) = integer_scaled([v])
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
 
 
 def _frac_json(x):
@@ -49,6 +54,16 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def minus_scalar(a, c):
+    """a - c * 1 for a square matrix a."""
+    return [[x - c if i == k else x for k, x in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+def trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -57,105 +72,64 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = _rows(mat)
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
-def rank(mat):
-    """Rank, by row reduction of the integer matrix d * mat; every reduced
-    row is divided by the gcd of its entries to keep them small."""
+def _integer_echelon(mat, full):
+    """(rows, pivot columns) of fraction-free row reduction of the integer
+    matrix d * mat, every combined row divided by the gcd of its entries to
+    keep them small.  With ``full`` the entries above each pivot are
+    cleared too, so that nonzero row r divided by its pivot entry is row r
+    of the reduced row echelon form of mat."""
     _, a = integer_scaled(mat)
-    r = 0
+    pivots = []
     for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         p = a[r][c]
-        for i in range(r + 1, len(a)):
+        for i in range(0 if full else r + 1, len(a)):
             f = a[i][c]
-            if f:
+            if f and i != r:
                 row = [p * x - f * y for x, y in zip(a[i], a[r])]
                 g = math.gcd(*row) or 1
                 a[i] = [x // g for x in row]
-        r += 1
-    return r
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return a[:len(pivots)], pivots
+
+
+def rank(mat):
+    """Rank, by integer row reduction."""
+    return len(_integer_echelon(mat, full=False)[1])
 
 
 def nullspace(mat):
-    """Basis of the right kernel, one vector per free column."""
-    a, pivots = rref(mat)
+    """Basis of the right kernel, one vector per free column c: e_c minus
+    column c of the reduced row echelon form on the pivot coordinates.
+    Integer Gauss-Jordan elimination gives that form's rows over their
+    pivot entries."""
+    rows, pivots = _integer_echelon(mat, full=True)
     ncols = len(mat[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 def inverse(mat):
     n = len(mat)
-    a = [row + ident_row for row, ident_row in zip(_rows(mat), identity(n))]
-    a, pivots = rref(a)
+    rows, pivots = _integer_echelon(
+        [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(mat)],
+        full=True,
+    )
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in a]
-
-
-def charpoly(mat):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn].
-
-    Faddeev-LeVerrier recursion: p(t) = t^n + c1 t^(n-1) + ... + cn.  It
-    runs on the integer matrix A = d M, d the common denominator of the
-    entries, whose coefficients are d^k c_k and whose divisions by k are
-    exact.
-    """
-    n = len(mat)
-    d, a = integer_scaled(mat)
-    coeffs = [Fraction(1)]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = trace(m)
-        ck, remainder = divmod(-tr, k)
-        if remainder:
-            raise ConsistencyError(
-                "Faddeev-LeVerrier trace %d is not divisible by %d" % (tr, k)
-            )
-        coeffs.append(Fraction(ck, d**k))
-        for i in range(n):
-            m[i][i] += ck
-    return coeffs
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def _divisors(n):
@@ -209,3 +183,48 @@ def rational_roots(coeffs):
         scale = common_denominator(quot)
         ipoly = [int(c * scale) for c in quot]
     return roots
+
+
+def _krylov_polynomial(a, v):
+    """Coefficients, lowest first, of the monic minimal polynomial of the
+    vector v under a: the first linear relation among v, a v, a^2 v, ...,
+    read off the kernel of the matrix with those columns."""
+    powers = [v]
+    while True:
+        powers.append(mat_vec(a, powers[-1]))
+        kernel = nullspace(transpose(powers))
+        if kernel:
+            return kernel[0]
+
+
+def eigenspace_dimensions(a, d=1):
+    """{eigenvalue: eigenspace dimension} of the rational matrix a / d, for a
+    square integer matrix a and an integer d > 0, when it is diagonalizable
+    over the rationals; raises ``SpectrumError`` when not.
+
+    The minimal polynomial of e_i under a divides that of a, so its roots
+    over d are eigenvalues: an irrational one refuses the matrix, and each
+    new one lam gets its dimension from the integer :func:`rank` of
+    a - d lam.  The search over e_1, e_2, ... stops once the dimensions add
+    up to n.  The e_i's polynomials have the minimal polynomial of a as
+    least common multiple, so running out of basis vectors first means an
+    irrational eigenvalue or a defective one: the verdict of comparing
+    geometric with algebraic multiplicities, without a characteristic
+    polynomial.
+    """
+    n = len(a)
+    dims = {}
+    for i in range(n):
+        if sum(dims.values()) == n:
+            break
+        c = _krylov_polynomial(a, [int(k == i) for k in range(n)])
+        # the polynomial in s = t / d, with coprime integer coefficients
+        poly = primitive([x * d**j for j, x in enumerate(c)])
+        for lam in rational_roots(poly[::-1]):
+            if lam not in dims:
+                # d lam, a rational root of a monic integer polynomial, is an int
+                dims[lam] = n - rank(minus_scalar(a, (d * lam).numerator))
+    if sum(dims.values()) != n:
+        raise SpectrumError("not diagonalizable over the rationals: eigenspace"
+                            " dimensions %s" % sorted(dims.items()))
+    return dims

@@ -4,14 +4,18 @@ A deliberately separate route used only by the tests: the six generators
 are built as dense 8x8 matrices straight from the octonion structure table,
 every blade as the ordered matrix product of its generators, and the
 identities, P and Q, J and the spectrum of contraction with Q are computed
-by matrix products, traces and Fraction-arithmetic Faddeev-LeVerrier.  It
-shares with the package only the octonion table, the exterior-algebra
-operations of ``Multivector`` (wedge, contraction, Hodge star) and the
-exact linear algebra of ``ratlinalg``; it never uses the geometric product
-or the signed-permutation blades, except in :func:`dense_blades`, which
-checks the latter against the dense ones, and in :func:`sampled_brackets`
-and :func:`sampled_sandwich`, the sampled route of the two identities the
-package proves on basis blades.
+by matrix products, traces and Faddeev-LeVerrier (:func:`charpoly`, the
+package's former route to the eigenvalues).  It shares with the package
+only the octonion table, the exterior-algebra operations of
+``Multivector`` (wedge, contraction by a vector, Hodge star) and the exact
+linear algebra of ``ratlinalg``; it never uses the geometric product or the
+signed-permutation blades, except in :func:`dense_blades`, which checks the
+latter against the dense ones, and in :func:`sampled_brackets` and
+:func:`sampled_sandwich`, the sampled route of the two identities the
+package proves on basis blades.  :func:`merge_sign` is the closed formula
+that the package's table of blade-product signs is checked against, and
+:func:`contract` the contraction by a form that the package's operator of
+contraction with Q is checked against.
 """
 
 import random
@@ -20,6 +24,9 @@ from functools import lru_cache, reduce
 
 from nkdeform import clifford, ratlinalg
 from nkdeform.clifford import DIM, N_BLADES, VOL_MASK, Multivector
+from nkdeform.errors import ConsistencyError, SpectrumError
+
+from slow_oracle import rref
 
 PSI_B = (Fraction(3, 5), Fraction(4, 5)) + (Fraction(0),) * 6
 
@@ -50,6 +57,36 @@ def _blades():
         )
         for mask in range(N_BLADES)
     )
+
+
+def contract(alpha, beta):
+    """Interior product alpha -| beta, extending the metric pairing: on
+    basis blades (e_{i1} ^ ... ^ e_{ik}) -| w applies the contraction by
+    e_{i1} first, so that e_I -| e_I = +1."""
+    out = Multivector.zero()
+    for mask, a in enumerate(alpha.coeffs):
+        if a:
+            term = beta
+            for i in (i for i in range(DIM) if mask >> i & 1):
+                term = term.contract_vector(i + 1)
+            out = out + term.scale(a)
+    return out
+
+
+def merge_sign(a, b):
+    """Sign of reordering the generators of e_a followed by those of e_b into
+    increasing order (a transposition per pair i in a, j in b with i > j)."""
+    sign = 1
+    for i in range(DIM):
+        if b >> i & 1 and bin(a >> (i + 1)).count("1") % 2:
+            sign = -sign
+    return sign
+
+
+def product_sign(a, b):
+    """s(a, b) of e_a e_b = s(a, b) e_{a xor b}: the reordering sign, and
+    e_i e_i = -1 for each generator the blades share."""
+    return merge_sign(a, b) * (-1 if bin(a & b).count("1") % 2 else 1)
 
 
 def perm_matrix(perm):
@@ -138,7 +175,7 @@ def _bracket_expectations(alpha, beta, grade):
     """The commutator and anticommutator that grade-brackets predicts for a
     one-form alpha and a form beta of the given grade."""
     wedge = alpha.wedge(beta).scale(2)
-    contr = alpha.contract(beta).scale(-2)
+    contr = contract(alpha, beta).scale(-2)
     return (wedge, contr) if grade % 2 == 1 else (contr, wedge)
 
 
@@ -190,7 +227,7 @@ def extract_PQ(psi):
 def _solve(mat, rhs):
     """The unique solution of a consistent system of full column rank."""
     ncols = len(mat[0])
-    a, pivots = ratlinalg.rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    a, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)])
     assert pivots == list(range(ncols))
     return [a[r][ncols] for r in range(ncols)]
 
@@ -275,8 +312,8 @@ def identity_suite(psi):
             jv = Multivector.zero()
             for b, e in enumerate(vectors):
                 jv = jv + e.scale(j[b][a])
-            real = v.contract(p) + jv.contract(star_p)
-            imag = v.contract(star_p) - jv.contract(p)
+            real = contract(v, p) + contract(jv, star_p)
+            imag = contract(v, star_p) - contract(jv, p)
             if not real.is_zero() or not imag.is_zero():
                 return False
         return True
@@ -330,18 +367,59 @@ def identity_suite(psi):
 
 
 def charpoly(mat):
-    """Faddeev-LeVerrier in Fraction arithmetic: [1, c1, ..., cn]."""
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn].
+
+    Faddeev-LeVerrier recursion: p(t) = t^n + c1 t^(n-1) + ... + cn.  It
+    runs on the integer matrix A = d M, d the common denominator of the
+    entries, whose coefficients are d^k c_k and whose divisions by k are
+    exact.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
+    d, a = ratlinalg.integer_scaled(mat)
     coeffs = [Fraction(1)]
-    m = ratlinalg.identity(n)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = ratlinalg.mat_mul(a, m)
-        ck = -ratlinalg.trace(m) / k
-        coeffs.append(ck)
+        tr = ratlinalg.trace(m)
+        ck, remainder = divmod(-tr, k)
+        if remainder:
+            raise ConsistencyError(
+                "Faddeev-LeVerrier trace %d is not divisible by %d" % (tr, k)
+            )
+        coeffs.append(Fraction(ck, d**k))
         for i in range(n):
             m[i][i] += ck
     return coeffs
+
+
+def charpoly_spectrum(mat):
+    """{eigenvalue: eigenspace dimension} of a rational matrix by the
+    package's former route: the rational roots of :func:`charpoly`, each
+    root's geometric multiplicity by ``rref`` pivots, and ``SpectrumError``
+    unless it equals the algebraic one."""
+    n = len(mat)
+    out = {}
+    for lam, mult in ratlinalg.rational_roots(charpoly(mat)).items():
+        shifted = [[x - lam if i == k else x for k, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        dim = n - len(rref(shifted)[1])
+        if dim != mult:
+            raise SpectrumError(
+                "eigenvalue %s: geometric %d != algebraic %d" % (lam, dim, mult))
+        out[lam] = dim
+    return out
+
+
+_MASKS_2FORM = [(1 << a) | (1 << b) for a in range(DIM) for b in range(a + 1, DIM)]
+
+
+def q_operator(psi):
+    """Matrix of beta -> beta -| Q on the basis e_ab (a < b), Q from
+    :func:`extract_PQ`, by ``Multivector.contract``."""
+    _, q = extract_PQ(psi)
+    images = [contract(Multivector.blade(m), q) for m in _MASKS_2FORM]
+    return ratlinalg.transpose(
+        [[image.coeffs[k] for k in _MASKS_2FORM] for image in images])
 
 
 def q_spectrum(psi, eigenvalues=None):
@@ -356,10 +434,7 @@ def q_spectrum(psi, eigenvalues=None):
     skipped: their eigenspace dimensions, by ``rref`` pivots, must then add
     up to 15, which proves that they are all the eigenvalues."""
     _, q = extract_PQ(psi)
-    pairs = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
-    masks = [(1 << a) | (1 << b) for a, b in pairs]
-    images = [Multivector.blade(m).contract(q) for m in masks]
-    op = ratlinalg.transpose([[image.coeffs[k] for k in masks] for image in images])
+    op = q_operator(psi)
     n = len(op)
     ident = ratlinalg.identity(n)
     if eigenvalues is None:
@@ -368,14 +443,14 @@ def q_spectrum(psi, eigenvalues=None):
     projector = ident
     for lam in sorted(eigenvalues):
         shifted = mat_sub(op, mat_scale(ident, lam))
-        entries.append((lam, n - len(ratlinalg.rref(shifted)[1])))
+        entries.append((lam, n - len(rref(shifted)[1])))
         if lam != -1:
             projector = ratlinalg.mat_mul(
                 projector, mat_scale(shifted, Fraction(1, -1 - lam))
             )
     assert sum(dim for _, dim in entries) == n
     basis = ratlinalg.nullspace(mat_add(op, ident))
-    omega = [q.star().coeffs[k] for k in masks]
+    omega = [q.star().coeffs[k] for k in _MASKS_2FORM]
     image = ratlinalg.mat_vec(op, omega)
     pivot = next(i for i in range(n) if omega[i] != 0)
     omega_eig = image[pivot] / omega[pivot]

@@ -13,8 +13,11 @@ references for what it now computes or derives.
 * :func:`verify_form_by_trace` recomputes each pair's form as a trace over
   the hand-entered decomposition of the ambient algebra.
 * :func:`det` and :func:`leading_principal_minors`, by Fraction
-  elimination, are the references for ``ratlinalg.charpoly`` and for the
-  definiteness of the derived forms.
+  elimination, are the references for ``clifford_oracle.charpoly`` and
+  for the definiteness of the derived forms.
+* :func:`rref`, Fraction Gauss-Jordan elimination, is the reference for
+  the integer elimination of ``ratlinalg.rank``, ``nullspace`` and
+  ``inverse``.
 
 The tests compare each pair exactly.
 """
@@ -195,6 +198,33 @@ def verify_form_by_trace(tag):
                 % (tag, recovered, name, gram)
             )
     return _gram([[PAIRS[tag][3] * x for x in row] for row in t])
+
+
+def rref(mat):
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination;
+    returns (rows, pivot column indices)."""
+    a = [[F(x) for x in row] for row in mat]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = F(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
 
 
 def det(mat):

@@ -351,7 +351,7 @@ def _spectrum_operator(rep, psi):
 
 
 def _integer_skews(vectors):
-    return [clifford._skew_matrix(clifford._primitive(v)) for v in vectors]
+    return [clifford._skew_matrix(ratlinalg.primitive(v)) for v in vectors]
 
 
 def test_bracket_closure_accepts_the_minus_one_eigenspace(rep):
@@ -402,7 +402,9 @@ def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
     basis = ratlinalg.transpose(columns)
     scaled = [[x * lam for x, lam in zip(row, values)] for row in basis]
     moved = ratlinalg.mat_mul(scaled, ratlinalg.inverse(basis))
-    monkeypatch.setattr(clifford, "_q_operator", lambda q: moved)
+    monkeypatch.setattr(
+        clifford, "_q_operator", lambda q, e: ratlinalg.integer_scaled(moved)
+    )
     with pytest.raises(SpectrumError, match="dimension 1, not 8"):
         clifford.q_contraction_spectrum(rep, PSI)
 
@@ -478,6 +480,57 @@ def test_integer_route_matches_the_oracle(rep, index):
     assert [(r.name, r.description) for r in report] == REPORT
     assert [r.passed for r in report] == [True] * 8
     assert all(type(r.passed) is bool for r in report)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_SPINORS)))
+def test_eigenspace_dimensions_match_the_charpoly_route(rep, index):
+    psi = ORACLE_SPINORS[index]
+    op = clifford.q_contraction_operator(rep, psi)
+    assert op == oracle.q_operator(psi)
+    assert _all_fractions(x for row in op for x in row)
+    d, a = ratlinalg.integer_scaled(op)
+    _, e, _, q = clifford._integer_forms(rep, psi)
+    assert clifford._q_operator(q, e) == (d, a)
+    dims = ratlinalg.eigenspace_dimensions(a, d)
+    assert dims == oracle.charpoly_spectrum(op) == {F(-1): 8, F(1): 6, F(2): 1}
+
+
+@pytest.mark.parametrize(
+    "name,form,mask",
+    [
+        # Degree-identities, three-form-square and contraction-norm hold for
+        # every three-form P and four-form Q, so only a coefficient off those
+        # grades breaks them; a changed four-form coefficient of Q changes
+        # omega = *Q too, which the complex structure refuses first.
+        ("degree-identities", "p", 0b000011),
+        ("kahler-square", "q", 0b000011),
+        ("holomorphic-contraction", "p", 0b000111),
+        ("torsion-metric-trace", "p", 0b000111),
+        ("three-form-square", "p", 0b000011),
+        ("contraction-norm", "p", 0b000011),
+    ],
+)
+def test_a_changed_integer_form_fails_its_identity(rep, monkeypatch, name, form, mask):
+    true_forms = clifford._integer_forms
+
+    def changed_forms(rep, psi):
+        spinor, d2, p, q = true_forms(rep, psi)
+        mv = p if form == "p" else q
+        coeffs = list(mv.coeffs)
+        coeffs[mask] += 1
+        mv = Multivector(tuple(coeffs))
+        return (spinor, d2, mv, q) if form == "p" else (spinor, d2, p, mv)
+
+    monkeypatch.setattr(clifford, "_integer_forms", changed_forms)
+    report = clifford.verify_identity_suite(rep, PSI_B, raise_on_failure=False)
+    assert {r.name: r.passed for r in report}[name] is False
+
+
+def test_product_sign_table_matches_the_closed_formula():
+    table = clifford._product_signs.__wrapped__()
+    assert table == tuple(
+        tuple(oracle.product_sign(a, b) for b in range(64)) for a in range(64)
+    )
 
 
 def test_basis_proof_agrees_with_the_sampled_route():

@@ -121,6 +121,22 @@ def test_corrupted_root_tables_raise(changes):
         lie.SimpleType(**_g2_tables(**changes))
 
 
+def test_mismatched_coroots_raise_instead_of_closing_forever(monkeypatch):
+    # C2 with its symmetrizer reversed, set past the constructor's check:
+    # the coroots no longer match the roots, the Weyl formula still gives an
+    # integer for V(1, 1), and the alpha-string closure would never end.
+    st = lie.SimpleType("C2", lie.SIMPLE_TYPES["C2"].cartan)
+    st.__dict__["symmetrizer"] = tuple(reversed(lie.SIMPLE_TYPES["C2"].symmetrizer))
+    monkeypatch.setitem(lie.SIMPLE_TYPES, "C2", st)
+    lie._simple_character.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="closure passed dimension 16"):
+            lie._simple_character("C2", (1, 1))
+    finally:
+        monkeypatch.undo()
+        lie._simple_character.cache_clear()
+
+
 @pytest.mark.parametrize("tag", sorted(lie.SIMPLE_TYPES))
 def test_derived_root_data_matches_tables_and_kostant_oracle(tag):
     st = lie.SIMPLE_TYPES[tag]

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from nkdeform import ratlinalg
 from nkdeform.errors import SpectrumError
 
+import clifford_oracle
 import slow_oracle
 
 
@@ -26,18 +29,18 @@ def test_rank_and_nullspace():
 
 def test_charpoly_and_rational_roots():
     m = [[2, 0, 0], [0, 2, 0], [0, 0, -1]]
-    coeffs = ratlinalg.charpoly(m)
+    coeffs = clifford_oracle.charpoly(m)
     roots = ratlinalg.rational_roots(coeffs)
     assert roots == {F(2): 2, F(-1): 1}
     # fractional eigenvalues
     m = [[F(1, 2), 0], [1, F(-3, 2)]]
-    assert ratlinalg.rational_roots(ratlinalg.charpoly(m)) == {
+    assert ratlinalg.rational_roots(clifford_oracle.charpoly(m)) == {
         F(1, 2): 1,
         F(-3, 2): 1,
     }
     # zero eigenvalues are peeled first
     m = [[0, 0], [0, 5]]
-    assert ratlinalg.rational_roots(ratlinalg.charpoly(m)) == {F(0): 1, F(5): 1}
+    assert ratlinalg.rational_roots(clifford_oracle.charpoly(m)) == {F(0): 1, F(5): 1}
 
 
 def test_rational_roots_rejects_irrational_spectrum():
@@ -57,7 +60,7 @@ def test_det():
 
 def _check_charpoly_against_det(m):
     n = len(m)
-    coeffs = ratlinalg.charpoly(m)
+    coeffs = clifford_oracle.charpoly(m)
     assert len(coeffs) == n + 1
     for t in (F(0), F(1), F(-2), F(3, 7), F(-5, 2)):
         value = sum(c * t ** (n - k) for k, c in enumerate(coeffs))
@@ -92,7 +95,8 @@ def test_common_denominator_and_integer_scaled():
 
 def test_integer_rank_matches_rational_row_reduction():
     # Products of random n x k and k x m rational matrices have rank <= k;
-    # the integer elimination of `rank` must agree with the pivots of `rref`.
+    # the integer elimination of `rank` and `nullspace` must agree with the
+    # Fraction `rref`.
     import random
 
     rng = random.Random(23)
@@ -105,5 +109,74 @@ def test_integer_rank_matches_rational_row_reduction():
         mat = (ratlinalg.mat_mul(left, right) if k
                else [[F(0)] * m for _ in range(n)])
         r = ratlinalg.rank(mat)
-        assert r == len(ratlinalg.rref(mat)[1])
+        assert r == len(slow_oracle.rref(mat)[1])
         assert r <= min(n, m, k)
+        assert ratlinalg.nullspace(mat) == _rref_nullspace(mat)
+
+
+def _rref_nullspace(mat):
+    """The kernel basis read off the Fraction ``rref``, one vector per free
+    column."""
+    a, pivots = slow_oracle.rref(mat)
+    ncols = len(mat[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def _seeded_conjugate(rng, n, core):
+    """basis * core * basis^-1 for a seeded invertible rational basis."""
+    while True:
+        basis = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+        if ratlinalg.rank(basis) == n:
+            break
+    return ratlinalg.mat_mul(ratlinalg.mat_mul(basis, core), ratlinalg.inverse(basis))
+
+
+def test_eigenspace_dimensions_match_the_charpoly_route_on_seeded_matrices():
+    rng = random.Random(41)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        values = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        diagonal = [rng.choice(values) for _ in range(n)]
+        core = [[diagonal[i] if i == k else 0 for k in range(n)] for i in range(n)]
+        m = _seeded_conjugate(rng, n, core)
+        d, a = ratlinalg.integer_scaled(m)
+        dims = ratlinalg.eigenspace_dimensions(a, d)
+        assert dims == Counter(diagonal) == clifford_oracle.charpoly_spectrum(m)
+        assert all(type(lam) is F and type(dim) is int for lam, dim in dims.items())
+
+
+@pytest.mark.parametrize(
+    "core",
+    [
+        [[1, 1], [0, 1]],  # a Jordan block
+        [[0, 2], [1, 0]],  # eigenvalues +-sqrt(2)
+        [[3, 1, 0], [0, 3, 0], [0, 0, -2]],  # a Jordan block beside an eigenvector
+    ],
+)
+def test_eigenspace_dimensions_refuse_what_the_charpoly_route_refuses(core):
+    for m in (core, _seeded_conjugate(random.Random(7), len(core), core)):
+        d, a = ratlinalg.integer_scaled(m)
+        with pytest.raises(SpectrumError):
+            ratlinalg.eigenspace_dimensions(a, d)
+        with pytest.raises(SpectrumError):
+            clifford_oracle.charpoly_spectrum(m)
+
+
+def test_eigenspace_dimensions_look_past_the_first_basis_vector():
+    # e_1 is an eigenvector of diag(1, 2), so its minimal polynomial is
+    # t - 1 and the eigenvalue 2 shows only from e_2.
+    a = [[1, 0], [0, 2]]
+    assert ratlinalg._krylov_polynomial(a, [1, 0]) == [-1, 1]
+    assert ratlinalg.eigenspace_dimensions(a) == {1: 1, 2: 1}
+    # scaled: the eigenvalues of a / d
+    assert ratlinalg.eigenspace_dimensions([[6, 0], [0, -4]], 4) == {
+        F(3, 2): 1, F(-1): 1}
+    assert ratlinalg.eigenspace_dimensions([[0] * 3] * 3) == {0: 3}
