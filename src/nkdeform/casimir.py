@@ -14,11 +14,9 @@ A subalgebra's form is the restriction of B, through the restriction map of
 weights stored with each pair here and shared with the coset fixtures.
 """
 
-from __future__ import annotations
-
+import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,27 +26,22 @@ from .errors import UnknownTagError
 _F = Fraction
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(collections.namedtuple("BilinearForm", "gram")):
     """Gram matrix of the invariant form on fundamental-weight coordinates."""
 
-    gram: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CasimirContext:
+class CasimirContext(collections.namedtuple(
+        "CasimirContext",
+        "root_data form denominator gram_int linear box_diagonal")):
     """A form on a root datum, with its integer form: ``denominator`` is the
     common denominator D of the Gram matrix, ``gram_int`` is D * gram and
     ``linear`` is 2D * gram * delta, so that D * Cas(w) = q(w) =
     w.gram_int.w + linear.w.  ``box_diagonal`` is the diagonal of (-gram)^-1,
     which bounds :func:`irreps_with_casimir`."""
 
-    root_data: lie.RootData
-    form: BilinearForm
-    denominator: int
-    gram_int: tuple
-    linear: tuple
-    box_diagonal: tuple
+    __slots__ = ()
 
     def scaled_casimir(self, w):
         """q(w) = D * Cas(w), in integers."""

@@ -14,8 +14,6 @@ Every command accepts ``--format text|json``.  JSON output is deterministic
 Exit codes: 0 success, 1 usage or parse error, 2 internal invariant failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import re

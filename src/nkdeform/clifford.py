@@ -31,11 +31,9 @@ pairs.  The dense-matrix route, the sampled route and the characteristic
 polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 """
 
-from __future__ import annotations
-
+import collections
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlinalg
@@ -83,12 +81,28 @@ def _product_signs():
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class Multivector:
     """Element of the 64-dimensional Clifford algebra with exact ``int``
-    or ``Fraction`` coefficients; zeros are ``0``."""
+    or ``Fraction`` coefficients; zeros are ``0``.  Immutable."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Multivector is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Multivector:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "Multivector(coeffs=%r)" % (self.coeffs,)
 
     @staticmethod
     def zero():
@@ -264,12 +278,11 @@ def _apply(perm, spinor):
 _GRADE_SYMMETRIC = {0, 3, 4}
 
 
-@dataclass(frozen=True)
-class CliffordRep:
+class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
     """The 64 blades (products of generators in increasing index order) as
     signed permutations of the spinor slots, indexed by bitmask."""
 
-    blades: tuple
+    __slots__ = ()
 
     def act(self, mv, spinor):
         """Clifford multiplication of a spinor by a multivector."""
@@ -386,12 +399,11 @@ def _eigenvalue_on(rep, mv, spinor, d2):
     return _F(image[pivot], d2 * spinor[pivot])
 
 
-@dataclass(frozen=True)
-class SpinorBlockSpectra:
+class SpinorBlockSpectra(collections.namedtuple(
+        "SpinorBlockSpectra", "p_values q_values")):
     """Eigenvalues of P and Q on span(psi), {u.psi}, span(Vol.psi)."""
 
-    p_values: tuple
-    q_values: tuple
+    __slots__ = ()
 
 
 def spinor_decomposition_spectra(rep, psi):
@@ -475,11 +487,11 @@ def kahler_form(rep, psi):
 # Identity suite
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    description: str
-    passed: bool
+class CheckResult(collections.namedtuple(
+        "CheckResult", "name description passed")):
+    """One named identity of the suite and its verdict."""
+
+    __slots__ = ()
 
 
 @functools.cache
@@ -519,7 +531,10 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     The other six run per spinor, with the geometric product that the
     representation matches blade for blade (:func:`build_rep`), on the
     integer p = d^2 P, q = d^2 Q and d^2 J of psi~ = d psi.  Three are
-    homogeneous; kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
+    homogeneous: degree-identities, three-form-square and contraction-norm,
+    which hold for every three-form P and four-form Q, so they check the
+    extraction of P and Q as forms of those grades, not the spinor.
+    Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
     torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, and
     holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
@@ -655,16 +670,14 @@ def _skew_matrix(coords):
     return m
 
 
-@dataclass(frozen=True)
-class TwoFormSpectrum:
+class TwoFormSpectrum(collections.namedtuple(
+        "TwoFormSpectrum",
+        "entries omega_eigenvalue projector minus_one_basis")):
     """Exact spectrum of beta -> beta -| Q on the 15-dimensional space of
     two-forms, plus the projector onto the (-1)-eigenspace (the su(3) fibre
     of the instanton condition) and the eigenvalue carried by omega."""
 
-    entries: tuple
-    omega_eigenvalue: Fraction
-    projector: tuple
-    minus_one_basis: tuple
+    __slots__ = ()
 
 
 def q_contraction_operator(rep, psi):

@@ -24,10 +24,8 @@ malformed file raises :class:`FixtureError` naming the JSON path of the
 bad field, e.g. ``cosets[0].mstar[0].mult``.
 """
 
-from __future__ import annotations
-
+import collections
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,18 +38,16 @@ GAUGE_SU3 = "SU3"
 GAUGE_GROUPS = (GAUGE_H, GAUGE_SU3)
 
 
-@dataclass(frozen=True)
-class CosetDescriptor:
-    name: str
-    g_data: lie.RootData
-    h_data: lie.RootData
-    restriction: decompose.RestrictionMap
-    b_g_pair: str
-    b_h_pair: str
-    mstar: decompose.RepDecomposition
-    mstar_holomorphic: decompose.RepDecomposition
-    g_adjoint: decompose.RepDecomposition
-    h_adjoint: decompose.RepDecomposition
+class CosetDescriptor(collections.namedtuple(
+        "CosetDescriptor",
+        "name g_data h_data restriction b_g_pair b_h_pair mstar"
+        " mstar_holomorphic g_adjoint h_adjoint")):
+    """One coset's data: g and h as :class:`lie.RootData`, a
+    :class:`decompose.RestrictionMap`, the two form pair tags of
+    :mod:`casimir`, and m*, its (1,0)-part V and the two adjoints as
+    :class:`decompose.RepDecomposition`."""
+
+    __slots__ = ()
 
     @property
     def context_g(self):

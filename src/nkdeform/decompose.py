@@ -12,25 +12,23 @@ tensor product and branching; the peel-off raises
 :class:`NotACharacterError` if the input multiset is not Weyl-closed.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+import collections
 from fractions import Fraction
 
 from . import lie
 from .errors import ConsistencyError, MalformedEmbeddingError, NotACharacterError
 
 
-@dataclass
 class RepDecomposition:
     """Multiset of dominant highest weights with multiplicities."""
 
-    root_data: lie.RootData
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("root_data", "entries")
 
-    def __post_init__(self):
+    def __init__(self, root_data, entries=None):
+        self.root_data = root_data
+        self.entries = {} if entries is None else entries
         for hw, mult in self.entries.items():
-            self.root_data.require_dominant(hw)
+            root_data.require_dominant(hw)
             if mult < 1:
                 raise ValueError("multiplicity must be >= 1, got %d" % mult)
 
@@ -66,6 +64,10 @@ class RepDecomposition:
             and self.entries == other.entries
         )
 
+    def __repr__(self):
+        return "RepDecomposition(root_data=%r, entries=%r)" % (
+            self.root_data, self.entries)
+
     def __str__(self):
         if not self.entries:
             return "0"
@@ -76,8 +78,7 @@ class RepDecomposition:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
+class RestrictionMap(collections.namedtuple("RestrictionMap", "matrix")):
     """Linear map of weight lattices in fundamental-weight coordinates.
 
     ``matrix`` rows are indexed by target (subalgebra) coordinates.  Images
@@ -86,7 +87,7 @@ class RestrictionMap:
     weight raises ``ValueError``.
     """
 
-    matrix: tuple
+    __slots__ = ()
 
     def apply(self, w):
         out = []

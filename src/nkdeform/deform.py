@@ -18,22 +18,20 @@ decomposition is the reported deformation space and its real dimension uses
 complex dimensions of the halved summands.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import collections
 
 from . import casimir, cosets, decompose, lie
 from .errors import ConsistencyError, EvennessViolationError
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
+class CurvatureSpectrum(collections.namedtuple(
+        "CurvatureSpectrum", "entries gauge_dimension")):
     """Eigenvalue/multiplicity pairs, ascending, traceless, total 6*dim(E)."""
 
-    entries: tuple
-    gauge_dimension: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries, gauge_dimension):
+        self = super().__new__(cls, entries, gauge_dimension)
         values = [e for e, _ in self.entries]
         if values != sorted(values):
             raise ConsistencyError("spectrum entries not sorted")
@@ -44,6 +42,7 @@ class CurvatureSpectrum:
             )
         if self.trace() != 0:
             raise ConsistencyError("curvature operator trace %s != 0" % self.trace())
+        return self
 
     def total_dimension(self):
         return sum(d for _, d in self.entries)
@@ -55,13 +54,12 @@ class CurvatureSpectrum:
         return {e: d for e, d in self.entries}
 
 
-@dataclass(frozen=True)
-class DeformationSpace:
-    """Complexified solution space, its halved form and the real dimension."""
+class DeformationSpace(collections.namedtuple(
+        "DeformationSpace", "complexified halved real_dimension")):
+    """Complexified solution space, its halved form (both
+    :class:`decompose.RepDecomposition`) and the real dimension."""
 
-    complexified: decompose.RepDecomposition
-    halved: decompose.RepDecomposition
-    real_dimension: int
+    __slots__ = ()
 
     @property
     def is_rigid(self):

@@ -15,11 +15,9 @@ bug, never bad input.  Dimensions come from the Weyl product formula over
 the integer coroot pairings <w, alpha^vee>.
 """
 
-from __future__ import annotations
-
+import collections
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -36,8 +34,7 @@ def _det(m):
     )
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(collections.namedtuple("SimpleType", "name cartan")):
     """Combinatorics of one simple-factor type, derived from its Cartan
     matrix.
 
@@ -45,14 +42,13 @@ class SimpleType:
     cartan[i][j] = <alpha_i, alpha_j^vee>.  The matrix is the only
     hand-entered datum, so construction checks it and raises
     :class:`ConsistencyError` unless it has 2 on its diagonal and entries
-    <= 0 off it, is symmetrizable, and is of finite type.
+    <= 0 off it, is symmetrizable, and is of finite type.  The derived data
+    are cached in the instance ``__dict__``.
     """
 
-    name: str
-    cartan: tuple
-
-    def __post_init__(self):
-        c = self.cartan
+    def __new__(cls, name, cartan):
+        self = super().__new__(cls, name, cartan)
+        c = cartan
         n = len(c)
         if any(
             c[i][j] != 2 if i == j else c[i][j] > 0
@@ -75,6 +71,7 @@ class SimpleType:
             raise ConsistencyError(
                 "%s: Cartan matrix %s is not of finite type" % (self.name, c)
             )
+        return self
 
     @cached_property
     def symmetrizer(self):
@@ -157,6 +154,8 @@ class SimpleType:
         for k in self.coroots:
             num *= sum((a + 1) * b for a, b in zip(hw, k))
             den *= sum(k)
+        if den == 0:  # <delta, alpha^vee> >= 1 for coroots that match the roots
+            raise ConsistencyError("%s: the coroots do not match the roots" % self.name)
         dim, rest = divmod(num, den)
         if rest:
             raise ConsistencyError(
@@ -202,16 +201,14 @@ SIMPLE_TAGS = tuple(sorted(SIMPLE_TYPES))
 U1 = "U1"
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(collections.namedtuple("RootData", "factors")):
     """A finite product of simple factors (A1/A2/C2/G2) and U(1) factors."""
 
-    factors: tuple
-
-    def __post_init__(self):
-        for tag in self.factors:
+    def __new__(cls, factors):
+        for tag in factors:
             if tag != U1 and tag not in SIMPLE_TYPES:
                 raise ValueError("unknown factor tag %r" % (tag,))
+        return super().__new__(cls, factors)
 
     @cached_property
     def blocks(self):
@@ -288,12 +285,32 @@ class RootData:
         return tuple(out), sign
 
 
-@dataclass
 class WeightCharacter:
-    """Finite multiset of weights with multiplicities over a fixed algebra."""
+    """Finite multiset of weights with multiplicities over a fixed algebra.
 
-    root_data: RootData
-    weights: dict = field(default_factory=dict)
+    ``weights`` is a read-only view of the mapping given, and neither
+    attribute can be rebound: :func:`weight_multiplicities` hands the same
+    character to every caller that asks for it.
+    """
+
+    __slots__ = ("root_data", "weights")
+
+    def __init__(self, root_data, weights=None):
+        object.__setattr__(self, "root_data", root_data)
+        object.__setattr__(self, "weights", MappingProxyType(
+            {} if weights is None else weights))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightCharacter attributes are read-only")
+
+    def __eq__(self, other):
+        if type(other) is not WeightCharacter:
+            return NotImplemented
+        return (self.root_data, self.weights) == (other.root_data, other.weights)
+
+    def __repr__(self):
+        return "WeightCharacter(root_data=%r, weights=%r)" % (
+            self.root_data, dict(self.weights))
 
     def total(self):
         return sum(self.weights.values())
@@ -373,9 +390,16 @@ def weight_multiplicities(root_data, hw):
     """Full weight system of the irreducible with highest weight ``hw``.
 
     U(1) charges are carried unchanged onto every weight; the character of a
-    product algebra is the outer product of the factor characters.
+    product algebra is the outer product of the factor characters.  The
+    result is built once per (algebra, weight) and shared: its ``weights``
+    are read-only.
     """
     root_data.require_dominant(hw)
+    return _weight_multiplicities(root_data, hw)
+
+
+@lru_cache(maxsize=None)
+def _weight_multiplicities(root_data, hw):
     char = {(): 1}
     for tag, start, stop in root_data.blocks:
         part = hw[start:stop]

@@ -8,8 +8,6 @@ polynomials of basis vectors (:func:`eigenspace_dimensions`); no
 characteristic polynomial is formed.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

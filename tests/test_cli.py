@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import nkdeform
 from nkdeform import cli, cosets
 
 
@@ -202,6 +203,21 @@ print(sorted(m for m in sys.modules if m.startswith("nkdeform.")))
 
 def test_import_loads_no_submodule():
     assert fresh_python("-c", "import nkdeform" + _LOADED_MODULES) == "[]\n"
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
+    # a cold process, before any class is decorated.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import %s\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        % ", ".join("nkdeform." + m for m in nkdeform._MODULES)
+    )
+    added = fresh_python("-c", code).split()
+    assert {"nkdeform." + m for m in nkdeform._MODULES} <= set(added)
+    assert "dataclasses" not in added and "inspect" not in added
 
 
 def test_submodule_resolves_on_attribute_access():

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import random
@@ -379,7 +378,7 @@ def test_complex_structure_refuses_a_volume_element_off_the_span(rep):
     # to every e_b . psi.
     blades = list(rep.blades)
     blades[clifford.VOL_MASK] = blades[1]
-    broken = dataclasses.replace(rep, blades=tuple(blades))
+    broken = rep._replace(blades=tuple(blades))
     with pytest.raises(ConsistencyError, match="span"):
         clifford.complex_structure(broken, PSI)
 

@@ -137,6 +137,50 @@ def test_mismatched_coroots_raise_instead_of_closing_forever(monkeypatch):
         lie._simple_character.cache_clear()
 
 
+def test_coroot_pairing_to_zero_with_delta_raises(monkeypatch):
+    # G2 with its symmetrizer reversed, set past the constructor's check:
+    # one coroot comes out as (0, 0), and the Weyl formula's denominator
+    # prod <delta, alpha^vee> is 0.
+    st = lie.SimpleType("G2", lie.SIMPLE_TYPES["G2"].cartan)
+    st.__dict__["symmetrizer"] = tuple(reversed(lie.SIMPLE_TYPES["G2"].symmetrizer))
+    assert (0, 0) in st.coroots
+    monkeypatch.setitem(lie.SIMPLE_TYPES, "G2", st)
+    lie._simple_character.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="coroots do not match"):
+            lie._simple_character("G2", (0, 0))
+    finally:
+        monkeypatch.undo()
+        lie._simple_character.cache_clear()
+
+
+def test_repeated_characters_are_shared_and_read_only():
+    first = lie.weight_multiplicities(lie.A1_U1, (2, 7))
+    assert lie.weight_multiplicities(lie.A1_U1, (2, 7)) is first
+    assert lie.weight_multiplicities(lie.RootData(("A1", "U1")), (2, 7)) is first
+    with pytest.raises(TypeError):
+        first.weights[(2, 7)] = 5
+    with pytest.raises(AttributeError):
+        first.weights = {}
+    assert first.mult((2, 7)) == 1 and first.total() == 3
+    # (True, 0) is the same cache key as (1, 0): the check comes first
+    lie.weight_multiplicities(lie.A2, (1, 0))
+    with pytest.raises(ValueError):
+        lie.weight_multiplicities(lie.A2, (True, 0))
+    # the shared G2 characters still agree with Kostant's formula
+    for hw in [(0, 1), (1, 1)]:
+        lie.weight_multiplicities(lie.G2, hw)
+        again = lie.weight_multiplicities(lie.G2, hw)
+        assert dict(again.weights) == weyl_oracle.character("G2", hw)
+
+
+def test_weights_given_to_a_character_are_read_only():
+    char = lie.WeightCharacter(lie.A1, {(0,): 1})
+    with pytest.raises(TypeError):
+        char.weights[(0,)] = 2
+    assert lie.WeightCharacter(lie.A1).weights == {}
+
+
 @pytest.mark.parametrize("tag", sorted(lie.SIMPLE_TYPES))
 def test_derived_root_data_matches_tables_and_kostant_oracle(tag):
     st = lie.SIMPLE_TYPES[tag]

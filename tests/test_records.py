@@ -1,0 +1,109 @@
+"""The package's records: namedtuple subclasses for immutable values, plain
+classes with ``__slots__`` for ``Multivector``, ``RepDecomposition`` and
+``WeightCharacter``."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from nkdeform import casimir, clifford, cosets, decompose, deform, lie
+from nkdeform.errors import ConsistencyError, NonDominantWeightError
+
+PSI = clifford.STANDARD_SPINOR
+
+
+def _records(rep):
+    """(record, one of its fields) for each immutable record type."""
+    c = cosets.coset("g2su3")
+    ctx = casimir.context("su3-in-g2")
+    return {
+        "SimpleType": (lie.SIMPLE_TYPES["G2"], "cartan"),
+        "RootData": (lie.A2, "factors"),
+        "RestrictionMap": (c.restriction, "matrix"),
+        "BilinearForm": (ctx.form, "gram"),
+        "CasimirContext": (ctx, "denominator"),
+        "CosetDescriptor": (c, "b_h_pair"),
+        "CurvatureSpectrum": (deform.curvature_spectrum(c, cosets.GAUGE_H), "entries"),
+        "DeformationSpace": (deform.deformation_space(c, cosets.GAUGE_H), "halved"),
+        "Multivector": (clifford.Multivector.vector(1), "coeffs"),
+        "CliffordRep": (rep, "blades"),
+        "SpinorBlockSpectra": (clifford.spinor_decomposition_spectra(rep, PSI), "q_values"),
+        "CheckResult": (clifford.verify_identity_suite(rep, PSI)[0], "passed"),
+        "TwoFormSpectrum": (clifford.q_contraction_spectrum(rep, PSI), "projector"),
+    }
+
+
+# Records holding a RepDecomposition, which is mutable, cannot be hashed.
+UNHASHABLE = {"CosetDescriptor", "DeformationSpace"}
+
+
+def _rebuild(record):
+    """A new record built by the constructor from the same field values."""
+    if isinstance(record, clifford.Multivector):
+        return clifford.Multivector(record.coeffs)
+    return type(record)(*record)
+
+
+def test_immutable_records_refuse_field_assignment(rep):
+    for name, (record, field) in _records(rep).items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        assert type(record).__name__ == name
+
+
+def test_records_compare_and_hash_by_value(rep):
+    for name, (record, _) in _records(rep).items():
+        twin = _rebuild(record)
+        assert twin is not record and twin == record, name
+        if name not in UNHASHABLE:
+            assert hash(twin) == hash(record), name
+    assert lie.RootData(("A2",)) != lie.G2
+    assert clifford.Multivector.scalar(1) != clifford.Multivector.scalar(2)
+    assert clifford.Multivector.scalar(1) != clifford.Multivector.scalar(1).coeffs
+
+
+def test_multivector_arithmetic_is_not_tuple_arithmetic():
+    e1 = clifford.Multivector.vector(1)
+    assert (e1 * e1).coeffs[0] == -1
+    with pytest.raises(TypeError):
+        3 * e1
+
+
+def test_reprs_are_unchanged():
+    assert repr(lie.A2) == "RootData(factors=('A2',))"
+    assert repr(decompose.RepDecomposition(lie.A1, {(2,): 1})) == (
+        "RepDecomposition(root_data=RootData(factors=('A1',)), entries={(2,): 1})"
+    )
+    assert repr(lie.WeightCharacter(lie.A1, {(0,): 1})) == (
+        "WeightCharacter(root_data=RootData(factors=('A1',)), weights={(0,): 1})"
+    )
+    assert repr(decompose.RestrictionMap(((1, 1),))) == (
+        "RestrictionMap(matrix=((1, 1),))"
+    )
+
+
+def test_root_data_refuses_an_unknown_factor():
+    with pytest.raises(ValueError, match="unknown factor tag 'B3'"):
+        lie.RootData(("A1", "B3"))
+
+
+def test_rep_decomposition_refuses_bad_entries():
+    with pytest.raises(NonDominantWeightError):
+        decompose.RepDecomposition(lie.A2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
+        decompose.RepDecomposition(lie.A2, {(1, 0): 0})
+    assert decompose.RepDecomposition(lie.A2).entries == {}
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        (((F(1), 3), (F(-1), 3)), "not sorted"),
+        (((F(-1), 3), (F(1), 2)), "covers 5 dimensions, expected 6"),
+        (((F(-1), 2), (F(1), 4)), "trace 2 != 0"),
+    ],
+)
+def test_curvature_spectrum_refuses_bad_entries(entries, message):
+    deform.CurvatureSpectrum(((F(-1), 3), (F(1), 3)), 1)
+    with pytest.raises(ConsistencyError, match=message):
+        deform.CurvatureSpectrum(entries, 1)
