@@ -275,13 +275,13 @@ def gauge_rep(c, gauge):
     ``H``: the adjoint of the structure group of the principal bundle
     G -> G/H (for abelian factors: trivial charges).  ``SU3``: the su(3) of
     the tangent-bundle structure group, built as V (x) V* minus one trivial
-    summand where V is the (1,0)-part of m*.
+    summand where V is the (1,0)-part of m*.  The decomposition returned is
+    shared and read-only.
     """
     if gauge == GAUGE_H:
-        return decompose.RepDecomposition(c.h_data, dict(c.h_adjoint.entries))
+        return c.h_adjoint
     if gauge == GAUGE_SU3:
-        cached = _gauge_su3(c.name)
-        return decompose.RepDecomposition(c.h_data, dict(cached.entries))
+        return _gauge_su3(c.name)
     raise UnknownTagError("gauge must be one of %s" % (GAUGE_GROUPS,))
 
 

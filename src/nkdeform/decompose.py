@@ -10,27 +10,42 @@ and repeatedly strips the character of the irreducible generated by a
 maximal-height remaining weight.  Dimension conservation is checked on every
 tensor product and branching; the peel-off raises
 :class:`NotACharacterError` if the input multiset is not Weyl-closed.
+
+Each tensor product and each branching is built once per process, after its
+arguments are checked, and the same read-only :class:`RepDecomposition` is
+handed to every later caller that asks for it.
 """
 
 import collections
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import lie
 from .errors import ConsistencyError, MalformedEmbeddingError, NotACharacterError
 
 
 class RepDecomposition:
-    """Multiset of dominant highest weights with multiplicities."""
+    """Multiset of dominant highest weights with multiplicities.
+
+    ``entries`` is a read-only view of the mapping given, and neither
+    attribute can be rebound: :func:`tensor_decompose` and :func:`branch`
+    hand the same decomposition to every caller that asks for it.
+    """
 
     __slots__ = ("root_data", "entries")
 
     def __init__(self, root_data, entries=None):
-        self.root_data = root_data
-        self.entries = {} if entries is None else entries
-        for hw, mult in self.entries.items():
+        entries = MappingProxyType({} if entries is None else entries)
+        for hw, mult in entries.items():
             root_data.require_dominant(hw)
             if mult < 1:
                 raise ValueError("multiplicity must be >= 1, got %d" % mult)
+        object.__setattr__(self, "root_data", root_data)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RepDecomposition attributes are read-only")
 
     def dimension(self):
         return sum(
@@ -66,7 +81,7 @@ class RepDecomposition:
 
     def __repr__(self):
         return "RepDecomposition(root_data=%r, entries=%r)" % (
-            self.root_data, self.entries)
+            self.root_data, dict(self.entries))
 
     def __str__(self):
         if not self.entries:
@@ -147,7 +162,17 @@ def peel_off(char):
 
 
 def tensor_decompose(root_data, hw1, hw2):
-    """Irreducible decomposition of the tensor product of two irreducibles."""
+    """Irreducible decomposition of the tensor product of two irreducibles.
+
+    Built once per (algebra, hw1, hw2) in a process and shared read-only.
+    """
+    root_data.require_dominant(hw1)
+    root_data.require_dominant(hw2)
+    return _tensor_decompose(root_data, hw1, hw2)
+
+
+@lru_cache(maxsize=None)
+def _tensor_decompose(root_data, hw1, hw2):
     dim1 = lie.dimension(root_data, hw1)
     dim2 = lie.dimension(root_data, hw2)
     if dim2 > dim1:
@@ -187,8 +212,17 @@ def restrict_character(rmap, char, target_data):
 
 
 def branch(rmap, g_data, h_data, hw):
-    """Decomposition of a G-irreducible restricted to H along ``rmap``."""
+    """Decomposition of a G-irreducible restricted to H along ``rmap``.
+
+    Built once per (rmap, g_data, h_data, hw) in a process and shared
+    read-only.
+    """
     g_data.require_dominant(hw)
+    return _branch(rmap, g_data, h_data, hw)
+
+
+@lru_cache(maxsize=None)
+def _branch(rmap, g_data, h_data, hw):
     char = lie.weight_multiplicities(g_data, hw)
     result = peel_off(restrict_character(rmap, char, h_data))
     expected = lie.dimension(g_data, hw)

@@ -236,7 +236,10 @@ class RootData(collections.namedtuple("RootData", "factors")):
         )
 
     def check_weight(self, w):
-        if len(w) != self.num_coords or not all(type(c) is int for c in w):
+        """Raise ``ValueError`` unless ``w`` is a tuple of ``num_coords``
+        ints.  Checked weights key the memos, so ``(True,)`` is refused."""
+        if (type(w) is not tuple or len(w) != self.num_coords
+                or not all(type(c) is int for c in w)):
             raise ValueError(
                 "weight %r does not match algebra %s" % (w, self.factors)
             )
@@ -415,8 +418,13 @@ def _weight_multiplicities(root_data, hw):
 
 def weyl_dimension(root_data, hw):
     """Dimension by the Weyl product formula, in integers (no character is
-    built)."""
+    built).  Computed once per (algebra, weight) in a process."""
     root_data.require_dominant(hw)
+    return _weyl_dimension(root_data, hw)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dimension(root_data, hw):
     dim = 1
     for tag, start, stop in root_data.blocks:
         if tag != U1:

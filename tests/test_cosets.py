@@ -96,11 +96,16 @@ def test_gauge_su3_always_eight_dimensional():
         assert cosets.gauge_rep(cosets.coset(name), "SU3").dimension() == 8
 
 
-def test_gauge_rep_returns_fresh_copies():
+def test_gauge_rep_is_shared_and_read_only():
     c = cosets.coset("sp2")
     one = cosets.gauge_rep(c, "SU3")
-    one.entries.clear()
+    with pytest.raises(AttributeError):
+        one.entries.clear()
+    with pytest.raises(TypeError):
+        one.entries[(0, 0)] = 1
+    assert cosets.gauge_rep(c, "SU3") is one
     assert cosets.gauge_rep(c, "SU3").dimension() == 8
+    assert cosets.gauge_rep(c, "H") is c.h_adjoint
 
 
 def test_gauge_rep_rejects_unknown_group():

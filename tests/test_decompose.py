@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkdeform import cli, decompose, lie
+from nkdeform import casimir, cli, decompose, lie
 from nkdeform.errors import (
     ConsistencyError,
     MalformedEmbeddingError,
@@ -282,10 +282,73 @@ def test_g2_large_tensor_product():
         ({(-2,): 1}, "dimension"),
     ],
 )
-def test_brauer_klimyk_checks_fire_on_a_false_character(monkeypatch, weights, message):
+def test_brauer_klimyk_checks_fire_on_a_false_character(
+        monkeypatch, empty_tensor_memo, weights, message):
     def false_character(rd, hw):
         return lie.WeightCharacter(rd, dict(weights))
 
     monkeypatch.setattr(lie, "weight_multiplicities", false_character)
     with pytest.raises(ConsistencyError, match=message):
         decompose.tensor_decompose(lie.A1, (2,), (2,))
+    # A product that raised is not memoised: the true one comes back.
+    assert decompose._tensor_decompose.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert decompose.tensor_decompose(lie.A1, (2,), (2,)) == d(
+        lie.A1, {(0,): 1, (2,): 1, (4,): 1})
+
+
+@pytest.fixture
+def empty_tensor_memo():
+    """An empty tensor-product memo, so that the product is built in the
+    test, and again after it, so that no product built under a patch
+    outlives the test."""
+    decompose._tensor_decompose.cache_clear()
+    yield
+    decompose._tensor_decompose.cache_clear()
+
+
+def test_equal_calls_share_one_read_only_result():
+    one = decompose.tensor_decompose(lie.G2, (1, 0), (0, 1))
+    assert decompose.tensor_decompose(lie.G2, (1, 0), (0, 1)) is one
+    part = decompose.branch(G2_TO_SU3, lie.G2, lie.A2, (1, 1))
+    assert decompose.branch(G2_TO_SU3, lie.G2, lie.A2, (1, 1)) is part
+    with pytest.raises(TypeError):
+        part.entries[(0, 0)] = 1
+    lie.dimension(lie.G2, (1, 1))
+    hits = lie._weyl_dimension.cache_info().hits
+    assert lie.dimension(lie.G2, (1, 1)) == 64
+    assert lie._weyl_dimension.cache_info().hits == hits + 1
+
+
+def _clear_memos():
+    decompose._tensor_decompose.cache_clear()
+    decompose._branch.cache_clear()
+    lie._weyl_dimension.cache_clear()
+
+
+# (call on one weight, a valid weight whose first coordinate is 1, the
+# answer for it)
+WEIGHT_CALLS = {
+    "tensor_decompose": (
+        lambda w: decompose.tensor_decompose(lie.A1, w, (1,)),
+        (1,), d(lie.A1, {(2,): 1, (0,): 1})),
+    "branch": (
+        lambda w: decompose.branch(SU2CUBED_TO_SU2, lie.A1_CUBED, lie.A1, w),
+        (1, 0, 0), d(lie.A1, {(1,): 1})),
+    "dimension": (lambda w: lie.dimension(lie.A2, w), (1, 0), 3),
+    "casimir_eigenvalue": (
+        lambda w: casimir.casimir_eigenvalue(casimir.context("g2"), w),
+        (1, 0), Fraction(-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CALLS))
+def test_weights_that_are_not_int_tuples_are_refused(name):
+    call, good, answer = WEIGHT_CALLS[name]
+    _clear_memos()
+    # Each bad weight hashes equal to ``good``: were it let through, it
+    # would fill the memo entry of ``good``.
+    for bad in (list(good), (True,) + good[1:], (1.0,) + good[1:]):
+        with pytest.raises(ValueError, match="does not match algebra"):
+            call(bad)
+    assert call(good) == answer

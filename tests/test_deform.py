@@ -7,6 +7,22 @@ def spectrum_dict(name, gauge):
     return deform.curvature_spectrum(cosets.coset(name), gauge).as_dict()
 
 
+def test_memoised_results_equal_fresh_ones():
+    """Fresh-vs-memo oracle: each of the eight coset x gauge steps, with the
+    tensor-product, branching and dimension memos emptied before each call,
+    gives what the warm memos give."""
+    memos = (decompose._tensor_decompose, decompose._branch, lie._weyl_dimension)
+    for name in cosets.COSET_NAMES:
+        c = cosets.coset(name)
+        for gauge in cosets.GAUGE_GROUPS:
+            for step in (deform.deformation_space, deform.curvature_spectrum):
+                step(c, gauge)
+                memoised = step(c, gauge)
+                for memo in memos:
+                    memo.cache_clear()
+                assert step(c, gauge) == memoised, (name, gauge, step.__name__)
+
+
 def test_curvature_spectra_structure_group_h():
     assert spectrum_dict("g2su3", "H") == {F(-9): 6, F(-3): 12, F(3): 30}
     assert spectrum_dict("su2cubed", "H") == {F(-8): 2, F(-4): 6, F(4): 10}

@@ -30,17 +30,20 @@ def _records(rep):
         "SpinorBlockSpectra": (clifford.spinor_decomposition_spectra(rep, PSI), "q_values"),
         "CheckResult": (clifford.verify_identity_suite(rep, PSI)[0], "passed"),
         "TwoFormSpectrum": (clifford.q_contraction_spectrum(rep, PSI), "projector"),
+        "RepDecomposition": (c.mstar, "entries"),
     }
 
 
-# Records holding a RepDecomposition, which is mutable, cannot be hashed.
-UNHASHABLE = {"CosetDescriptor", "DeformationSpace"}
+# A RepDecomposition defines no hash, nor do the records holding one.
+UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "RepDecomposition"}
 
 
 def _rebuild(record):
     """A new record built by the constructor from the same field values."""
     if isinstance(record, clifford.Multivector):
         return clifford.Multivector(record.coeffs)
+    if isinstance(record, decompose.RepDecomposition):
+        return decompose.RepDecomposition(record.root_data, dict(record.entries))
     return type(record)(*record)
 
 
@@ -93,6 +96,15 @@ def test_rep_decomposition_refuses_bad_entries():
     with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
         decompose.RepDecomposition(lie.A2, {(1, 0): 0})
     assert decompose.RepDecomposition(lie.A2).entries == {}
+
+
+def test_rep_decomposition_entries_are_read_only():
+    entries = decompose.RepDecomposition(lie.A2, {(1, 0): 1}).entries
+    with pytest.raises(TypeError):
+        entries[(0, 1)] = 1
+    with pytest.raises(TypeError):
+        del entries[(1, 0)]
+    assert entries == {(1, 0): 1}
 
 
 @pytest.mark.parametrize(
