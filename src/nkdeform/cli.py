@@ -106,10 +106,6 @@ def _parse_weight(text, root_data):
     return w
 
 
-def _decomp_payload(d):
-    return [{"hw": list(hw), "mult": m} for hw, m in d.sorted_items()]
-
-
 def _document(command, inputs, result):
     return {
         "command": command,
@@ -138,34 +134,32 @@ def _coset_lookup(args):
 
 def cmd_tables(args, out):
     from . import cosets, deform
+    from .decompose import _decomp_json
     from .ratlinalg import _frac_json
 
     lookup = _coset_lookup(args)
     which = args.which
     if which == "prop-4.2":
         names = ("G2/SU(3)", "SU(2)^3/SU(2)", "Sp(2)/Sp(1)xU(1)")
-        rows = []
-        for name in names:
-            spectrum = deform.curvature_spectrum(lookup(name), cosets.GAUGE_H)
-            rows.append(
-                {
-                    "coset": name,
-                    "spectrum": [
-                        {"eigenvalue": _frac_json(e), "dimension": d}
-                        for e, d in spectrum.entries
-                    ],
-                }
-            )
+        spectra = [deform.curvature_spectrum(lookup(name), cosets.GAUGE_H)
+                   for name in names]
+        rows = [
+            {
+                "coset": name,
+                "spectrum": [
+                    {"eigenvalue": _frac_json(e), "dimension": d}
+                    for e, d in spectrum.entries
+                ],
+            }
+            for name, spectrum in zip(names, spectra)
+        ]
         payload = _document("tables", {"which": which}, rows)
         if args.format == "text":
             out.write("curvature operator spectrum on m* (x) h, canonical connection\n")
-            for row in rows:
-                out.write("\n%s\n" % row["coset"])
-                eigs = [
-                    _frac_text(Fraction(e["eigenvalue"]["num"], e["eigenvalue"]["den"]))
-                    for e in row["spectrum"]
-                ]
-                dims = [str(e["dimension"]) for e in row["spectrum"]]
+            for name, spectrum in zip(names, spectra):
+                out.write("\n%s\n" % name)
+                eigs = [_frac_text(e) for e, _ in spectrum.entries]
+                dims = [str(d) for _, d in spectrum.entries]
                 width = max(len(s) for s in eigs + dims) + 2
                 out.write("  eigenvalue" + "".join(s.rjust(width) for s in eigs) + "\n")
                 out.write("  dimension " + "".join(s.rjust(width) for s in dims) + "\n")
@@ -174,37 +168,26 @@ def cmd_tables(args, out):
         return payload
 
     gauge = cosets.GAUGE_H if which == "thm-5.2-H" else cosets.GAUGE_SU3
-    rows = []
-    for name in cosets.COSET_NAMES:
-        space = deform.deformation_space(lookup(name), gauge)
-        rows.append(
-            {
-                "coset": name,
-                "deformations": _decomp_payload(space.halved),
-                "real_dimension": space.real_dimension,
-            }
-        )
+    spaces = [deform.deformation_space(lookup(name), gauge)
+              for name in cosets.COSET_NAMES]
+    rows = [
+        {
+            "coset": name,
+            "deformations": _decomp_json(space.halved),
+            "real_dimension": space.real_dimension,
+        }
+        for name, space in zip(cosets.COSET_NAMES, spaces)
+    ]
     payload = _document("tables", {"which": which}, rows)
     if args.format == "text":
         out.write(
             "instanton deformations of the canonical connection "
             "(structure group %s)\n\n" % ("H" if gauge == cosets.GAUGE_H else "SU(3)")
         )
-        for row in rows:
-            decomp = (
-                " + ".join(
-                    (
-                        "%d V(%s)" % (e["mult"], ",".join(map(str, e["hw"])))
-                        if e["mult"] > 1
-                        else "V(%s)" % ",".join(map(str, e["hw"]))
-                    )
-                    for e in row["deformations"]
-                )
-                or "0"
-            )
+        for name, space in zip(cosets.COSET_NAMES, spaces):
             out.write(
                 "  %-18s %-30s real dimension %d\n"
-                % (row["coset"] + ":", decomp, row["real_dimension"])
+                % (name + ":", space.halved, space.real_dimension)
             )
     else:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -239,7 +222,7 @@ def cmd_branch(args, out):
     payload = _document(
         "branch",
         {"coset": c.name, "hw": list(hw)},
-        _decomp_payload(result),
+        decompose._decomp_json(result),
     )
     if args.format == "text":
         out.write(str(result) + "\n")
@@ -264,7 +247,7 @@ def cmd_tensor(args, out):
     payload = _document(
         "tensor",
         {"algebra": args.algebra, "a": list(a), "b": list(b)},
-        _decomp_payload(result),
+        decompose._decomp_json(result),
     )
     if args.format == "text":
         out.write(str(result) + "\n")

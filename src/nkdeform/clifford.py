@@ -477,12 +477,6 @@ def _complex_structure(rep, spinor, d2, q):
     return j
 
 
-def kahler_form(rep, psi):
-    """The two-form omega = *Q of the SU(3)-structure defined by psi."""
-    _, d2, _, q = _integer_forms(rep, psi)
-    return _over(q.star(), d2)
-
-
 # ---------------------------------------------------------------------------
 # Identity suite
 

@@ -2,26 +2,31 @@
 
 Each descriptor bundles the isometry algebra g, the isotropy algebra h, the
 restriction map between their weight lattices, the two normalized invariant
-forms, and the h-decomposition of the complexified cotangent representation
-m* together with its (1,0)-part V.  All of it is validated on construction:
+forms, the adjoints of g and h, and the h-decomposition of the complexified
+cotangent representation m* together with its (1,0)-part V.
+
+Only the two form pair tags and V are stored per coset.  g, h and the
+restriction map are those of the pairs in :mod:`casimir`, which derives B_H
+from B_G through the same matrices.  Each adjoint is the highest root of
+every simple factor plus one trivial summand per U(1) factor, and
+m* = branch(adjoint g) - adjoint h.  Every descriptor is validated:
 
 * each form is on the algebra it serves: B_G on g, B_H on h;
 * B_H is the restriction of B_G: gram_H^-1 = R gram_G^-1 R^T for the
   restriction map R;
 * dim m* = 6, dim V = 3, and m* = V + conj(V);
 * every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
-  curvature of the canonical connection is 4x the metric);
-* branching the adjoint of g along the restriction map reproduces the
-  adjoint of h plus m*.
+  curvature of the canonical connection is 4x the metric).
 
-The restriction maps are stored once, with the algebra pairs of
-:mod:`casimir`, which derives B_H from B_G through the same matrices; the
-adjoint-branching invariant guards against transcription errors.
+The form checks run before m* is derived, so that a wrong form is reported
+as such; the others catch a wrong restriction matrix.
 
 Descriptors can also be serialized to / loaded from JSON with all rationals
-as exact numerator/denominator pairs (see :func:`load_fixtures`).  A
-malformed file raises :class:`FixtureError` naming the JSON path of the
-bad field, e.g. ``cosets[0].mstar[0].mult``.
+as exact numerator/denominator pairs (see :func:`load_fixtures`).  A file
+keeps a copy of the adjoints and m*, which the loader checks against the
+ones derived from its algebras and restriction map.  A malformed file
+raises :class:`FixtureError` naming the JSON path of the bad field, e.g.
+``cosets[0].mstar[0].mult`` or ``cosets[0].h_adjoint``.
 """
 
 import collections
@@ -30,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import casimir, decompose, lie, ratlinalg
+from .decompose import _decomp_json
 from .errors import FixtureError, UnknownTagError
 from .ratlinalg import _frac_json
 
@@ -58,6 +64,9 @@ class CosetDescriptor(collections.namedtuple(
         return casimir.context(self.b_h_pair)
 
     def validate(self):
+        return self._check_forms()._check_mstar()
+
+    def _check_forms(self):
         for key, pair, ctx, data in (
             ("B_G", self.b_g_pair, self.context_g, self.g_data),
             ("B_H", self.b_h_pair, self.context_h, self.h_data),
@@ -75,6 +84,9 @@ class CosetDescriptor(collections.namedtuple(
                 "%s: B_H %r is not the restriction of B_G %r: gram_H^-1 != "
                 "R gram_G^-1 R^T" % (self.name, self.b_h_pair, self.b_g_pair)
             )
+        return self
+
+    def _check_mstar(self):
         if self.mstar.dimension() != 6:
             raise FixtureError("%s: dim m* = %d" % (self.name, self.mstar.dimension()))
         if self.mstar_holomorphic.dimension() != 3:
@@ -101,122 +113,52 @@ class CosetDescriptor(collections.namedtuple(
                     "%s: m* component %r has Casimir %s, expected -4"
                     % (self.name, hw, value)
                 )
-        restricted = decompose.RepDecomposition(self.h_data)
-        for hw, mult in self.g_adjoint.entries.items():
-            restricted = restricted.merged_with(
-                decompose.branch(
-                    self.restriction, self.g_data, self.h_data, hw
-                ).scaled(mult)
-            )
-        remainder = dict(restricted.entries)
-        for hw, mult in self.h_adjoint.entries.items():
-            remainder[hw] = remainder.get(hw, 0) - mult
-            if remainder[hw] == 0:
-                del remainder[hw]
-        if remainder != self.mstar.entries:
-            raise FixtureError(
-                "%s: branch(adjoint g) - adjoint h = %s, expected m* = %s"
-                % (self.name, remainder, self.mstar.entries)
-            )
         return self
 
 
-def _decomp(root_data, pairs):
-    return decompose.RepDecomposition(
-        root_data, {tuple(hw): mult for hw, mult in pairs}
-    )
+def _adjoint(root_data):
+    """The adjoint: the highest root of each simple factor, and one trivial
+    summand per U(1) factor."""
+    entries = {}
+    for tag, start, stop in root_data.blocks:
+        hw = [0] * root_data.num_coords
+        if tag != lie.U1:
+            st = lie.SIMPLE_TYPES[tag]
+            hw[start:stop] = st.root_fund(st.positive_roots[-1])
+        entries[tuple(hw)] = entries.get(tuple(hw), 0) + 1
+    return decompose.RepDecomposition(root_data, entries)
 
 
-def _build_g2su3():
-    h = lie.A2
-    return CosetDescriptor(
-        name="G2/SU(3)",
-        g_data=lie.G2,
-        h_data=h,
-        restriction=decompose.RestrictionMap(casimir.restriction("su3-in-g2")),
-        b_g_pair="g2",
-        b_h_pair="su3-in-g2",
-        mstar=_decomp(h, [((1, 0), 1), ((0, 1), 1)]),
-        mstar_holomorphic=_decomp(h, [((1, 0), 1)]),
-        g_adjoint=_decomp(lie.G2, [((0, 1), 1)]),
-        h_adjoint=_decomp(h, [((1, 1), 1)]),
-    )
+def _descriptor(name, g_data, h_data, matrix, b_g_pair, b_h_pair, holomorphic):
+    """The validated descriptor with its adjoints and m* derived.  A
+    negative multiplicity in branch(adjoint g) - adjoint h is refused by
+    :class:`decompose.RepDecomposition` with ``ValueError``."""
+    c = CosetDescriptor(
+        name, g_data, h_data, decompose.RestrictionMap(matrix), b_g_pair,
+        b_h_pair, None, holomorphic, _adjoint(g_data), _adjoint(h_data),
+    )._check_forms()
+    mstar = {}
+    for hw, mult in c.g_adjoint.entries.items():
+        for u_hw, u_mult in decompose.branch(
+                c.restriction, g_data, h_data, hw).entries.items():
+            mstar[u_hw] = mstar.get(u_hw, 0) + mult * u_mult
+    for hw, mult in c.h_adjoint.entries.items():
+        mstar[hw] = mstar.get(hw, 0) - mult
+    mstar = decompose.RepDecomposition(
+        h_data, {hw: m for hw, m in mstar.items() if m})
+    return c._replace(mstar=mstar)._check_mstar()
 
 
-def _build_su2cubed():
-    h = lie.A1
-    return CosetDescriptor(
-        name="SU(2)^3/SU(2)",
-        g_data=lie.A1_CUBED,
-        h_data=h,
-        restriction=decompose.RestrictionMap(
-            casimir.restriction("su2-diagonal-in-su2cubed")
-        ),
-        b_g_pair="su2cubed",
-        b_h_pair="su2-diagonal-in-su2cubed",
-        mstar=_decomp(h, [((2,), 2)]),
-        mstar_holomorphic=_decomp(h, [((2,), 1)]),
-        g_adjoint=_decomp(
-            lie.A1_CUBED, [((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)]
-        ),
-        h_adjoint=_decomp(h, [((2,), 1)]),
-    )
-
-
-def _build_sp2():
-    h = lie.A1_U1
-    return CosetDescriptor(
-        name="Sp(2)/Sp(1)xU(1)",
-        g_data=lie.C2,
-        h_data=h,
-        restriction=decompose.RestrictionMap(casimir.restriction("sp1u1-in-sp2")),
-        b_g_pair="sp2",
-        b_h_pair="sp1u1-in-sp2",
-        mstar=_decomp(
-            h, [((1, 1), 1), ((1, -1), 1), ((0, 2), 1), ((0, -2), 1)]
-        ),
-        mstar_holomorphic=_decomp(h, [((1, 1), 1), ((0, -2), 1)]),
-        g_adjoint=_decomp(lie.C2, [((0, 2), 1)]),
-        h_adjoint=_decomp(h, [((2, 0), 1), ((0, 0), 1)]),
-    )
-
-
-def _build_su3t2():
-    h = lie.U1_U1
-    return CosetDescriptor(
-        name="SU(3)/U(1)^2",
-        g_data=lie.A2,
-        h_data=h,
-        restriction=decompose.RestrictionMap(casimir.restriction("u1u1-in-su3")),
-        b_g_pair="su3-ambient",
-        b_h_pair="u1u1-in-su3",
-        mstar=_decomp(
-            h,
-            [
-                ((2, -1), 1),
-                ((-1, 2), 1),
-                ((-1, -1), 1),
-                ((-2, 1), 1),
-                ((1, -2), 1),
-                ((1, 1), 1),
-            ],
-        ),
-        mstar_holomorphic=_decomp(
-            h, [((2, -1), 1), ((-1, 2), 1), ((-1, -1), 1)]
-        ),
-        g_adjoint=_decomp(lie.A2, [((1, 1), 1)]),
-        h_adjoint=_decomp(h, [((0, 0), 2)]),
-    )
-
-
-_BUILDERS = {
-    "G2/SU(3)": _build_g2su3,
-    "SU(2)^3/SU(2)": _build_su2cubed,
-    "Sp(2)/Sp(1)xU(1)": _build_sp2,
-    "SU(3)/U(1)^2": _build_su3t2,
+# name -> (B_G pair tag, B_H pair tag, highest weights of V, the (1,0)-part
+# of m*).  g, h and the restriction map are those of the pairs.
+_COSETS = {
+    "G2/SU(3)": ("g2", "su3-in-g2", ((1, 0),)),
+    "SU(2)^3/SU(2)": ("su2cubed", "su2-diagonal-in-su2cubed", ((2,),)),
+    "Sp(2)/Sp(1)xU(1)": ("sp2", "sp1u1-in-sp2", ((1, 1), (0, -2))),
+    "SU(3)/U(1)^2": ("su3-ambient", "u1u1-in-su3", ((2, -1), (-1, 2), (-1, -1))),
 }
 
-COSET_NAMES = tuple(_BUILDERS)
+COSET_NAMES = tuple(_COSETS)
 
 ALIASES = {
     "g2su3": "G2/SU(3)",
@@ -227,7 +169,7 @@ ALIASES = {
 
 
 def canonical_name(name):
-    if name in _BUILDERS:
+    if name in _COSETS:
         return name
     if name in ALIASES:
         return ALIASES[name]
@@ -240,22 +182,27 @@ def canonical_name(name):
 @lru_cache(maxsize=None)
 def coset(name):
     """The validated descriptor for one of the four cosets."""
-    return _BUILDERS[canonical_name(name)]().validate()
+    name = canonical_name(name)
+    b_g_pair, b_h_pair, holomorphic = _COSETS[name]
+    h_data, _, matrix = casimir._PAIRS[b_h_pair]
+    return _descriptor(
+        name, casimir._PAIRS[b_g_pair][0], h_data, matrix, b_g_pair, b_h_pair,
+        decompose.RepDecomposition(h_data, dict.fromkeys(holomorphic, 1)),
+    )
 
 
 @lru_cache(maxsize=None)
 def _gauge_su3(name):
     c = coset(name)
     holo = c.mstar_holomorphic
-    total = decompose.RepDecomposition(c.h_data)
+    entries = {}
     for hw1, m1 in holo.entries.items():
         for hw2, m2 in holo.entries.items():
             dual = c.h_data.dominant_representative(tuple(-x for x in hw2))
-            total = total.merged_with(
-                decompose.tensor_decompose(c.h_data, hw1, dual).scaled(m1 * m2)
-            )
+            product = decompose.tensor_decompose(c.h_data, hw1, dual)
+            for hw, m in product.entries.items():
+                entries[hw] = entries.get(hw, 0) + m1 * m2 * m
     zero = (0,) * c.h_data.num_coords
-    entries = dict(total.entries)
     if entries.get(zero, 0) < 1:
         raise FixtureError("%s: V x V* contains no trivial summand" % name)
     entries[zero] -= 1
@@ -332,12 +279,6 @@ def _frac_load(obj):
     return Fraction(obj["num"], obj["den"])
 
 
-def _decomp_json(d):
-    return [
-        {"hw": list(hw), "mult": mult} for hw, mult in d.sorted_items()
-    ]
-
-
 def _decomp_load(root_data, items):
     entries = {tuple(e["hw"]): e["mult"] for e in items}
     if len(entries) != len(items):
@@ -383,22 +324,24 @@ def descriptor_from_dict(obj, path="descriptor"):
             if x["den"] == 0:
                 raise FixtureError("%s[%d][%d].den: zero denominator" % (where, i, j))
     try:
-        return CosetDescriptor(
-            name=obj["name"],
-            g_data=g_data,
-            h_data=h_data,
-            restriction=decompose.RestrictionMap(
-                tuple(tuple(_frac_load(x) for x in row) for row in rows)
-            ),
-            b_g_pair=obj["B_G"]["pair"],
-            b_h_pair=obj["B_H"]["pair"],
-            mstar=_decomp_load(h_data, obj["mstar"]),
-            mstar_holomorphic=_decomp_load(h_data, obj["mstar_holomorphic"]),
-            g_adjoint=_decomp_load(g_data, obj["g_adjoint"]),
-            h_adjoint=_decomp_load(h_data, obj["h_adjoint"]),
-        ).validate()
+        c = _descriptor(
+            obj["name"], g_data, h_data,
+            tuple(tuple(_frac_load(x) for x in row) for row in rows),
+            obj["B_G"]["pair"], obj["B_H"]["pair"],
+            _decomp_load(h_data, obj["mstar_holomorphic"]),
+        )
+        # The file repeats these; they are derived, and the copies checked.
+        given = {key: _decomp_load(getattr(c, key).root_data, obj[key])
+                 for key in ("mstar", "g_adjoint", "h_adjoint")}
     except (ValueError, FixtureError) as exc:
         raise FixtureError("%s: %s" % (path, exc)) from None
+    for key, d in given.items():
+        if d != getattr(c, key):
+            raise FixtureError(
+                "%s.%s: %s, but G, H and the restriction give %s"
+                % (path, key, d, getattr(c, key))
+            )
+    return c
 
 
 def dump_fixtures():

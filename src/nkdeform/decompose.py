@@ -59,19 +59,6 @@ class RepDecomposition:
     def mult(self, hw):
         return self.entries.get(tuple(hw), 0)
 
-    def scaled(self, k):
-        return RepDecomposition(
-            self.root_data, {hw: k * m for hw, m in self.entries.items()}
-        )
-
-    def merged_with(self, other):
-        if other.root_data != self.root_data:
-            raise ValueError("cannot merge decompositions over different algebras")
-        out = dict(self.entries)
-        for hw, m in other.entries.items():
-            out[hw] = out.get(hw, 0) + m
-        return RepDecomposition(self.root_data, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, RepDecomposition)
@@ -91,6 +78,12 @@ class RepDecomposition:
             label = "V(%s)" % ",".join(str(c) for c in hw)
             parts.append(label if mult == 1 else "%d %s" % (mult, label))
         return " + ".join(parts)
+
+
+def _decomp_json(d):
+    """The JSON form of a decomposition, shared by the CLI and the coset
+    fixtures: its sorted highest weights and multiplicities."""
+    return [{"hw": list(hw), "mult": m} for hw, m in d.sorted_items()]
 
 
 class RestrictionMap(collections.namedtuple("RestrictionMap", "matrix")):

@@ -61,19 +61,15 @@ class DeformationSpace(collections.namedtuple(
 
     __slots__ = ()
 
-    @property
-    def is_rigid(self):
-        return self.real_dimension == 0
-
 
 def _tensor_with_mstar(c, hw):
     """Decomposition of the irreducible ``hw`` tensored with all of m*."""
-    total = decompose.RepDecomposition(c.h_data)
+    total = {}
     for m_hw, m_mult in c.mstar.entries.items():
-        total = total.merged_with(
-            decompose.tensor_decompose(c.h_data, hw, m_hw).scaled(m_mult)
-        )
-    return total
+        product = decompose.tensor_decompose(c.h_data, hw, m_hw)
+        for u_hw, u_mult in product.entries.items():
+            total[u_hw] = total.get(u_hw, 0) + m_mult * u_mult
+    return decompose.RepDecomposition(c.h_data, total)
 
 
 def curvature_spectrum(c, gauge):

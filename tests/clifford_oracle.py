@@ -224,6 +224,11 @@ def extract_PQ(psi):
     return grade_part(mv, 3), -grade_part(mv, 4)
 
 
+def kahler_form(psi):
+    """The two-form omega = *Q of the SU(3)-structure defined by psi."""
+    return extract_PQ(psi)[1].star()
+
+
 def _solve(mat, rhs):
     """The unique solution of a consistent system of full column rank."""
     ncols = len(mat[0])

@@ -451,6 +451,18 @@ MALFORMED_FIXTURES = {
         _mutated(_set(["cosets", 2, "mstar", 0, "mult"], 3)),
         "cosets[2]",
     ),
+    "wrong-h-adjoint": (
+        _mutated(_set(["cosets", 0, "h_adjoint", 0, "mult"], 2)),
+        "cosets[0].h_adjoint",
+    ),
+    "wrong-g-adjoint-weight": (
+        _mutated(_set(["cosets", 1, "g_adjoint", 0, "hw"], [0, 0, 4])),
+        "cosets[1].g_adjoint",
+    ),
+    "zero-restriction": (
+        _mutated(_set(["cosets", 0, "restriction"], [[{"num": 0, "den": 1}] * 2] * 2)),
+        "is not the restriction of B_G",
+    ),
     "cosets-not-a-list": (_mutated(_set(["cosets"], {})), "cosets"),
     "top-level-list": (lambda: "[]", "fixture file"),
     "not-json": (lambda: "{\"schema\": ", None),

@@ -209,7 +209,7 @@ def test_q_contraction_projector(rep):
     assert ratlinalg.rank(proj) == 8
     op = clifford.q_contraction_operator(rep, PSI)
     # projector annihilates omega
-    omega = clifford.kahler_form(rep, PSI)
+    omega = oracle.kahler_form(PSI)
     coords = clifford._two_form_coords(omega)
     assert ratlinalg.mat_vec(proj, coords) == [F(0)] * 15
     # images are (-1)-eigenvectors
@@ -607,7 +607,6 @@ def test_integer_norm_off_by_one_from_d_squared_is_refused(rep, psi):
         clifford.extract_PQ,
         clifford.spinor_decomposition_spectra,
         clifford.complex_structure,
-        clifford.kahler_form,
         clifford.verify_identity_suite,
         clifford.q_contraction_operator,
         clifford.q_contraction_spectrum,

@@ -38,6 +38,32 @@ def test_mstar_fixtures():
     )
 
 
+# The adjoints of g and h, entered by hand; the package derives them from
+# the highest roots.
+ADJOINTS = {
+    "G2/SU(3)": ((lie.G2, {(0, 1): 1}), (lie.A2, {(1, 1): 1})),
+    "SU(2)^3/SU(2)": (
+        (lie.A1_CUBED, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),
+        (lie.A1, {(2,): 1}),
+    ),
+    "Sp(2)/Sp(1)xU(1)": ((lie.C2, {(0, 2): 1}), (lie.A1_U1, {(2, 0): 1, (0, 0): 1})),
+    "SU(3)/U(1)^2": ((lie.A2, {(1, 1): 1}), (lie.U1_U1, {(0, 0): 2})),
+}
+
+
+def test_derived_adjoints_match_the_hand_entered_ones():
+    for name, (g_adjoint, h_adjoint) in ADJOINTS.items():
+        c = cosets.coset(name)
+        assert c.g_adjoint == d(*g_adjoint)
+        assert c.h_adjoint == d(*h_adjoint)
+
+
+def add(total, decomp, k=1):
+    """Add k times the decomposition into the dict ``total``."""
+    for hw, m in decomp.entries.items():
+        total[hw] = total.get(hw, 0) + k * m
+
+
 def test_mstar_components_have_casimir_minus_four():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
@@ -117,15 +143,11 @@ def test_adjoint_branching_consistency():
     # branch(adjoint g) = adjoint h + m*, checked through the public API
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        restricted = decompose.RepDecomposition(c.h_data)
-        for hw, mult in c.g_adjoint.entries.items():
-            restricted = restricted.merged_with(
-                decompose.branch(c.restriction, c.g_data, c.h_data, hw).scaled(
-                    mult
-                )
-            )
-        remainder = dict(restricted.entries)
-        for hw, mult in c.h_adjoint.entries.items():
+        g_adjoint, h_adjoint = (d(*x) for x in ADJOINTS[name])
+        remainder = {}
+        for hw, mult in g_adjoint.entries.items():
+            add(remainder, decompose.branch(c.restriction, c.g_data, c.h_data, hw), mult)
+        for hw, mult in h_adjoint.entries.items():
             remainder[hw] -= mult
         remainder = {hw: m for hw, m in remainder.items() if m}
         assert remainder == c.mstar.entries
@@ -140,14 +162,11 @@ def test_opposite_chirality_pairing_is_rejected():
     # decomposition away from the fixture; the strict equality test catches it.
     c = cosets.coset("sp2")
     wrong = decompose.RepDecomposition(lie.A1_U1, {(1, 1): 1, (0, 2): 1})
-    total = decompose.RepDecomposition(lie.A1_U1)
+    entries = {}
     for hw1, m1 in wrong.entries.items():
         for hw2, m2 in wrong.entries.items():
             dual = lie.A1_U1.dominant_representative(tuple(-x for x in hw2))
-            total = total.merged_with(
-                decompose.tensor_decompose(lie.A1_U1, hw1, dual).scaled(m1 * m2)
-            )
-    entries = dict(total.entries)
+            add(entries, decompose.tensor_decompose(lie.A1_U1, hw1, dual), m1 * m2)
     entries[(0, 0)] -= 1
     wrong_su3 = {hw: m for hw, m in entries.items() if m}
     assert wrong_su3 != cosets.gauge_rep(c, "SU3").entries

@@ -199,10 +199,11 @@ def test_sp1u1_tensor_lines():
     mstar = [(1, 1), (1, -1), (0, 2), (0, -2)]
 
     def tensor_with_mstar(hw):
-        total = decompose.RepDecomposition(lie.A1_U1)
+        total = {}
         for m in mstar:
-            total = total.merged_with(decompose.tensor_decompose(lie.A1_U1, hw, m))
-        return total
+            for u, k in decompose.tensor_decompose(lie.A1_U1, hw, m).entries.items():
+                total[u] = total.get(u, 0) + k
+        return d(lie.A1_U1, total)
 
     assert tensor_with_mstar((2, 0)) == d(
         lie.A1_U1,
@@ -231,12 +232,11 @@ def test_su3_torus_tensor_lines():
         (-3, 3): [(-1, 2), (-4, 5), (-4, 2), (-5, 4), (-2, 1), (-2, 4)],
     }
     for charge, expected in lines.items():
-        total = decompose.RepDecomposition(lie.U1_U1)
+        total = {}
         for m in mstar:
-            total = total.merged_with(
-                decompose.tensor_decompose(lie.U1_U1, charge, m)
-            )
-        assert total == d(lie.U1_U1, {hw: 1 for hw in expected}), charge
+            for u, k in decompose.tensor_decompose(lie.U1_U1, charge, m).entries.items():
+                total[u] = total.get(u, 0) + k
+        assert d(lie.U1_U1, total) == d(lie.U1_U1, {hw: 1 for hw in expected}), charge
 
 
 def _tensor_grid(rd):

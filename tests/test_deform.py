@@ -94,7 +94,7 @@ def test_deformations_structure_group_h():
         space = deform.deformation_space(cosets.coset(name), "H")
         assert space.halved.entries == halved
         assert space.real_dimension == dim
-        assert space.is_rigid == (dim == 0)
+        assert (space.real_dimension == 0) == (not space.halved.entries)
 
 
 def test_deformations_structure_group_su3():
