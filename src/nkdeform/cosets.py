@@ -2,8 +2,12 @@
 
 Each descriptor bundles the isometry algebra g, the isotropy algebra h, the
 restriction map between their weight lattices, the two normalized invariant
-forms, the adjoints of g and h, and the h-decomposition of the complexified
-cotangent representation m* together with its (1,0)-part V.
+forms, the adjoints of g and h, the h-decomposition of the complexified
+cotangent representation m* together with its (1,0)-part V, and the two
+gauge algebras (the adjoint of h for ``H``; V (x) V* minus a trivial
+summand, from the descriptor's own V, for ``SU3``) with n_alpha,
+Cas_h(E_alpha) and E_alpha (x) m* for each irreducible summand E_alpha,
+derived once: both :mod:`deform` computations run from these.
 
 Only the two form pair tags and V are stored per coset.  g, h and the
 restriction map are those of the pairs in :mod:`casimir`, which derives B_H
@@ -33,6 +37,7 @@ import collections
 import json
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import casimir, decompose, lie, ratlinalg
 from .decompose import _decomp_json
@@ -47,11 +52,12 @@ GAUGE_GROUPS = (GAUGE_H, GAUGE_SU3)
 class CosetDescriptor(collections.namedtuple(
         "CosetDescriptor",
         "name g_data h_data restriction b_g_pair b_h_pair mstar"
-        " mstar_holomorphic g_adjoint h_adjoint")):
+        " mstar_holomorphic g_adjoint h_adjoint gauges")):
     """One coset's data: g and h as :class:`lie.RootData`, a
     :class:`decompose.RestrictionMap`, the two form pair tags of
-    :mod:`casimir`, and m*, its (1,0)-part V and the two adjoints as
-    :class:`decompose.RepDecomposition`."""
+    :mod:`casimir`, m*, its (1,0)-part V and the two adjoints as
+    :class:`decompose.RepDecomposition`, and ``gauges``, a read-only map
+    from each gauge group to the pair :func:`_gauge_data` builds for it."""
 
     __slots__ = ()
 
@@ -93,13 +99,10 @@ class CosetDescriptor(collections.namedtuple(
             raise FixtureError(
                 "%s: dim V = %d" % (self.name, self.mstar_holomorphic.dimension())
             )
-        conj = {}
+        both = dict(self.mstar_holomorphic.entries)
         for hw, mult in self.mstar_holomorphic.entries.items():
             neg = self.h_data.dominant_representative(tuple(-c for c in hw))
-            conj[neg] = conj.get(neg, 0) + mult
-        both = dict(self.mstar_holomorphic.entries)
-        for hw, mult in conj.items():
-            both[hw] = both.get(hw, 0) + mult
+            both[neg] = both.get(neg, 0) + mult
         if both != self.mstar.entries:
             raise FixtureError(
                 "%s: m* is not V + conj(V): %s vs %s"
@@ -116,6 +119,12 @@ class CosetDescriptor(collections.namedtuple(
         return self
 
 
+def _add(total, decomp, k):
+    """Add k times the decomposition to the dict ``total``."""
+    for hw, mult in decomp.entries.items():
+        total[hw] = total.get(hw, 0) + k * mult
+
+
 def _adjoint(root_data):
     """The adjoint: the highest root of each simple factor, and one trivial
     summand per U(1) factor."""
@@ -129,24 +138,58 @@ def _adjoint(root_data):
     return decompose.RepDecomposition(root_data, entries)
 
 
+def _gauge_su3(c):
+    """V (x) V* minus one trivial summand, V the (1,0)-part of c's m*."""
+    holo = c.mstar_holomorphic
+    entries = {}
+    for hw1, m1 in holo.entries.items():
+        for hw2, m2 in holo.entries.items():
+            dual = c.h_data.dominant_representative(tuple(-x for x in hw2))
+            _add(entries, decompose.tensor_decompose(c.h_data, hw1, dual), m1 * m2)
+    zero = (0,) * c.h_data.num_coords
+    if entries.get(zero, 0) < 1:
+        raise FixtureError("%s: V x V* contains no trivial summand" % c.name)
+    entries[zero] -= 1
+    result = decompose.RepDecomposition(
+        c.h_data, {hw: m for hw, m in entries.items() if m})
+    if result.dimension() != 8:
+        raise FixtureError(
+            "%s: gauge su(3) has dimension %d" % (c.name, result.dimension())
+        )
+    return result
+
+
+def _gauge_data(c, decomp):
+    """The decomposition and its summands (hw, n_alpha, Cas_h(E_alpha),
+    E_alpha (x) m*), sorted by hw so that equal descriptors hold equal ones."""
+    summands = []
+    for hw, n_alpha in decomp.sorted_items():
+        tensor = {}
+        for m_hw, m_mult in c.mstar.entries.items():
+            _add(tensor, decompose.tensor_decompose(c.h_data, hw, m_hw), m_mult)
+        summands.append((hw, n_alpha, casimir.casimir_eigenvalue(c.context_h, hw),
+                         decompose.RepDecomposition(c.h_data, tensor)))
+    return decomp, tuple(summands)
+
+
 def _descriptor(name, g_data, h_data, matrix, b_g_pair, b_h_pair, holomorphic):
-    """The validated descriptor with its adjoints and m* derived.  A
-    negative multiplicity in branch(adjoint g) - adjoint h is refused by
-    :class:`decompose.RepDecomposition` with ``ValueError``."""
+    """The validated descriptor with its adjoints, m* and gauge data
+    derived.  A negative multiplicity in branch(adjoint g) - adjoint h is
+    refused by :class:`decompose.RepDecomposition` with ``ValueError``."""
     c = CosetDescriptor(
         name, g_data, h_data, decompose.RestrictionMap(matrix), b_g_pair,
-        b_h_pair, None, holomorphic, _adjoint(g_data), _adjoint(h_data),
+        b_h_pair, None, holomorphic, _adjoint(g_data), _adjoint(h_data), None,
     )._check_forms()
     mstar = {}
     for hw, mult in c.g_adjoint.entries.items():
-        for u_hw, u_mult in decompose.branch(
-                c.restriction, g_data, h_data, hw).entries.items():
-            mstar[u_hw] = mstar.get(u_hw, 0) + mult * u_mult
-    for hw, mult in c.h_adjoint.entries.items():
-        mstar[hw] = mstar.get(hw, 0) - mult
-    mstar = decompose.RepDecomposition(
-        h_data, {hw: m for hw, m in mstar.items() if m})
-    return c._replace(mstar=mstar)._check_mstar()
+        _add(mstar, decompose.branch(c.restriction, g_data, h_data, hw), mult)
+    _add(mstar, c.h_adjoint, -1)
+    c = c._replace(mstar=decompose.RepDecomposition(
+        h_data, {hw: m for hw, m in mstar.items() if m}))._check_mstar()
+    return c._replace(gauges=MappingProxyType({
+        GAUGE_H: _gauge_data(c, c.h_adjoint),
+        GAUGE_SU3: _gauge_data(c, _gauge_su3(c)),
+    }))
 
 
 # name -> (B_G pair tag, B_H pair tag, highest weights of V, the (1,0)-part
@@ -179,10 +222,13 @@ def canonical_name(name):
     )
 
 
-@lru_cache(maxsize=None)
 def coset(name):
-    """The validated descriptor for one of the four cosets."""
-    name = canonical_name(name)
+    """The validated descriptor of a coset, one per canonical name."""
+    return _coset(canonical_name(name))
+
+
+@lru_cache(maxsize=None)
+def _coset(name):
     b_g_pair, b_h_pair, holomorphic = _COSETS[name]
     h_data, _, matrix = casimir._PAIRS[b_h_pair]
     return _descriptor(
@@ -191,45 +237,24 @@ def coset(name):
     )
 
 
-@lru_cache(maxsize=None)
-def _gauge_su3(name):
-    c = coset(name)
-    holo = c.mstar_holomorphic
-    entries = {}
-    for hw1, m1 in holo.entries.items():
-        for hw2, m2 in holo.entries.items():
-            dual = c.h_data.dominant_representative(tuple(-x for x in hw2))
-            product = decompose.tensor_decompose(c.h_data, hw1, dual)
-            for hw, m in product.entries.items():
-                entries[hw] = entries.get(hw, 0) + m1 * m2 * m
-    zero = (0,) * c.h_data.num_coords
-    if entries.get(zero, 0) < 1:
-        raise FixtureError("%s: V x V* contains no trivial summand" % name)
-    entries[zero] -= 1
-    if entries[zero] == 0:
-        del entries[zero]
-    result = decompose.RepDecomposition(c.h_data, entries)
-    if result.dimension() != 8:
-        raise FixtureError(
-            "%s: gauge su(3) has dimension %d" % (name, result.dimension())
-        )
-    return result
+def _gauge(c, gauge):
+    """The stored (decomposition, summands) of one gauge group of ``c``."""
+    if gauge not in GAUGE_GROUPS:
+        raise UnknownTagError("gauge must be one of %s" % (GAUGE_GROUPS,))
+    return c.gauges[gauge]
 
 
 def gauge_rep(c, gauge):
     """H-decomposition of the complexified gauge representation.
 
     ``H``: the adjoint of the structure group of the principal bundle
-    G -> G/H (for abelian factors: trivial charges).  ``SU3``: the su(3) of
-    the tangent-bundle structure group, built as V (x) V* minus one trivial
-    summand where V is the (1,0)-part of m*.  The decomposition returned is
-    shared and read-only.
+    G -> G/H (for abelian factors: trivial charges), ``c.h_adjoint``.
+    ``SU3``: the su(3) of the tangent-bundle structure group, built as
+    V (x) V* minus one trivial summand where V is the (1,0)-part of c's m*.
+    The decomposition returned is the one stored in ``c``, shared and
+    read-only.
     """
-    if gauge == GAUGE_H:
-        return c.h_adjoint
-    if gauge == GAUGE_SU3:
-        return _gauge_su3(c.name)
-    raise UnknownTagError("gauge must be one of %s" % (GAUGE_GROUPS,))
+    return _gauge(c, gauge)[0]
 
 
 # ---------------------------------------------------------------------------

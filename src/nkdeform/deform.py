@@ -12,6 +12,9 @@ Two computations, both exact:
   once per common irreducible component of its restriction to H and of
   E_alpha (x) m*, provided Cas_g(W) equals Cas_h(E_alpha).
 
+Both read each gauge summand's n_alpha, Cas_h(E_alpha) and E_alpha (x) m*
+from the coset descriptor, which derives them once (:mod:`cosets`).
+
 The complexified solution space always has even multiplicities (the volume
 form acts as a complex structure swapping two copies); the halved
 decomposition is the reported deformation space and its real dimension uses
@@ -62,29 +65,13 @@ class DeformationSpace(collections.namedtuple(
     __slots__ = ()
 
 
-def _tensor_with_mstar(c, hw):
-    """Decomposition of the irreducible ``hw`` tensored with all of m*."""
-    total = {}
-    for m_hw, m_mult in c.mstar.entries.items():
-        product = decompose.tensor_decompose(c.h_data, hw, m_hw)
-        for u_hw, u_mult in product.entries.items():
-            total[u_hw] = total.get(u_hw, 0) + m_mult * u_mult
-    return decompose.RepDecomposition(c.h_data, total)
-
-
 def curvature_spectrum(c, gauge):
     """Spectrum of eps -> -2 F . eps on m* (x) E for the canonical connection."""
+    gauge_decomp, summands = cosets._gauge(c, gauge)
     ctx_h = c.context_h
-    for hw in c.mstar.entries:
-        if casimir.casimir_eigenvalue(ctx_h, hw) != -4:
-            raise ConsistencyError(
-                "m* component %r of %s has Casimir != -4" % (hw, c.name)
-            )
-    gauge_decomp = cosets.gauge_rep(c, gauge)
     spectrum = {}
-    for e_hw, n_alpha in gauge_decomp.entries.items():
-        c_alpha = casimir.casimir_eigenvalue(ctx_h, e_hw)
-        for u_hw, u_mult in _tensor_with_mstar(c, e_hw).entries.items():
+    for _, n_alpha, c_alpha, tensor in summands:
+        for u_hw, u_mult in tensor.entries.items():
             eig = -4 + c_alpha - casimir.casimir_eigenvalue(ctx_h, u_hw)
             dim = n_alpha * u_mult * lie.dimension(c.h_data, u_hw)
             spectrum[eig] = spectrum.get(eig, 0) + dim
@@ -92,18 +79,13 @@ def curvature_spectrum(c, gauge):
     return CurvatureSpectrum(entries, gauge_decomp.dimension())
 
 
-def _complexified_solutions(c, gauge_decomp):
+def _complexified_solutions(c, summands):
     """Frobenius-reciprocity count of the solutions of the Casimir-matching
     condition, as a G-decomposition with (even) multiplicities."""
     ctx_g = c.context_g
-    ctx_h = c.context_h
     total = {}
-    for e_hw, n_alpha in gauge_decomp.entries.items():
-        c_alpha = casimir.casimir_eigenvalue(ctx_h, e_hw)
-        tensor = _tensor_with_mstar(c, e_hw)
+    for _, n_alpha, c_alpha, tensor in summands:
         for w_hw in casimir.irreps_with_casimir(ctx_g, c_alpha):
-            if casimir.casimir_eigenvalue(ctx_g, w_hw) != c_alpha:
-                raise ConsistencyError("Casimir filter returned a non-solution")
             restricted = decompose.branch(
                 c.restriction, c.g_data, c.h_data, w_hw
             )
@@ -122,7 +104,7 @@ def deformation_space(c, gauge):
     ``gauge`` selects the principal bundle: the H-bundle G -> G/H or the
     SU(3)-bundle of the tangent bundle.
     """
-    total = _complexified_solutions(c, cosets.gauge_rep(c, gauge))
+    total = _complexified_solutions(c, cosets._gauge(c, gauge)[1])
     for w_hw, mult in total.items():
         if mult % 2:
             raise EvennessViolationError(
@@ -146,14 +128,6 @@ def abelian_rigidity_check(c):
     adjoint of H (all of it for an abelian H; vacuously true when there are
     none); the expected result for every coset is an empty solution space.
     """
-    gauge_decomp = cosets.gauge_rep(c, cosets.GAUGE_H)
     zero = (0,) * c.h_data.num_coords
-    trivial = {
-        hw: m for hw, m in gauge_decomp.entries.items() if hw == zero
-    }
-    if not trivial:
-        return True
-    solutions = _complexified_solutions(
-        c, decompose.RepDecomposition(c.h_data, trivial)
-    )
-    return not solutions
+    summands = cosets._gauge(c, cosets.GAUGE_H)[1]
+    return not _complexified_solutions(c, [s for s in summands if s[0] == zero])

@@ -329,11 +329,38 @@ def test_fixtures_option(tmp_path):
     )
     assert code == 0
     assert out.strip() == "V(0,0) + V(1,-1) + V(1,1)"
-    _, native = run(["tables", "thm-5.2-H", "--format", "json"])
-    _, from_file = run(
-        ["tables", "thm-5.2-H", "--format", "json", "--fixtures", str(path)]
-    )
-    assert native == from_file
+    for which in ("prop-4.2", "thm-5.2-H", "thm-5.2-SU3"):
+        _, native = run(["tables", which, "--format", "json"])
+        code, from_file = run(
+            ["tables", which, "--format", "json", "--fixtures", str(path)]
+        )
+        assert code == 0 and native == from_file, which
+
+
+def test_fixture_files_v_sets_the_su3_gauge(tmp_path):
+    # Sp(2) with V = V(0,2) + V(1,1): the same m*, but the other gauge
+    # su(3), whose deformations are the five-dimensional V(1,0) alone.
+    data = json.loads(cosets.dump_fixtures())
+    (entry,) = [e for e in data["cosets"] if e["name"] == "Sp(2)/Sp(1)xU(1)"]
+    entry["mstar_holomorphic"] = [{"hw": [0, 2], "mult": 1}, {"hw": [1, 1], "mult": 1}]
+    path = tmp_path / "other-chirality.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _, native = run(["tables", "thm-5.2-SU3", "--format", "json"])
+    code, out = run(["tables", "thm-5.2-SU3", "--format", "json", "--fixtures", str(path)])
+    assert code == 0
+    rows = {row["coset"]: row for row in json.loads(out)["result"]}
+    assert rows.pop("Sp(2)/Sp(1)xU(1)") == {
+        "coset": "Sp(2)/Sp(1)xU(1)",
+        "deformations": [{"hw": [1, 0], "mult": 1}],
+        "real_dimension": 5,
+    }
+    assert rows == {
+        row["coset"]: row for row in json.loads(native)["result"]
+        if row["coset"] != "Sp(2)/Sp(1)xU(1)"
+    }
+    code, out = run(["tables", "thm-5.2-SU3", "--fixtures", str(path)])
+    assert code == 0
+    assert "Sp(2)/Sp(1)xU(1):  V(1,0)" in out
 
 
 def test_fixtures_missing_file():

@@ -157,6 +157,11 @@ def test_adjoint_branching_consistency():
             assert c.mstar.mult(neg) == c.mstar.mult(hw)
 
 
+# The gauge su(3) of Sp(2)/Sp(1)xU(1) for V = V(0,2) + V(1,1), the other
+# chirality: V(0,0) + V(1,-1) + V(1,1) + V(2,0).
+OTHER_CHIRALITY_SU3 = {(0, 0): 1, (1, -1): 1, (1, 1): 1, (2, 0): 1}
+
+
 def test_opposite_chirality_pairing_is_rejected():
     # Swapping the charge pairing of the (1,0)-part changes the gauge su(3)
     # decomposition away from the fixture; the strict equality test catches it.
@@ -169,10 +174,36 @@ def test_opposite_chirality_pairing_is_rejected():
             add(entries, decompose.tensor_decompose(lie.A1_U1, hw1, dual), m1 * m2)
     entries[(0, 0)] -= 1
     wrong_su3 = {hw: m for hw, m in entries.items() if m}
+    assert wrong_su3 == OTHER_CHIRALITY_SU3
     assert wrong_su3 != cosets.gauge_rep(c, "SU3").entries
     assert sum(
         m * lie.dimension(lie.A1_U1, hw) for hw, m in wrong_su3.items()
     ) == 8  # both pairings have dimension 8; only the charges differ
+
+
+def test_su3_gauge_follows_the_fixture_files_v(tmp_path):
+    # m* is the same for both chiralities, so the file loads; its SU(3)
+    # gauge is built from its own V, not from the built-in coset's.
+    data = json.loads(cosets.dump_fixtures())
+    (entry,) = [e for e in data["cosets"] if e["name"] == "Sp(2)/Sp(1)xU(1)"]
+    entry["mstar_holomorphic"] = [{"hw": [0, 2], "mult": 1}, {"hw": [1, 1], "mult": 1}]
+    path = tmp_path / "other-chirality.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    c = cosets.load_fixtures(path)["Sp(2)/Sp(1)xU(1)"]
+    assert c.mstar == cosets.coset("sp2").mstar
+    assert cosets.gauge_rep(c, "SU3").entries == OTHER_CHIRALITY_SU3
+    assert cosets.gauge_rep(c, "SU3") is cosets.gauge_rep(c, "SU3")
+    assert cosets.gauge_rep(c, "H") is c.h_adjoint
+
+
+def test_an_alias_and_its_name_share_one_descriptor():
+    assert cosets.coset("sp2") is cosets.coset("Sp(2)/Sp(1)xU(1)")
+    # and one build serves both names
+    cosets._coset.cache_clear()
+    c = cosets.coset("sp2")
+    assert cosets.coset("Sp(2)/Sp(1)xU(1)") is c
+    assert cosets.coset("sp2") is c
+    assert cosets._coset.cache_info().misses == 1
 
 
 def test_fixture_json_round_trip(tmp_path):

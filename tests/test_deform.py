@@ -8,9 +8,10 @@ def spectrum_dict(name, gauge):
 
 
 def test_memoised_results_equal_fresh_ones():
-    """Fresh-vs-memo oracle: each of the eight coset x gauge steps, with the
-    tensor-product, branching and dimension memos emptied before each call,
-    gives what the warm memos give."""
+    """Fresh-vs-memo oracle: each of the eight coset x gauge steps, on a
+    descriptor rebuilt after the tensor-product, branching and dimension
+    memos are emptied (so that its gauge summands and E_alpha (x) m* are
+    derived again), gives what the stored descriptor and warm memos give."""
     memos = (decompose._tensor_decompose, decompose._branch, lie._weyl_dimension)
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
@@ -20,7 +21,9 @@ def test_memoised_results_equal_fresh_ones():
                 memoised = step(c, gauge)
                 for memo in memos:
                     memo.cache_clear()
-                assert step(c, gauge) == memoised, (name, gauge, step.__name__)
+                fresh = cosets.descriptor_from_dict(cosets.descriptor_to_dict(c))
+                assert fresh is not c and fresh.gauges == c.gauges, name
+                assert step(fresh, gauge) == memoised, (name, gauge, step.__name__)
 
 
 def test_curvature_spectra_structure_group_h():
@@ -152,7 +155,8 @@ def test_trivial_gauge_components_contribute_nothing():
     # processed by the generic pipeline, not skipped: Sp(2) has a genuine
     # trivial summand in its gauge algebra, and its solution set is empty
     c = cosets.coset("sp2")
-    trivial = decompose.RepDecomposition(c.h_data, {(0, 0): 1})
+    trivial = [s for s in c.gauges[cosets.GAUGE_H][1] if s[0] == (0, 0)]
+    assert [s[:3] for s in trivial] == [((0, 0), 1, 0)]
     assert deform._complexified_solutions(c, trivial) == {}
 
 
