@@ -132,32 +132,42 @@ def casimir_eigenvalue(ctx, hw):
 
 
 def irreps_with_casimir(ctx, value):
-    """All dominant weights whose Casimir eigenvalue equals ``value``.
+    """All dominant weights whose Casimir eigenvalue equals ``value``, sorted.
 
     Completeness: -Cas(w) = q(w) + l(w) with q the positive definite form
     -B and l(w) = -2B(w, delta) >= 0 on dominant weights (delta has no
     charge components), so any solution satisfies q(w) <= |value|, hence
-    w_i^2 <= |value| * (q^-1)_ii exactly.  The box cut out by these bounds
-    is enumerated and filtered.
+    w_i^2 <= |value| * (q^-1)_ii exactly.  The box's first n - 1
+    coordinates h are enumerated; D * Cas(h, x) = a x^2 + b x + c is an
+    integer quadratic in the last coordinate x, with a = gram_int[-1][-1],
+    whose integer roots are solved for exactly (a perfect-square
+    discriminant, an exact division by 2a, x >= 0 unless x is a U(1)
+    charge).  Every dominant solution lies in the box, so these are
+    exactly the box's solutions.
     """
     value = _F(value)
     target = value * ctx.denominator
     if value > 0 or target.denominator != 1:
         return []
-    n = ctx.root_data.num_coords
-    simple = set(ctx.root_data.simple_coords)
-    bounds = []
-    for i in range(n):
-        # floor(sqrt(x)) = isqrt(floor(x)) for rational x >= 0
-        limit = -value * ctx.box_diagonal[i]
-        bounds.append(math.isqrt(limit.numerator // limit.denominator))
-    ranges = [
-        range(0, bounds[i] + 1) if i in simple else range(-bounds[i], bounds[i] + 1)
-        for i in range(n)
-    ]
-    target = int(target)
-    return sorted(
-        w
-        for w in itertools.product(*ranges)
-        if ctx.scaled_casimir(w) == target
-    )
+    target = target.numerator
+    simple = ctx.root_data.simple_coords
+    ranges = []
+    for i, box in enumerate(ctx.box_diagonal[:-1]):
+        # w_i^2 <= -target * box / D; floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+        bound = math.isqrt(-target * box.numerator // (ctx.denominator * box.denominator))
+        ranges.append(range(0, bound + 1) if i in simple else range(-bound, bound + 1))
+    last_row = ctx.gram_int[-1]
+    two_a = 2 * last_row[-1]
+    charge_last = ctx.root_data.num_coords - 1 not in simple
+    found = []
+    for head in itertools.product(*ranges):
+        b = 2 * sum(g * h for g, h in zip(last_row, head)) + ctx.linear[-1]
+        disc = b * b - 2 * two_a * (ctx.scaled_casimir(head + (0,)) - target)
+        root = math.isqrt(max(disc, 0))
+        if root * root != disc:
+            continue
+        for num in {-b - root, -b + root}:
+            x, rest = divmod(num, two_a)
+            if not rest and (x >= 0 or charge_last):
+                found.append(head + (x,))
+    return sorted(found)

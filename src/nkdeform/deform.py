@@ -5,7 +5,10 @@ Two computations, both exact:
 * the spectrum of the canonical-connection curvature operator
   eps -> -2 F . eps on m* (x) E, assembled from Casimir eigenvalues
   (eigenvalue on an irreducible U inside E_alpha (x) m* is
-  -4 + Cas_h(E_alpha) - Cas_h(U), with multiplicity dim U);
+  -4 + Cas_h(E_alpha) - Cas_h(U), with multiplicity dim U), summed in
+  integers scaled by the denominator D of the form on h
+  (-4 D + q(E_alpha) - q(U), with q = D * Cas_h) and divided by D once per
+  distinct eigenvalue;
 
 * the space of solutions of the linearized instanton plus gauge-fixing
   equations, found by Frobenius reciprocity: a G-irreducible W contributes
@@ -22,6 +25,7 @@ complex dimensions of the halved summands.
 """
 
 import collections
+from fractions import Fraction
 
 from . import casimir, cosets, decompose, lie
 from .errors import ConsistencyError, EvennessViolationError
@@ -66,16 +70,22 @@ class DeformationSpace(collections.namedtuple(
 
 
 def curvature_spectrum(c, gauge):
-    """Spectrum of eps -> -2 F . eps on m* (x) E for the canonical connection."""
+    """Spectrum of eps -> -2 F . eps on m* (x) E for the canonical connection.
+
+    The weights are the descriptor's own, checked when it was built, so
+    their Casimirs and dimensions are looked up without checking them again.
+    """
     gauge_decomp, summands = cosets._gauge(c, gauge)
     ctx_h = c.context_h
+    d = ctx_h.denominator
     spectrum = {}
-    for _, n_alpha, c_alpha, tensor in summands:
+    for hw, n_alpha, _, tensor in summands:
+        base = ctx_h.scaled_casimir(hw) - 4 * d
         for u_hw, u_mult in tensor.entries.items():
-            eig = -4 + c_alpha - casimir.casimir_eigenvalue(ctx_h, u_hw)
-            dim = n_alpha * u_mult * lie.dimension(c.h_data, u_hw)
+            eig = base - ctx_h.scaled_casimir(u_hw)
+            dim = n_alpha * u_mult * lie._weyl_dimension(c.h_data, u_hw)
             spectrum[eig] = spectrum.get(eig, 0) + dim
-    entries = tuple(sorted(spectrum.items()))
+    entries = tuple((Fraction(e, d), m) for e, m in sorted(spectrum.items()))
     return CurvatureSpectrum(entries, gauge_decomp.dimension())
 
 

@@ -6,6 +6,9 @@ references for what it now computes or derives.
 * :func:`casimir` is B(hw, hw) + 2 B(hw, delta) in ``Fraction`` arithmetic
   on the hand-entered Gram matrix of :data:`PAIRS`; the package derives the
   Gram matrix from the Cartan matrices and uses the integer form D * Cas.
+* :func:`irreps_with_casimir` scans the whole definiteness box and keeps
+  the weights whose :func:`casimir` is the value; the package enumerates
+  all coordinates but the last and solves for that one.
 * :func:`weyl_dimension` is the Weyl product formula in ``Fraction``
   arithmetic on the hand-entered positive roots and weight Gram matrices of
   :data:`ROOT_TABLES`; the package derives the roots and uses integer
@@ -22,6 +25,8 @@ references for what it now computes or derives.
 The tests compare each pair exactly.
 """
 
+import itertools
+import math
 from fractions import Fraction as F
 
 from nkdeform import casimir as _casimir, decompose, lie, ratlinalg
@@ -145,6 +150,25 @@ def casimir(tag, hw):
     for f in factors:
         delta += [0] if f == lie.U1 else [1] * len(CARTAN[f])
     return ip(gram, hw, hw) + 2 * ip(gram, hw, delta)
+
+
+def irreps_with_casimir(tag, value):
+    """All dominant weights whose :func:`casimir` is ``value``, sorted: every
+    weight of the box w_i^2 <= |value| * (-gram^-1)_ii, which holds every
+    dominant solution (see ``casimir.irreps_with_casimir``), is tried."""
+    value = F(value)
+    if value > 0:
+        return []
+    factors, gram, _, _ = PAIRS[tag]
+    root_data = lie.RootData(factors)
+    dual = ratlinalg.inverse(gram)
+    simple = root_data.simple_coords
+    ranges = []
+    for i in range(root_data.num_coords):
+        limit = value * dual[i][i]
+        bound = math.isqrt(limit.numerator // limit.denominator)
+        ranges.append(range(0, bound + 1) if i in simple else range(-bound, bound + 1))
+    return sorted(w for w in itertools.product(*ranges) if casimir(tag, w) == value)
 
 
 def weyl_dimension(root_data, hw):

@@ -189,20 +189,30 @@ def test_irreps_with_casimir_examples():
 
 
 def test_irreps_with_casimir_completeness_against_box():
-    # Brute-force check inside a generous box for a spread of values.
-    for tag in ("g2", "sp2", "su2cubed", "su3-ambient", "u1u1-in-su3"):
+    # The solved last coordinate against the scan of the whole definiteness
+    # box, on every pair (a U(1) last coordinate on sp1u1-in-sp2 and
+    # u1u1-in-su3, rank 1 on su2-diagonal-in-su2cubed) and every k/D from 0
+    # down to -16, attained or not.
+    for tag in casimir.PAIR_TAGS:
         ctx = casimir.context(tag)
-        box = lie.dominant_weights_in_box(ctx.root_data, 6)
-        for value in range(0, -31, -1):
-            brute = sorted(
-                w
-                for w in box
-                if casimir.casimir_eigenvalue(ctx, w) == value
-            )
+        values = [F(k, ctx.denominator) for k in range(0, -16 * ctx.denominator - 1, -1)]
+        attained = 0
+        for value in values:
             fast = casimir.irreps_with_casimir(ctx, value)
-            assert [w for w in fast if w in set(box)] == brute, (tag, value)
-            # fast result must contain everything brute finds
-            assert set(brute) <= set(fast)
+            assert fast == slow_oracle.irreps_with_casimir(tag, value), (tag, value)
+            assert all(slow_oracle.casimir(tag, w) == value for w in fast), (tag, value)
+            attained += bool(fast)
+        assert 0 < attained < len(values), tag
+        assert casimir.irreps_with_casimir(ctx, 0) == [(0,) * ctx.root_data.num_coords]
+        # Brute force inside a fixed box, apart from the definiteness bound.
+        box = lie.dominant_weights_in_box(ctx.root_data, 6)
+        brute = {}
+        for w in box:
+            brute.setdefault(casimir.casimir_eigenvalue(ctx, w), []).append(w)
+        box = set(box)
+        for value in range(0, -31, -1):
+            fast = casimir.irreps_with_casimir(ctx, value)
+            assert [w for w in fast if w in box] == brute.get(value, []), (tag, value)
 
 
 def test_smallest_g2_eigenvalues():

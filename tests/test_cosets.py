@@ -117,9 +117,21 @@ def test_gauge_su3_decompositions():
     )
 
 
-def test_gauge_su3_always_eight_dimensional():
-    for name in cosets.COSET_NAMES:
-        assert cosets.gauge_rep(cosets.coset(name), "SU3").dimension() == 8
+def test_gauge_su3_always_eight_dimensional(fixture_descriptors):
+    # V (x) V* holds the trivial summand (the identity of V), and dim V = 3
+    # leaves dimension 8 once it is removed.
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+        v = c.mstar_holomorphic
+        product = {}
+        for hw1, m1 in v.entries.items():
+            for hw2, m2 in v.entries.items():
+                dual = c.h_data.dominant_representative(tuple(-x for x in hw2))
+                add(product, decompose.tensor_decompose(c.h_data, hw1, dual), m1 * m2)
+        zero = (0,) * c.h_data.num_coords
+        assert product.get(zero, 0) >= 1, c.name
+        add(product, cosets.gauge_rep(c, "SU3"), -1)
+        assert {hw: m for hw, m in product.items() if m} == {zero: 1}, c.name
+        assert cosets.gauge_rep(c, "SU3").dimension() == 8, c.name
 
 
 def test_gauge_rep_is_shared_and_read_only():
@@ -181,15 +193,11 @@ def test_opposite_chirality_pairing_is_rejected():
     ) == 8  # both pairings have dimension 8; only the charges differ
 
 
-def test_su3_gauge_follows_the_fixture_files_v(tmp_path):
+def test_su3_gauge_follows_the_fixture_files_v(fixture_descriptors):
     # m* is the same for both chiralities, so the file loads; its SU(3)
     # gauge is built from its own V, not from the built-in coset's.
-    data = json.loads(cosets.dump_fixtures())
-    (entry,) = [e for e in data["cosets"] if e["name"] == "Sp(2)/Sp(1)xU(1)"]
-    entry["mstar_holomorphic"] = [{"hw": [0, 2], "mult": 1}, {"hw": [1, 1], "mult": 1}]
-    path = tmp_path / "other-chirality.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    c = cosets.load_fixtures(path)["Sp(2)/Sp(1)xU(1)"]
+    c = fixture_descriptors[-1]
+    assert c.mstar_holomorphic.entries == {(0, 2): 1, (1, 1): 1}
     assert c.mstar == cosets.coset("sp2").mstar
     assert cosets.gauge_rep(c, "SU3").entries == OTHER_CHIRALITY_SU3
     assert cosets.gauge_rep(c, "SU3") is cosets.gauge_rep(c, "SU3")

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 from nkdeform import casimir, cosets, decompose, deform, lie
 
+import slow_oracle
+
 
 def spectrum_dict(name, gauge):
     return deform.curvature_spectrum(cosets.coset(name), gauge).as_dict()
@@ -65,6 +67,27 @@ def test_curvature_spectrum_invariants():
             assert s.trace() == 0
             assert s.total_dimension() == 6 * cosets.gauge_rep(c, gauge).dimension()
         assert deform.curvature_spectrum(c, "SU3").total_dimension() == 48
+
+
+def test_integer_spectrum_matches_the_fraction_sum(fixture_descriptors):
+    """The D-scaled integer sum against -4 + Cas_h(E_alpha) - Cas_h(U) with
+    multiplicity n_alpha * dim U, in Fraction arithmetic on the hand-entered
+    forms and root tables, over E_alpha (x) m* decomposed afresh; on the
+    built-in descriptors and on the ones fixture files load."""
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+        for gauge in cosets.GAUGE_GROUPS:
+            expected = {}
+            for e_hw, n_alpha in cosets.gauge_rep(c, gauge).entries.items():
+                c_alpha = slow_oracle.casimir(c.b_h_pair, e_hw)
+                for m_hw, m_mult in c.mstar.entries.items():
+                    tensor = decompose.tensor_decompose(c.h_data, e_hw, m_hw)
+                    for u_hw, u_mult in tensor.entries.items():
+                        eig = -4 + c_alpha - slow_oracle.casimir(c.b_h_pair, u_hw)
+                        dim = slow_oracle.weyl_dimension(c.h_data, u_hw)
+                        expected[eig] = expected.get(eig, 0) + n_alpha * m_mult * u_mult * dim
+            entries = deform.curvature_spectrum(c, gauge).entries
+            assert entries == tuple(sorted(expected.items())), (c.name, gauge)
+            assert all(type(e) is F and type(m) is int for e, m in entries)
 
 
 def test_su2cubed_v4_block_of_the_su3_spectrum():
