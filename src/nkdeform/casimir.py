@@ -26,20 +26,13 @@ from .errors import UnknownTagError
 _F = Fraction
 
 
-class BilinearForm(collections.namedtuple("BilinearForm", "gram")):
-    """Gram matrix of the invariant form on fundamental-weight coordinates."""
-
-    __slots__ = ()
-
-
 class CasimirContext(collections.namedtuple(
-        "CasimirContext",
-        "root_data form denominator gram_int linear box_diagonal")):
-    """A form on a root datum, with its integer form: ``denominator`` is the
-    common denominator D of the Gram matrix, ``gram_int`` is D * gram and
-    ``linear`` is 2D * gram * delta, so that D * Cas(w) = q(w) =
-    w.gram_int.w + linear.w.  ``box_diagonal`` is the diagonal of (-gram)^-1,
-    which bounds :func:`irreps_with_casimir`."""
+        "CasimirContext", "root_data dual denominator gram_int linear")):
+    """A form on a root datum: ``dual`` is gram^-1, the form on roots, and
+    the Gram matrix on fundamental-weight coordinates is kept as integers:
+    ``denominator`` is its common denominator D, ``gram_int`` is D * gram
+    and ``linear`` is 2D * gram * delta, so that D * Cas(w) = q(w) =
+    w.gram_int.w + linear.w."""
 
     __slots__ = ()
 
@@ -101,10 +94,6 @@ def _dual_gram(root_data):
     return dual
 
 
-def bilinear_form(pair):
-    return context(pair).form
-
-
 @lru_cache(maxsize=None)
 def context(pair):
     """The pair's form and its integer data.  A subalgebra's form is B
@@ -113,15 +102,11 @@ def context(pair):
     dual = _dual_gram(ambient)
     if r is not None:
         dual = ratlinalg.mat_mul(ratlinalg.mat_mul(r, dual), ratlinalg.transpose(r))
-    gram = tuple(map(tuple, ratlinalg.inverse(dual)))
     delta = root_data.delta()
-    d, gram_int = ratlinalg.integer_scaled(gram)
+    d, gram_int = ratlinalg.integer_scaled(ratlinalg.inverse(dual))
     gram_int = tuple(map(tuple, gram_int))
     linear = tuple(2 * sum(g * c for g, c in zip(row, delta)) for row in gram_int)
-    return CasimirContext(
-        root_data, BilinearForm(gram), d, gram_int, linear,
-        tuple(-dual[i][i] for i in range(len(dual))),
-    )
+    return CasimirContext(root_data, tuple(map(tuple, dual)), d, gram_int, linear)
 
 
 def casimir_eigenvalue(ctx, hw):
@@ -152,9 +137,9 @@ def irreps_with_casimir(ctx, value):
     target = target.numerator
     simple = ctx.root_data.simple_coords
     ranges = []
-    for i, box in enumerate(ctx.box_diagonal[:-1]):
-        # w_i^2 <= -target * box / D; floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
-        bound = math.isqrt(-target * box.numerator // (ctx.denominator * box.denominator))
+    for i, row in enumerate(ctx.dual[:-1]):
+        # w_i^2 <= target * dual_ii / D; floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+        bound = math.isqrt(target * row[i].numerator // (ctx.denominator * row[i].denominator))
         ranges.append(range(0, bound + 1) if i in simple else range(-bound, bound + 1))
     last_row = ctx.gram_int[-1]
     two_a = 2 * last_row[-1]

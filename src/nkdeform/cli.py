@@ -10,8 +10,11 @@ Subcommands::
 
 Every command accepts ``--format text|json``.  JSON output is deterministic
 (sorted keys) and serializes every rational as {"num": int, "den": int}.
+All output, text or JSON, is written by ``_emit``.
 
-Exit codes: 0 success, 1 usage or parse error, 2 internal invariant failure.
+Exit codes: 0 success, 1 usage or parse error (a ``ValueError`` or
+``OSError``), 2 internal invariant failure (a ``RuntimeError`` of
+:mod:`errors`, or ``ConventionError``).
 """
 
 import argparse
@@ -27,9 +30,6 @@ from .errors import (
     EvennessViolationError,
     FixtureError,
     IdentityViolationError,
-    MalformedEmbeddingError,
-    NonDominantWeightError,
-    NotACharacterError,
     SpectrumError,
     UnknownTagError,
 )
@@ -37,13 +37,7 @@ from .errors import (
 USAGE_ERROR = 1
 INVARIANT_ERROR = 2
 
-_USAGE_ERRORS = (
-    NonDominantWeightError,
-    UnknownTagError,
-    NotACharacterError,
-    MalformedEmbeddingError,
-    ValueError,
-)
+# Tried in this order: ConventionError is a ValueError, but an invariant failure.
 _INVARIANT_ERRORS = (
     ConsistencyError,
     ConventionError,
@@ -52,6 +46,7 @@ _INVARIANT_ERRORS = (
     IdentityViolationError,
     SpectrumError,
 )
+_USAGE_ERRORS = (ValueError, OSError)
 
 TABLE_IDS = ("prop-4.2", "thm-5.2-H", "thm-5.2-SU3")
 
@@ -70,10 +65,6 @@ TENSOR_ALGEBRAS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -86,15 +77,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-def _frac_text(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
-        f.numerator,
-        f.denominator,
-    )
+        raise ValueError(message)
 
 
 def _parse_weight(text, root_data):
@@ -106,13 +89,20 @@ def _parse_weight(text, root_data):
     return w
 
 
-def _document(command, inputs, result):
-    return {
+def _emit(args, out, command, inputs, result, text):
+    """Write ``text``, or the sorted-key JSON document of the command's
+    inputs and result, as ``--format`` asks; return the document."""
+    payload = {
         "command": command,
         "input": inputs,
         "result": result,
         "engine_version": __version__,
     }
+    if args.format == "text":
+        out.write(text)
+    else:
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return payload
 
 
 def _coset_lookup(args):
@@ -141,57 +131,37 @@ def cmd_tables(args, out):
     which = args.which
     if which == "prop-4.2":
         names = ("G2/SU(3)", "SU(2)^3/SU(2)", "Sp(2)/Sp(1)xU(1)")
-        spectra = [deform.curvature_spectrum(lookup(name), cosets.GAUGE_H)
-                   for name in names]
-        rows = [
-            {
+        rows = []
+        text = "curvature operator spectrum on m* (x) h, canonical connection\n"
+        for name in names:
+            entries = deform.curvature_spectrum(lookup(name), cosets.GAUGE_H).entries
+            rows.append({
                 "coset": name,
-                "spectrum": [
-                    {"eigenvalue": _frac_json(e), "dimension": d}
-                    for e, d in spectrum.entries
-                ],
-            }
-            for name, spectrum in zip(names, spectra)
-        ]
-        payload = _document("tables", {"which": which}, rows)
-        if args.format == "text":
-            out.write("curvature operator spectrum on m* (x) h, canonical connection\n")
-            for name, spectrum in zip(names, spectra):
-                out.write("\n%s\n" % name)
-                eigs = [_frac_text(e) for e, _ in spectrum.entries]
-                dims = [str(d) for _, d in spectrum.entries]
-                width = max(len(s) for s in eigs + dims) + 2
-                out.write("  eigenvalue" + "".join(s.rjust(width) for s in eigs) + "\n")
-                out.write("  dimension " + "".join(s.rjust(width) for s in dims) + "\n")
-        else:
-            out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return payload
+                "spectrum": [{"eigenvalue": _frac_json(e), "dimension": d}
+                             for e, d in entries],
+            })
+            eigs = [str(e) for e, _ in entries]
+            dims = [str(d) for _, d in entries]
+            width = max(len(s) for s in eigs + dims) + 2
+            text += "\n%s\n" % name
+            text += "  eigenvalue" + "".join(s.rjust(width) for s in eigs) + "\n"
+            text += "  dimension " + "".join(s.rjust(width) for s in dims) + "\n"
+        return _emit(args, out, "tables", {"which": which}, rows, text)
 
     gauge = cosets.GAUGE_H if which == "thm-5.2-H" else cosets.GAUGE_SU3
-    spaces = [deform.deformation_space(lookup(name), gauge)
-              for name in cosets.COSET_NAMES]
-    rows = [
-        {
+    rows = []
+    text = ("instanton deformations of the canonical connection "
+            "(structure group %s)\n\n" % ("H" if gauge == cosets.GAUGE_H else "SU(3)"))
+    for name in cosets.COSET_NAMES:
+        space = deform.deformation_space(lookup(name), gauge)
+        rows.append({
             "coset": name,
             "deformations": _decomp_json(space.halved),
             "real_dimension": space.real_dimension,
-        }
-        for name, space in zip(cosets.COSET_NAMES, spaces)
-    ]
-    payload = _document("tables", {"which": which}, rows)
-    if args.format == "text":
-        out.write(
-            "instanton deformations of the canonical connection "
-            "(structure group %s)\n\n" % ("H" if gauge == cosets.GAUGE_H else "SU(3)")
-        )
-        for name, space in zip(cosets.COSET_NAMES, spaces):
-            out.write(
-                "  %-18s %-30s real dimension %d\n"
-                % (name + ":", space.halved, space.real_dimension)
-            )
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload
+        })
+        text += "  %-18s %-30s real dimension %d\n" % (
+            name + ":", space.halved, space.real_dimension)
+    return _emit(args, out, "tables", {"which": which}, rows, text)
 
 
 def cmd_casimir(args, out):
@@ -201,16 +171,8 @@ def cmd_casimir(args, out):
     ctx = casimir.context(args.pair)
     hw = _parse_weight(args.hw, ctx.root_data)
     value = casimir.casimir_eigenvalue(ctx, hw)
-    payload = _document(
-        "casimir",
-        {"pair": args.pair, "hw": list(hw)},
-        {"eigenvalue": _frac_json(value)},
-    )
-    if args.format == "text":
-        out.write(_frac_text(value) + "\n")
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload
+    return _emit(args, out, "casimir", {"pair": args.pair, "hw": list(hw)},
+                 {"eigenvalue": _frac_json(value)}, "%s\n" % value)
 
 
 def cmd_branch(args, out):
@@ -219,16 +181,8 @@ def cmd_branch(args, out):
     c = _coset_lookup(args)(args.coset)
     hw = _parse_weight(args.hw, c.g_data)
     result = decompose.branch(c.restriction, c.g_data, c.h_data, hw)
-    payload = _document(
-        "branch",
-        {"coset": c.name, "hw": list(hw)},
-        decompose._decomp_json(result),
-    )
-    if args.format == "text":
-        out.write(str(result) + "\n")
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload
+    return _emit(args, out, "branch", {"coset": c.name, "hw": list(hw)},
+                 decompose._decomp_json(result), "%s\n" % result)
 
 
 def cmd_tensor(args, out):
@@ -244,16 +198,9 @@ def cmd_tensor(args, out):
     a = _parse_weight(args.a, root_data)
     b = _parse_weight(args.b, root_data)
     result = decompose.tensor_decompose(root_data, a, b)
-    payload = _document(
-        "tensor",
-        {"algebra": args.algebra, "a": list(a), "b": list(b)},
-        decompose._decomp_json(result),
-    )
-    if args.format == "text":
-        out.write(str(result) + "\n")
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload
+    return _emit(args, out, "tensor",
+                 {"algebra": args.algebra, "a": list(a), "b": list(b)},
+                 decompose._decomp_json(result), "%s\n" % result)
 
 
 def cmd_clifford_verify(args, out):
@@ -267,51 +214,33 @@ def cmd_clifford_verify(args, out):
     blocks = clifford.spinor_decomposition_spectra(rep, psi)
     spectrum = clifford.q_contraction_spectrum(rep, psi)
     minus_one_dim = dict(spectrum.entries).get(Fraction(-1), 0)
-    checks = [{"name": r.name, "passed": r.passed} for r in report]
     all_passed = all(r.passed for r in report) and minus_one_dim == 8
-    payload = _document(
-        "clifford-verify",
-        {},
-        {
-            "checks": checks,
-            "p_norm_sq": _frac_json(p.norm_sq()),
-            "block_eigenvalues": {
-                "P": [_frac_json(v) for v in blocks.p_values],
-                "Q": [_frac_json(v) for v in blocks.q_values],
-            },
-            "q_contraction_spectrum": [
-                {"eigenvalue": _frac_json(e), "dimension": d}
-                for e, d in spectrum.entries
-            ],
-            "su3_eigenspace_dimension": minus_one_dim,
-            "omega_eigenvalue": _frac_json(spectrum.omega_eigenvalue),
-            "all_passed": all_passed,
+    result = {
+        "checks": [{"name": r.name, "passed": r.passed} for r in report],
+        "p_norm_sq": _frac_json(p.norm_sq()),
+        "block_eigenvalues": {
+            "P": [_frac_json(v) for v in blocks.p_values],
+            "Q": [_frac_json(v) for v in blocks.q_values],
         },
+        "q_contraction_spectrum": [
+            {"eigenvalue": _frac_json(e), "dimension": d}
+            for e, d in spectrum.entries
+        ],
+        "su3_eigenspace_dimension": minus_one_dim,
+        "omega_eigenvalue": _frac_json(spectrum.omega_eigenvalue),
+        "all_passed": all_passed,
+    }
+    text = "".join(
+        "%-26s %s\n" % (r.name + ":", "PASS" if r.passed else "FAIL") for r in report
     )
-    if args.format == "text":
-        for r in report:
-            out.write("%-26s %s\n" % (r.name + ":", "PASS" if r.passed else "FAIL"))
-        out.write("|P|^2 = %s\n" % _frac_text(p.norm_sq()))
-        out.write(
-            "block eigenvalues on (scalars, one-forms, volume): P: %s; Q: %s\n"
-            % (
-                ", ".join(_frac_text(v) for v in blocks.p_values),
-                ", ".join(_frac_text(v) for v in blocks.q_values),
-            )
-        )
-        out.write(
-            "contraction with Q on two-forms: %s\n"
-            % "; ".join(
-                "eigenvalue %s dim %d" % (_frac_text(e), d)
-                for e, d in spectrum.entries
-            )
-        )
-        out.write("su(3) eigenspace (-1) dimension = %d\n" % minus_one_dim)
-        out.write(
-            "omega eigenvalue = %s\n" % _frac_text(spectrum.omega_eigenvalue)
-        )
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text += "|P|^2 = %s\n" % p.norm_sq()
+    text += "block eigenvalues on (scalars, one-forms, volume): P: %s; Q: %s\n" % (
+        ", ".join(map(str, blocks.p_values)), ", ".join(map(str, blocks.q_values)))
+    text += "contraction with Q on two-forms: %s\n" % "; ".join(
+        "eigenvalue %s dim %d" % (e, d) for e, d in spectrum.entries)
+    text += "su(3) eigenspace (-1) dimension = %d\n" % minus_one_dim
+    text += "omega eigenvalue = %s\n" % spectrum.omega_eigenvalue
+    payload = _emit(args, out, "clifford-verify", {}, result, text)
     if not all_passed:
         raise IdentityViolationError(
             "failed checks: %s"
@@ -383,21 +312,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args, sys.stdout)
     except _INVARIANT_ERRORS as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return INVARIANT_ERROR
     except _USAGE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     return 0

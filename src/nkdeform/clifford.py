@@ -173,11 +173,6 @@ class Multivector:
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
 
-    def grades(self):
-        return sorted(
-            {_popcount(mask) for mask, a in enumerate(self.coeffs) if a != 0}
-        )
-
     def wedge(self, other):
         return self._blade_products(other, wedge=True)
 

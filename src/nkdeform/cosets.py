@@ -83,9 +83,9 @@ class CosetDescriptor(collections.namedtuple(
                     % (self.name, key, pair, ctx.root_data.factors, data.factors)
                 )
         r = self.restriction.matrix
-        dual_g, dual_h = (ratlinalg.inverse(self.context_g.form.gram),
-                          ratlinalg.inverse(self.context_h.form.gram))
-        if dual_h != ratlinalg.mat_mul(ratlinalg.mat_mul(r, dual_g), ratlinalg.transpose(r)):
+        restricted = ratlinalg.mat_mul(ratlinalg.mat_mul(r, self.context_g.dual),
+                                       ratlinalg.transpose(r))
+        if list(map(list, self.context_h.dual)) != restricted:
             raise FixtureError(
                 "%s: B_H %r is not the restriction of B_G %r: gram_H^-1 != "
                 "R gram_G^-1 R^T" % (self.name, self.b_h_pair, self.b_g_pair)

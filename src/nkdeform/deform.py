@@ -57,9 +57,6 @@ class CurvatureSpectrum(collections.namedtuple(
     def trace(self):
         return sum(e * d for e, d in self.entries)
 
-    def as_dict(self):
-        return {e: d for e, d in self.entries}
-
 
 class DeformationSpace(collections.namedtuple(
         "DeformationSpace", "complexified halved real_dimension")):

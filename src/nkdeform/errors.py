@@ -2,7 +2,9 @@
 
 Errors derived from ``ValueError`` indicate bad caller input (usage errors);
 errors derived from ``RuntimeError`` indicate a violated internal invariant,
-i.e. a fixture or implementation bug, never an expected condition.
+i.e. a fixture or implementation bug, never an expected condition.  The one
+exception is ``ConventionError``: a ``ValueError``, but the CLI reports it as
+an invariant failure (exit 2), since no command takes a spinor as input.
 """
 
 

@@ -16,7 +16,6 @@ the integer coroot pairings <w, alpha^vee>.
 """
 
 import collections
-import itertools
 import math
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -197,7 +196,6 @@ SIMPLE_TYPES = {
     "G2": SimpleType("G2", ((2, -1), (-3, 2))),
 }
 
-SIMPLE_TAGS = tuple(sorted(SIMPLE_TYPES))
 U1 = "U1"
 
 
@@ -315,12 +313,6 @@ class WeightCharacter:
         return "WeightCharacter(root_data=%r, weights=%r)" % (
             self.root_data, dict(self.weights))
 
-    def total(self):
-        return sum(self.weights.values())
-
-    def mult(self, w):
-        return self.weights.get(tuple(w), 0)
-
 
 @lru_cache(maxsize=None)
 def _simple_character(tag, hw):
@@ -416,9 +408,10 @@ def _weight_multiplicities(root_data, hw):
     return WeightCharacter(root_data, char)
 
 
-def weyl_dimension(root_data, hw):
+def dimension(root_data, hw):
     """Dimension by the Weyl product formula, in integers (no character is
-    built).  Computed once per (algebra, weight) in a process."""
+    built; every character that is built is checked against this formula).
+    Computed once per (algebra, weight) in a process."""
     root_data.require_dominant(hw)
     return _weyl_dimension(root_data, hw)
 
@@ -430,24 +423,6 @@ def _weyl_dimension(root_data, hw):
         if tag != U1:
             dim *= SIMPLE_TYPES[tag].weyl_dimension(hw[start:stop])
     return dim
-
-
-# Every character that is built is checked against the Weyl formula, so the
-# formula alone gives the dimension.
-dimension = weyl_dimension
-
-
-def dominant_weights_in_box(root_data, bound):
-    """All dominant weights with coordinates in [0, bound] (charges in
-    [-bound, bound]), in lexicographic order."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    simple = set(root_data.simple_coords)
-    ranges = [
-        range(0, bound + 1) if i in simple else range(-bound, bound + 1)
-        for i in range(root_data.num_coords)
-    ]
-    return [w for w in itertools.product(*ranges)]
 
 
 # Algebras used throughout the four coset spaces.

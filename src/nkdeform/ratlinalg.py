@@ -39,10 +39,6 @@ def _frac_json(x):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
@@ -56,10 +52,6 @@ def minus_scalar(a, c):
     """a - c * 1 for a square matrix a."""
     return [[x - c if i == k else x for k, x in enumerate(row)]
             for i, row in enumerate(a)]
-
-
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def mat_vec(a, v):

@@ -138,6 +138,19 @@ def act_matrix(mat, spinor):
     return tuple(sum(row[j] * spinor[j] for j in range(8)) for row in mat)
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def grades(mv):
+    """The sorted grades of the nonzero blades of a multivector."""
+    return sorted({bin(mask).count("1") for mask, a in enumerate(mv.coeffs) if a})
+
+
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -328,7 +341,7 @@ def identity_suite(psi):
         anti = [_anticommutator(g, pm) for g in gammas]
         for a in range(DIM):
             for b in range(DIM):
-                value = -ratlinalg.trace(ratlinalg.mat_mul(anti[a], anti[b])) / 32
+                value = -trace(ratlinalg.mat_mul(anti[a], anti[b])) / 32
                 if value != (2 if a == b else 0):
                     return False
         return True
@@ -385,7 +398,7 @@ def charpoly(mat):
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = ratlinalg.mat_mul(a, m)
-        tr = ratlinalg.trace(m)
+        tr = trace(m)
         ck, remainder = divmod(-tr, k)
         if remainder:
             raise ConsistencyError(
@@ -441,7 +454,7 @@ def q_spectrum(psi, eigenvalues=None):
     _, q = extract_PQ(psi)
     op = q_operator(psi)
     n = len(op)
-    ident = ratlinalg.identity(n)
+    ident = identity(n)
     if eigenvalues is None:
         eigenvalues = ratlinalg.rational_roots(charpoly(op))
     entries = []

@@ -15,6 +15,8 @@ references for what it now computes or derives.
   coroot pairings.
 * :func:`verify_form_by_trace` recomputes each pair's form as a trace over
   the hand-entered decomposition of the ambient algebra.
+* :func:`dominant_weights_in_box` lists every dominant weight of a box,
+  for tests that sweep small highest weights.
 * :func:`det` and :func:`leading_principal_minors`, by Fraction
   elimination, are the references for ``clifford_oracle.charpoly`` and
   for the definiteness of the derived forms.
@@ -37,6 +39,26 @@ from weyl_oracle import CARTAN
 
 def _gram(rows):
     return tuple(tuple(F(x) for x in row) for row in rows)
+
+
+def package_gram(tag):
+    """The Gram matrix the package derives for a pair, read off its integer
+    form: ``gram_int`` over ``denominator``."""
+    ctx = _casimir.context(tag)
+    return tuple(tuple(F(x, ctx.denominator) for x in row) for row in ctx.gram_int)
+
+
+def dominant_weights_in_box(root_data, bound):
+    """All dominant weights with coordinates in [0, bound] (charges in
+    [-bound, bound]), in lexicographic order."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    simple = set(root_data.simple_coords)
+    ranges = [
+        range(0, bound + 1) if i in simple else range(-bound, bound + 1)
+        for i in range(root_data.num_coords)
+    ]
+    return list(itertools.product(*ranges))
 
 
 # Simple type -> (positive roots in simple-root coordinates, a Weyl-invariant
@@ -214,7 +236,7 @@ def verify_form_by_trace(tag):
     recovered = _gram(ratlinalg.inverse([[-x / 12 for x in row] for row in t]))
     for name, gram in (
         ("the hand-entered table", PAIRS[tag][1]),
-        ("casimir.bilinear_form", _casimir.bilinear_form(tag).gram),
+        ("the package's form", package_gram(tag)),
     ):
         if recovered != gram:
             raise ConsistencyError(
@@ -287,4 +309,4 @@ def tensor_by_characters(root_data, hw1, hw2):
             w = tuple(a + b for a, b in zip(w1, w2))
             prod[w] = prod.get(w, 0) + m1 * m2
     char = lie.WeightCharacter(root_data, prod)
-    return decompose.peel_off(char), char.total()
+    return decompose.peel_off(char), sum(char.weights.values())

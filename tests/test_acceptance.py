@@ -33,7 +33,7 @@ def test_criterion_1_curvature_spectra():
     for name, table in expected.items():
         c = cosets.coset(name)
         spectrum = deform.curvature_spectrum(c, cosets.GAUGE_H)
-        assert spectrum.as_dict() == table, name
+        assert dict(spectrum.entries) == table, name
         assert spectrum.trace() == 0
         assert spectrum.total_dimension() == 6 * cosets.gauge_rep(
             c, cosets.GAUGE_H
@@ -71,7 +71,7 @@ def test_criterion_4_casimir_tables():
     values = sorted(
         {
             casimir.casimir_eigenvalue(g2, hw)
-            for hw in lie.dominant_weights_in_box(g2.root_data, 5)
+            for hw in slow_oracle.dominant_weights_in_box(g2.root_data, 5)
         },
         reverse=True,
     )
@@ -86,7 +86,7 @@ def test_criterion_4_casimir_tables():
     sp2_values = sorted(
         {
             casimir.casimir_eigenvalue(sp2, hw)
-            for hw in lie.dominant_weights_in_box(sp2.root_data, 5)
+            for hw in slow_oracle.dominant_weights_in_box(sp2.root_data, 5)
         },
         reverse=True,
     )
@@ -101,7 +101,7 @@ def test_criterion_4_casimir_tables():
     cubed_values = sorted(
         {
             casimir.casimir_eigenvalue(cubed, hw)
-            for hw in lie.dominant_weights_in_box(cubed.root_data, 3)
+            for hw in slow_oracle.dominant_weights_in_box(cubed.root_data, 3)
         },
         reverse=True,
     )
@@ -135,7 +135,7 @@ def test_criterion_5_gram_matrices():
         (F(-1), F(1)),
         (F(1), F(-2)),
     )
-    assert casimir.bilinear_form("sp2").gram == ((F(-2), F(-1)), (F(-1), F(-1)))
+    assert slow_oracle.package_gram("sp2") == ((F(-2), F(-1)), (F(-1), F(-1)))
     assert slow_oracle.verify_form_by_trace("sp1u1-in-sp2") == (
         (F(1), F(0)),
         (F(0), F(1)),
@@ -143,7 +143,7 @@ def test_criterion_5_gram_matrices():
     assert slow_oracle.verify_form_by_trace("su2-diagonal-in-su2cubed") == (
         (F(1, 2),),
     )
-    # verify_form_by_trace itself raises on disagreement with bilinear_form;
+    # verify_form_by_trace itself raises on disagreement with the package's form;
     # run it across every tag to assert the agreement half of the criterion
     for tag in casimir.PAIR_TAGS:
         slow_oracle.verify_form_by_trace(tag)
@@ -194,9 +194,7 @@ def test_criterion_7_clifford_suite(rep):
     assert dict(spectrum.entries)[F(-1)] == 8
     assert sum(d for _, d in spectrum.entries) == 15
     op = clifford.q_contraction_operator(rep, psi)
-    from nkdeform import ratlinalg
-
-    assert ratlinalg.trace(op) == sum(e * d for e, d in spectrum.entries)
+    assert sum(op[i][i] for i in range(len(op))) == sum(e * d for e, d in spectrum.entries)
     _report(7, "eight identity checks, eigenvalue table, |P|^2 = 4, su(3) "
                "eigenspace dimension 8, spectrum exhausts the 15 two-forms")
 
@@ -206,8 +204,8 @@ def test_criterion_8_property_suite(rep):
     for rd in (lie.A1, lie.A2, lie.C2, lie.G2):
         for _ in range(50):
             hw = tuple(rng.randint(0, 4) for _ in range(rd.num_coords))
-            count = lie.weight_multiplicities(rd, hw).total()
-            assert count == lie.weyl_dimension(rd, hw)
+            count = sum(lie.weight_multiplicities(rd, hw).weights.values())
+            assert count == lie.dimension(rd, hw)
 
     for rd, bound in ((lie.A2, 2), (lie.C2, 2), (lie.A1_U1, 2)):
         simple = set(rd.simple_coords)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nkdeform
-from nkdeform import cli, cosets
+from nkdeform import cli, cosets, errors
 
 
 def run(argv):
@@ -375,6 +375,57 @@ def test_corrupt_fixtures_exit_two(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     code, _ = run(["tables", "thm-5.2-H", "--fixtures", str(path)])
     assert code == 2
+
+
+ERROR_CLASSES = sorted(
+    (obj for obj in vars(errors).values()
+     if isinstance(obj, type) and obj.__module__ == errors.__name__),
+    key=lambda cls: cls.__name__,
+) + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("exc_type", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_maps_to_its_exit_code(exc_type, monkeypatch, capsys):
+    def fail(args, out):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "cmd_casimir", fail)
+    code = cli.main(["casimir", "--pair", "g2", "--hw", "0,1"])
+    out, err = capsys.readouterr()
+    assert issubclass(exc_type, (ValueError, OSError, RuntimeError))
+    if issubclass(exc_type, (RuntimeError, errors.ConventionError)):
+        assert (code, err) == (2, "invariant failure: boom\n")
+    else:
+        assert (code, err) == (1, "error: boom\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "clifford_verify.txt"),
+                                         ("json", "clifford_verify.json")])
+def test_failed_clifford_check_writes_the_report_then_exits_two(
+        fmt, golden, monkeypatch, capsys):
+    from nkdeform import clifford
+
+    suite = clifford.verify_identity_suite
+
+    def first_check_fails(rep, psi, raise_on_failure=True):
+        report = suite(rep, psi, raise_on_failure=False)
+        return [report[0]._replace(passed=False)] + list(report[1:])
+
+    monkeypatch.setattr(clifford, "verify_identity_suite", first_check_fails)
+    code = cli.main(["clifford-verify", "--format", fmt])
+    out, err = capsys.readouterr()
+    name = suite(clifford.build_rep(), clifford.STANDARD_SPINOR)[0].name
+    assert (code, err) == (2, "invariant failure: failed checks: %s\n" % name)
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    if fmt == "text":
+        first, rest = expected.split("\n", 1)
+        assert out == first.replace("PASS", "FAIL") + "\n" + rest
+    else:
+        doc = json.loads(expected)
+        doc["result"]["checks"][0]["passed"] = False
+        doc["result"]["all_passed"] = False
+        assert json.loads(out) == doc
 
 
 def test_version():

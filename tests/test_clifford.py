@@ -20,7 +20,7 @@ PSI_C = (F(1, 2), F(1, 2), F(1, 2), F(0), F(0), F(0), F(1, 2), F(0))
 
 
 def test_generator_relations(rep):
-    ident = ratlinalg.identity(8)
+    ident = oracle.identity(8)
     blades = oracle.dense_blades(rep)
     for a in range(6):
         ga = blades[1 << a]
@@ -45,7 +45,7 @@ def test_blade_transpose_symmetry_by_grade(rep):
 def test_volume_squares_to_minus_one(rep):
     vol = oracle.dense_blades(rep)[0b111111]
     assert ratlinalg.mat_mul(vol, vol) == oracle.mat_scale(
-        ratlinalg.identity(8), -1
+        oracle.identity(8), -1
     )
 
 
@@ -83,13 +83,13 @@ def test_wedge_grading():
         a = oracle.random_form(rng, k)
         b = oracle.random_form(rng, l)
         w = a.wedge(b)
-        assert w.is_zero() or w.grades() == [k + l]
+        assert w.is_zero() or oracle.grades(w) == [k + l]
 
 
 def test_extract_pq(rep):
     p, q = clifford.extract_PQ(rep, PSI)
-    assert p.grades() == [3]
-    assert q.grades() == [4]
+    assert oracle.grades(p) == [3]
+    assert oracle.grades(q) == [4]
     assert p.norm_sq() == 4
     assert q.norm_sq() == 3
 
@@ -128,9 +128,9 @@ def test_one_form_block_is_six_dimensional(rep):
 def test_complex_structure(rep):
     j = clifford.complex_structure(rep, PSI)
     assert ratlinalg.mat_mul(j, j) == oracle.mat_scale(
-        ratlinalg.identity(6), -1
+        oracle.identity(6), -1
     )
-    assert ratlinalg.mat_mul(ratlinalg.transpose(j), j) == ratlinalg.identity(6)
+    assert ratlinalg.mat_mul(ratlinalg.transpose(j), j) == oracle.identity(6)
 
 
 def test_identity_suite_all_pass(rep):
@@ -162,7 +162,7 @@ def test_torsion_metric_trace_diagonal_value(rep):
     pm = oracle.matrix(p)
     x = oracle.matrix(Multivector.vector(1))
     anti = oracle.mat_add(ratlinalg.mat_mul(x, pm), ratlinalg.mat_mul(pm, x))
-    assert -ratlinalg.trace(ratlinalg.mat_mul(anti, anti)) / 32 == 2
+    assert -oracle.trace(ratlinalg.mat_mul(anti, anti)) / 32 == 2
 
 
 def test_vector_sandwich_on_basis(rep):
@@ -365,7 +365,7 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
     op, d, a_int = _spectrum_operator(rep, PSI_B)
     basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
     plus_one = ratlinalg.nullspace(
-        oracle.mat_sub(op, ratlinalg.identity(len(op)))
+        oracle.mat_sub(op, oracle.identity(len(op)))
     )
     subspace = list(basis[:7]) + [plus_one[0]]
     assert ratlinalg.rank(subspace) == 8
@@ -394,7 +394,7 @@ def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
     columns = list(clifford.q_contraction_spectrum(rep, PSI).minus_one_basis)
     values = [-1] + [1] * 7
     for lam in (1, 2):
-        shift = oracle.mat_scale(ratlinalg.identity(len(op)), lam)
+        shift = oracle.mat_scale(oracle.identity(len(op)), lam)
         kernel = ratlinalg.nullspace(oracle.mat_sub(op, shift))
         columns += kernel
         values += [lam] * len(kernel)

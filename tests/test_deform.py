@@ -6,7 +6,7 @@ import slow_oracle
 
 
 def spectrum_dict(name, gauge):
-    return deform.curvature_spectrum(cosets.coset(name), gauge).as_dict()
+    return dict(deform.curvature_spectrum(cosets.coset(name), gauge).entries)
 
 
 def test_memoised_results_equal_fresh_ones():

@@ -27,15 +27,15 @@ def test_a1_adjoint_character():
 
 def test_a2_adjoint_character():
     char = lie.weight_multiplicities(lie.A2, (1, 1))
-    assert char.total() == 8
-    assert char.mult((0, 0)) == 2
+    assert sum(char.weights.values()) == 8
+    assert char.weights[(0, 0)] == 2
     assert len(char.weights) == 7
 
 
 def test_g2_adjoint_against_oracle():
     char = lie.weight_multiplicities(lie.G2, (0, 1))
-    assert char.total() == 14
-    assert char.mult((0, 0)) == 2
+    assert sum(char.weights.values()) == 14
+    assert char.weights[(0, 0)] == 2
     assert dict(char.weights) == weyl_oracle.character("G2", (0, 1))
 
 
@@ -70,14 +70,14 @@ def test_dimension_equals_weyl_formula_on_random_weights():
     for rd in ALGEBRAS.values():
         for _ in range(50):
             hw = tuple(rng.randint(0, 4) for _ in range(rd.num_coords))
-            count = lie.weight_multiplicities(rd, hw).total()
-            assert count == lie.weyl_dimension(rd, hw)
+            count = sum(lie.weight_multiplicities(rd, hw).weights.values())
+            assert count == lie.dimension(rd, hw)
 
 
 def test_integer_weyl_dimension_matches_fraction_formula():
     for rd in list(ALGEBRAS.values()) + [lie.A1_CUBED, lie.A1_U1, lie.U1_U1]:
-        for hw in lie.dominant_weights_in_box(rd, 5 if rd.num_coords < 3 else 3):
-            assert lie.weyl_dimension(rd, hw) == slow_oracle.weyl_dimension(rd, hw)
+        for hw in slow_oracle.dominant_weights_in_box(rd, 5 if rd.num_coords < 3 else 3):
+            assert lie.dimension(rd, hw) == slow_oracle.weyl_dimension(rd, hw)
 
 
 def test_character_checked_against_weyl_formula(monkeypatch):
@@ -162,7 +162,7 @@ def test_repeated_characters_are_shared_and_read_only():
         first.weights[(2, 7)] = 5
     with pytest.raises(AttributeError):
         first.weights = {}
-    assert first.mult((2, 7)) == 1 and first.total() == 3
+    assert first.weights[(2, 7)] == 1 and sum(first.weights.values()) == 3
     # (True, 0) is the same cache key as (1, 0): the check comes first
     lie.weight_multiplicities(lie.A2, (1, 0))
     with pytest.raises(ValueError):
@@ -218,7 +218,7 @@ def test_freudenthal_base_case():
     for rd in ALGEBRAS.values():
         for _ in range(10):
             hw = tuple(rng.randint(0, 3) for _ in range(rd.num_coords))
-            assert lie.weight_multiplicities(rd, hw).mult(hw) == 1
+            assert lie.weight_multiplicities(rd, hw).weights[hw] == 1
 
 
 def test_weyl_invariance_of_characters():
@@ -229,7 +229,7 @@ def test_weyl_invariance_of_characters():
             char = lie.weight_multiplicities(rd, hw)
             for w, m in char.weights.items():
                 for k in rd.simple_coords:
-                    assert char.mult(_simple_reflection(rd, w, k)) == m
+                    assert char.weights.get(_simple_reflection(rd, w, k), 0) == m
 
 
 def _simple_reflection(rd, w, k):
@@ -250,17 +250,17 @@ def test_a2_conjugation_symmetry():
 
 
 def test_dominant_weights_in_box():
-    assert lie.dominant_weights_in_box(lie.A1, 2) == [(0,), (1,), (2,)]
-    assert lie.dominant_weights_in_box(lie.A2, 1) == [
+    assert slow_oracle.dominant_weights_in_box(lie.A1, 2) == [(0,), (1,), (2,)]
+    assert slow_oracle.dominant_weights_in_box(lie.A2, 1) == [
         (0, 0),
         (0, 1),
         (1, 0),
         (1, 1),
     ]
-    box = lie.dominant_weights_in_box(lie.U1_U1, 1)
+    box = slow_oracle.dominant_weights_in_box(lie.U1_U1, 1)
     assert len(box) == 9
     assert box == sorted(box)
-    mixed = lie.dominant_weights_in_box(lie.A1_U1, 1)
+    mixed = slow_oracle.dominant_weights_in_box(lie.A1_U1, 1)
     assert mixed == [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 

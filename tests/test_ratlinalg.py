@@ -14,7 +14,7 @@ import slow_oracle
 def test_inverse_round_trip():
     m = [[F(2), F(1)], [F(1), F(1)]]
     inv = ratlinalg.inverse(m)
-    assert ratlinalg.mat_mul(m, inv) == ratlinalg.identity(2)
+    assert ratlinalg.mat_mul(m, inv) == [[1, 0], [0, 1]]
     with pytest.raises(ZeroDivisionError):
         ratlinalg.inverse([[1, 2], [2, 4]])
 

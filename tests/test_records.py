@@ -20,7 +20,6 @@ def _records(rep):
         "SimpleType": (lie.SIMPLE_TYPES["G2"], "cartan"),
         "RootData": (lie.A2, "factors"),
         "RestrictionMap": (c.restriction, "matrix"),
-        "BilinearForm": (ctx.form, "gram"),
         "CasimirContext": (ctx, "denominator"),
         "CosetDescriptor": (c, "b_h_pair"),
         "CurvatureSpectrum": (deform.curvature_spectrum(c, cosets.GAUGE_H), "entries"),
