@@ -74,9 +74,9 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"
         )
 
-    # argparse exits with status 2 on usage errors; the contract here is 1.
+    # argparse prints its usage text and exits with status 2 on usage
+    # errors; here main reports the message alone, in one line, with 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise ValueError(message)
 
 

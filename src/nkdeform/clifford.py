@@ -18,10 +18,11 @@ two-forms all follow and are verified.  P, Q, omega and J are built once
 per public call, in integers: psi = psi~ / d for the integer spinor psi~,
 |psi~|^2 = d^2 is checked exactly, d^2 P, d^2 Q and d^2 J are integral,
 and ``Fraction`` values are built only for what is returned.  Of the eight
-identities of the suite, grade-brackets and vector-sandwich involve only
-the algebra and are proved once per process on basis blades; the other six
-run per spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J,
-each right-hand side carrying its power of d^2.  The contraction with Q is
+identities of the suite, five hold for the algebra or for every three-form
+P and four-form Q and are proved once per process on basis blades, a
+spinor adding only a scan of the grades of P and Q; the other three run per
+spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J, each
+right-hand side carrying its power of d^2.  The contraction with Q is
 read off d^2 Q by signed lookups as an integer matrix over its common
 denominator; its eigenvalues come from minimal polynomials of basis vectors
 (``ratlinalg.eigenspace_dimensions``), and the checks of its spectrum run
@@ -53,6 +54,9 @@ VOL_MASK = N_BLADES - 1
 
 def _popcount(mask):
     return bin(mask).count("1")
+
+
+_GRADES = tuple(_popcount(mask) for mask in range(N_BLADES))
 
 
 def _contraction_sign(bit, mask):
@@ -326,7 +330,7 @@ def build_rep():
                 )
     for mask, blade in enumerate(blades):
         symmetric = _transpose(blade) == blade
-        if symmetric != (_popcount(mask) in _GRADE_SYMMETRIC):
+        if symmetric != (_GRADES[mask] in _GRADE_SYMMETRIC):
             raise ConsistencyError(
                 "blade %#x has wrong transpose symmetry" % mask
             )
@@ -359,13 +363,12 @@ def _integer_forms(rep, psi):
         sum(sign * x * spinor[row] for (row, sign), x in zip(blade, spinor))
         for blade in rep.blades
     ]
-    grades = [_popcount(mask) for mask in range(N_BLADES)]
-    if any(c for c, k in zip(coeffs, grades) if k not in _GRADE_SYMMETRIC):
+    if any(c for c, k in zip(coeffs, _GRADES) if k not in _GRADE_SYMMETRIC):
         raise ConventionError(
             "8 psi psi^T has components outside grades {0, 3, 4}"
         )
-    p = Multivector(tuple(c if k == 3 else 0 for c, k in zip(coeffs, grades)))
-    q = Multivector(tuple(-c if k == 4 else 0 for c, k in zip(coeffs, grades)))
+    p = Multivector(tuple(c if k == 3 else 0 for c, k in zip(coeffs, _GRADES)))
+    q = Multivector(tuple(-c if k == 4 else 0 for c, k in zip(coeffs, _GRADES)))
     return spinor, d2, p, q
 
 
@@ -485,23 +488,44 @@ class CheckResult(collections.namedtuple(
 
 @functools.cache
 def _algebra_identities():
-    """Verdicts (grade-brackets, vector-sandwich), proved on basis blades.
+    """Verdicts (grade-brackets, vector-sandwich, degree-identities,
+    three-form-square, contraction-norm), proved on basis blades.
 
-    Both identities involve only the algebra, and both sides are bilinear
-    in (alpha, beta), respectively linear in eps.  So checking alpha = e_i
-    against every blade beta of grade 1-3, and eps = e_i, is a proof.  On
-    blades e_i e_B = s(i, B) e_{i xor B}; e_i ^ e_B is that product when i
-    is not in B and 0 otherwise; e_i -| e_B is the contraction sign times
-    e_{i xor B} when i is in B and 0 otherwise.
+    Grade-brackets and vector-sandwich involve only the algebra, and both
+    sides are bilinear in (alpha, beta), respectively linear in eps.  So
+    checking alpha = e_i against every blade beta of grade 1-3, and
+    eps = e_i, is a proof.  On blades e_i e_B = s(i, B) e_{i xor B};
+    e_i ^ e_B is that product when i is not in B and 0 otherwise;
+    e_i -| e_B is the contraction sign times e_{i xor B} when i is in B and
+    0 otherwise.
+
+    The other three hold for every three-form P and four-form Q.  The
+    degree identities are linear: sum_a e_a ^ (e_a -| e_K) = k e_K is
+    checked on the four-blades and, as * maps three-blades to three-blades
+    up to sign, on the three-blades for *P (e_a ^ e_a ^ P and
+    e_a ^ e_a ^ *Q vanish).  Three-form-square and contraction-norm are
+    quadratic in P, so they are checked in polarised form on the unordered
+    pairs (x, y) of three-blades, where every term lies on e_{x xor y}.
     """
     signs = _product_signs()
+
+    def bits(mask):
+        return [1 << i for i in range(DIM) if mask >> i & 1]
+
+    def inner(x, y):
+        # <e_x, e_y> is the scalar part of e_x^T e_y: the blades are
+        # orthonormal, and e_x^T = +-e_x by grade (build_rep checks it)
+        if x != y:
+            return 0
+        return (1 if _GRADES[x] in _GRADE_SYMMETRIC else -1) * signs[x][x]
+
     brackets = True
     for bit in (1 << i for i in range(DIM)):
-        for mask in (m for m in range(1, N_BLADES) if _popcount(m) <= 3):
+        for mask in (m for m in range(1, N_BLADES) if _GRADES[m] <= 3):
             ab, ba = signs[bit][mask], signs[mask][bit]
             wedge, contr = (0, _contraction_sign(bit, mask)) if mask & bit else (ab, 0)
             # odd grade: [a, b] = 2 a ^ b, {a, b} = -2 a -| b; even: swapped
-            comm, anti = (wedge, -contr) if _popcount(mask) % 2 else (-contr, wedge)
+            comm, anti = (wedge, -contr) if _GRADES[mask] % 2 else (-contr, wedge)
             brackets &= ab - ba == 2 * comm and ab + ba == 2 * anti
     # e_a e_i e_a = s(a, i) s(a xor i, a) e_i
     sandwich = all(
@@ -509,21 +533,45 @@ def _algebra_identities():
             for a in range(DIM)) == 4
         for i in range(DIM)
     )
-    return brackets, sandwich
+    # e_a ^ (e_a -| e_K) = c(a, K) s(a, K xor a) e_K for a in K
+    degree = all(
+        sum(_contraction_sign(bit, k) * signs[bit][k ^ bit] for bit in bits(k))
+        == _GRADES[k]
+        for k in range(N_BLADES) if _GRADES[k] in (3, 4)
+    )
+    # e_x e_y + e_y e_x - 2 <x, y> + sum_a ((e_a -| e_x) ^ (e_a -| e_y) + the
+    # same with x, y swapped) = 0 and sum_a <e_a -| e_x, e_a -| e_y> = 3 <x, y>
+    threes = [m for m in range(N_BLADES) if _GRADES[m] == 3]
+    square = norm = True
+    for i, x in enumerate(threes):
+        for y in threes[i:]:
+            lhs = signs[x][y] + signs[y][x] - 2 * inner(x, y)
+            contracted = 0
+            for bit in bits(x & y):
+                sign = _contraction_sign(bit, x) * _contraction_sign(bit, y)
+                u, v = x ^ bit, y ^ bit
+                if not u & v:
+                    lhs += sign * (signs[u][v] + signs[v][u])
+                contracted += sign * inner(u, v)
+            square &= lhs == 0
+            norm &= contracted == 3 * inner(x, y)
+    return brackets, sandwich, degree, square, norm
 
 
 def verify_identity_suite(rep, psi, raise_on_failure=True):
     """Run the eight named pointwise identities; each must hold exactly.
 
-    Grade-brackets and vector-sandwich involve only the algebra: they are
-    proved once per process on basis blades (:func:`_algebra_identities`).
-    The other six run per spinor, with the geometric product that the
-    representation matches blade for blade (:func:`build_rep`), on the
-    integer p = d^2 P, q = d^2 Q and d^2 J of psi~ = d psi.  Three are
-    homogeneous: degree-identities, three-form-square and contraction-norm,
-    which hold for every three-form P and four-form Q, so they check the
-    extraction of P and Q as forms of those grades, not the spinor.
-    Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
+    Five are proved once per process on basis blades
+    (:func:`_algebra_identities`): grade-brackets and vector-sandwich
+    involve only the algebra, and degree-identities, three-form-square and
+    contraction-norm hold for every three-form P and four-form Q.  So each
+    of the last three passes for a spinor when its proof holds and
+    p = d^2 P has only grade-3 coefficients (for degree-identities also
+    q = d^2 Q only grade-4 ones): it checks the extraction of P and Q as
+    forms of those grades, not the spinor.  The other three run per spinor,
+    with the geometric product that the representation matches blade for
+    blade (:func:`build_rep`), on the integer p, q and d^2 J of
+    psi~ = d psi.  Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
     torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, and
     holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
@@ -534,18 +582,12 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     star_p = p.star()
     star_q = q.star()
     j = _complex_structure(rep, spinor, d2, q)
-    brackets, sandwich = _algebra_identities()
+    brackets, sandwich, degree, square, norm = _algebra_identities()
+    p_three_form = not any(c for c, k in zip(p.coeffs, _GRADES) if k != 3)
+    q_four_form = not any(c for c, k in zip(q.coeffs, _GRADES) if k != 4)
     vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
     p_contr = [p.contract_vector(a) for a in range(1, DIM + 1)]
     star_p_contr = [star_p.contract_vector(a) for a in range(1, DIM + 1)]
-
-    def check_degree_identities():
-        lhs1 = Multivector.zero()
-        lhs2 = Multivector.zero()
-        for a, e in enumerate(vectors):
-            lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a + 1))
-            lhs2 = lhs2 + e.wedge(-star_p_contr[a] - e.wedge(star_q))
-        return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
 
     def check_kahler_square():
         rhs = Multivector.scalar(-3 * d2 * d2) + q.scale(2 * d2)
@@ -574,17 +616,6 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
                     return False
         return True
 
-    def check_three_form_square():
-        correction = Multivector.zero()
-        for pa in p_contr:
-            correction = correction + pa.wedge(pa)
-        rhs = Multivector.scalar(p.norm_sq()) - correction
-        return p * p == rhs
-
-    def check_contraction_norm():
-        total = sum(pa.norm_sq() for pa in p_contr)
-        return total == 3 * p.norm_sq()
-
     checks = [
         (
             "grade-brackets",
@@ -596,7 +627,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
             "degree-identities",
             "sum_a e^a ^ (e^a ^ P + e^a -| Q) = 4Q and "
             "sum_a e^a ^ (-e^a -| *P - e^a ^ *Q) = -3*P",
-            check_degree_identities,
+            lambda: degree and p_three_form and q_four_form,
         ),
         (
             "kahler-square",
@@ -621,12 +652,12 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         (
             "three-form-square",
             "P . P = |P|^2 - sum_a (e^a -| P) ^ (e^a -| P)",
-            check_three_form_square,
+            lambda: square and p_three_form,
         ),
         (
             "contraction-norm",
             "sum_a |e^a -| P|^2 = 3 |P|^2",
-            check_contraction_norm,
+            lambda: norm and p_three_form,
         ),
     ]
     report = [
@@ -661,10 +692,10 @@ def _skew_matrix(coords):
 
 class TwoFormSpectrum(collections.namedtuple(
         "TwoFormSpectrum",
-        "entries omega_eigenvalue projector minus_one_basis")):
+        "entries omega_eigenvalue minus_one_basis")):
     """Exact spectrum of beta -> beta -| Q on the 15-dimensional space of
-    two-forms, plus the projector onto the (-1)-eigenspace (the su(3) fibre
-    of the instanton condition) and the eigenvalue carried by omega."""
+    two-forms, the eigenvalue carried by omega, and a basis of the
+    (-1)-eigenspace (the su(3) fibre of the instanton condition)."""
 
     __slots__ = ()
 
@@ -724,23 +755,21 @@ def q_contraction_spectrum(rep, psi):
     (:func:`ratlinalg.eigenspace_dimensions`; anything else raises
     ``SpectrumError``), the (-1)-eigenspace must be eight-dimensional and
     closed under the commutator bracket of the corresponding skew
-    endomorphisms, and every (-1)-eigenvector is checked to be
-    omega-orthogonal and invariant under the complex structure.
+    endomorphisms, and every vector of its basis is checked to be a
+    (-1)-eigenvector, omega-orthogonal and invariant under the complex
+    structure.
 
     The checks run on integers: A = d op for the common denominator d of
     op (:func:`_q_operator`), whose rational eigenvalues d lam are
     integers; primitive integer eigenvectors v; e J for e = d^2 of the
     integer spinor psi~ = d psi.  Every check is homogeneous, so no verdict
-    changes: P_int v = den v for the projector P_int / den, P_int =
-    prod (A - d lam) and den = prod d (-1 - lam) over lam != -1;
-    (e J)^T S (e J) = e^2 S for the skew matrix S of v; and A c = -d c for
-    a bracket c (:func:`_check_bracket_closure`).
+    changes: A v = -d v; (e J)^T S (e J) = e^2 S for the skew matrix S of
+    v; and A c = -d c for a bracket c (:func:`_check_bracket_closure`).
     """
     spinor, e, _, q_int = _integer_forms(rep, psi)
     d, a_int = _q_operator(q_int, e)
     n = len(a_int)
     dims = ratlinalg.eigenspace_dimensions(a_int, d)
-    entries = sorted(dims.items())
     if dims.get(-1, 0) != 8:
         raise SpectrumError(
             "(-1)-eigenspace has dimension %d, not 8" % dims.get(-1, 0)
@@ -749,14 +778,6 @@ def q_contraction_spectrum(rep, psi):
     # A + d has the reduced row echelon form of op + 1, so the same basis.
     basis = ratlinalg.nullspace(ratlinalg.minus_scalar(a_int, -d))
     vectors = [ratlinalg.primitive(v) for v in basis]
-
-    p_int = [[int(i == k) for k in range(n)] for i in range(n)]
-    den = 1
-    for lam, _ in entries:
-        if lam != -1:
-            mu = (d * lam).numerator
-            p_int = ratlinalg.mat_mul(p_int, ratlinalg.minus_scalar(a_int, mu))
-            den *= -d - mu
 
     omega = ratlinalg.primitive(_two_form_coords(q_int.star()))
     image = ratlinalg.mat_vec(a_int, omega)
@@ -769,8 +790,8 @@ def q_contraction_spectrum(rep, psi):
     jt = ratlinalg.transpose(j)
     skews = [_skew_matrix(v) for v in vectors]
     for v, skew in zip(vectors, skews):
-        if ratlinalg.mat_vec(p_int, v) != [den * x for x in v]:
-            raise SpectrumError("projector does not fix the (-1)-eigenspace")
+        if ratlinalg.mat_vec(a_int, v) != [-d * x for x in v]:
+            raise SpectrumError("(-1)-basis vector is not a (-1)-eigenvector")
         if ratlinalg.dot(v, omega) != 0:
             raise SpectrumError("(-1)-eigenvector is not omega-orthogonal")
         conjugated = ratlinalg.mat_mul(jt, ratlinalg.mat_mul(skew, j))
@@ -778,8 +799,7 @@ def q_contraction_spectrum(rep, psi):
             raise SpectrumError("(-1)-eigenvector has a (2,0)+(0,2) part")
     _check_bracket_closure(a_int, d, skews)
     return TwoFormSpectrum(
-        entries=tuple(entries),
+        entries=tuple(sorted(dims.items())),
         omega_eigenvalue=omega_eig,
-        projector=tuple(tuple(_F(x, den) for x in row) for row in p_int),
         minus_one_basis=tuple(tuple(v) for v in basis),
     )

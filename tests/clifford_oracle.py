@@ -11,8 +11,9 @@ only the octonion table, the exterior-algebra operations of
 linear algebra of ``ratlinalg``; it never uses the geometric product or the
 signed-permutation blades, except in :func:`dense_blades`, which checks the
 latter against the dense ones, and in :func:`sampled_brackets` and
-:func:`sampled_sandwich`, the sampled route of the two identities the
-package proves on basis blades.  :func:`merge_sign` is the closed formula
+:func:`sampled_sandwich`, the sampled route of the two algebra identities
+the package proves on basis blades; :func:`sampled_form_identities` checks
+the three it proves for all forms on seeded random forms.  :func:`merge_sign` is the closed formula
 that the package's table of blade-product signs is checked against, and
 :func:`contract` the contraction by a form that the package's operator of
 contraction with Q is checked against.
@@ -219,6 +220,44 @@ def sampled_sandwich(rng):
     return True
 
 
+def degree_identities(p, q):
+    """Degree-identities for a three-form p and four-form q, by wedge and
+    contraction."""
+    star_p, star_q = p.star(), q.star()
+    lhs1 = lhs2 = Multivector.zero()
+    for a in range(1, DIM + 1):
+        e = Multivector.vector(a)
+        lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a))
+        lhs2 = lhs2 + e.wedge(-star_p.contract_vector(a) - e.wedge(star_q))
+    return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
+
+
+def three_form_square(p):
+    """Three-form-square for p, with P . P as a product of dense matrices."""
+    correction = Multivector.zero()
+    for a in range(1, DIM + 1):
+        pa = p.contract_vector(a)
+        correction = correction + pa.wedge(pa)
+    rhs = Multivector.scalar(p.norm_sq()) - correction
+    return ratlinalg.mat_mul(matrix(p), matrix(p)) == matrix(rhs)
+
+
+def contraction_norm(p):
+    total = sum(p.contract_vector(a).norm_sq() for a in range(1, DIM + 1))
+    return total == 3 * p.norm_sq()
+
+
+def sampled_form_identities(rng):
+    """(degree-identities, three-form-square, contraction-norm) on three
+    seeded random rational three-forms P and four-forms Q."""
+    forms = [(random_form(rng, 3), random_form(rng, 4)) for _ in range(3)]
+    return (
+        all(degree_identities(p, q) for p, q in forms),
+        all(three_form_square(p) for p, _ in forms),
+        all(contraction_norm(p) for p, _ in forms),
+    )
+
+
 def grade_part(mv, k):
     return Multivector(
         tuple(
@@ -314,13 +353,6 @@ def identity_suite(psi):
                     return False
         return True
 
-    def degree_identities():
-        lhs1 = lhs2 = Multivector.zero()
-        for a, e in enumerate(vectors, start=1):
-            lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a))
-            lhs2 = lhs2 + e.wedge(-star_p.contract_vector(a) - e.wedge(star_q))
-        return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
-
     def kahler_square():
         lhs = ratlinalg.mat_mul(matrix(star_q), matrix(star_q))
         return lhs == matrix(Multivector.scalar(-3) + q.scale(2))
@@ -359,27 +391,15 @@ def identity_suite(psi):
                 return False
         return True
 
-    def three_form_square():
-        correction = Multivector.zero()
-        for a in range(1, DIM + 1):
-            pa = p.contract_vector(a)
-            correction = correction + pa.wedge(pa)
-        rhs = Multivector.scalar(p.norm_sq()) - correction
-        return ratlinalg.mat_mul(matrix(p), matrix(p)) == matrix(rhs)
-
-    def contraction_norm():
-        total = sum(p.contract_vector(a).norm_sq() for a in range(1, DIM + 1))
-        return total == 3 * p.norm_sq()
-
     checks = [
         ("grade-brackets", grade_brackets),
-        ("degree-identities", degree_identities),
+        ("degree-identities", lambda: degree_identities(p, q)),
         ("kahler-square", kahler_square),
         ("holomorphic-contraction", holomorphic_contraction),
         ("torsion-metric-trace", torsion_metric_trace),
         ("vector-sandwich", vector_sandwich),
-        ("three-form-square", three_form_square),
-        ("contraction-norm", contraction_norm),
+        ("three-form-square", lambda: three_form_square(p)),
+        ("contraction-norm", lambda: contraction_norm(p)),
     ]
     return [(name, bool(fn())) for name, fn in checks]
 
@@ -441,11 +461,12 @@ def q_operator(psi):
 
 
 def q_spectrum(psi, eigenvalues=None):
-    """Eigenvalues with eigenspace dimensions, the omega eigenvalue, the
-    projector onto the (-1)-eigenspace and that eigenspace's basis, for
-    beta -> beta -| Q on two-forms with Q from :func:`extract_PQ`.  The
-    projector is prod (op - lam) / (-1 - lam) over lam != -1 and the basis
-    the kernel of op + 1, both on the dense ``Fraction`` matrix op.
+    """Eigenvalues with eigenspace dimensions, the omega eigenvalue, a basis
+    of the (-1)-eigenspace (the fields of ``clifford.TwoFormSpectrum``) and
+    the projector onto that eigenspace, for beta -> beta -| Q on two-forms
+    with Q from :func:`extract_PQ`.  The basis is the kernel of op + 1 and
+    the projector prod (op - lam) / (-1 - lam) over lam != -1, both on the
+    dense ``Fraction`` matrix op.
 
     The eigenvalues are the rational roots of the Fraction characteristic
     polynomial.  Given candidate ``eigenvalues`` instead, the charpoly is
@@ -476,6 +497,6 @@ def q_spectrum(psi, eigenvalues=None):
     return (
         tuple(entries),
         omega_eig,
-        tuple(tuple(row) for row in projector),
         tuple(tuple(v) for v in basis),
+        tuple(tuple(row) for row in projector),
     )

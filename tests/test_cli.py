@@ -54,11 +54,13 @@ def test_casimir_usage_errors():
     assert code == 1
 
 
-def test_missing_argument_exits_one():
-    code, _ = run(["casimir", "--pair", "g2"])
-    assert code == 1
-    code, _ = run(["tables", "prop-9.9"])
-    assert code == 1
+def test_missing_argument_exits_one(capsys):
+    # a malformed command line gets one error line, without the usage text
+    for argv in (["casimir", "--pair", "g2"], ["tables", "prop-9.9"], []):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_branch_text():

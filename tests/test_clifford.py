@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -202,9 +203,19 @@ def test_su3_eigenspace_dimension_by_independent_elimination(rep):
     assert 15 - pivots == 8
 
 
+def _projector(spectrum):
+    """The projector onto the (-1)-eigenspace, built from its basis B as
+    the orthogonal projector B (B^T B)^-1 B^T: contraction with a four-form
+    is symmetric on two-forms, so its eigenspaces are orthogonal."""
+    b = ratlinalg.transpose(spectrum.minus_one_basis)
+    gram_inverse = ratlinalg.inverse(ratlinalg.mat_mul(ratlinalg.transpose(b), b))
+    return ratlinalg.mat_mul(ratlinalg.mat_mul(b, gram_inverse), ratlinalg.transpose(b))
+
+
 def test_q_contraction_projector(rep):
     spectrum = clifford.q_contraction_spectrum(rep, PSI)
-    proj = [list(r) for r in spectrum.projector]
+    proj = _projector(spectrum)
+    assert tuple(map(tuple, proj)) == oracle.q_spectrum(PSI)[3]
     assert ratlinalg.mat_mul(proj, proj) == proj
     assert ratlinalg.rank(proj) == 8
     op = clifford.q_contraction_operator(rep, PSI)
@@ -324,11 +335,13 @@ def _seeded_spinor(pattern, seed):
 
 
 def _spectrum_fields(spectrum):
+    """The spectrum's fields with the projector built from its basis, in
+    the order of ``oracle.q_spectrum``."""
     return (
         spectrum.entries,
         spectrum.omega_eigenvalue,
-        spectrum.projector,
         spectrum.minus_one_basis,
+        tuple(map(tuple, _projector(spectrum))),
     )
 
 
@@ -471,7 +484,7 @@ def test_integer_route_matches_the_oracle(rep, index):
     assert _spectrum_fields(spectrum) == oracle.q_spectrum(psi, eigenvalues)
     assert _all_fractions(eigenvalues + [spectrum.omega_eigenvalue])
     assert all(type(dim) is int for _, dim in spectrum.entries)
-    for mat in (spectrum.projector, spectrum.minus_one_basis):
+    for mat in _spectrum_fields(spectrum)[2:]:
         assert _all_fractions(x for row in mat for x in row)
 
     report = clifford.verify_identity_suite(rep, psi)
@@ -500,8 +513,10 @@ def test_eigenspace_dimensions_match_the_charpoly_route(rep, index):
         # Degree-identities, three-form-square and contraction-norm hold for
         # every three-form P and four-form Q, so only a coefficient off those
         # grades breaks them; a changed four-form coefficient of Q changes
-        # omega = *Q too, which the complex structure refuses first.
+        # omega = *Q too, which the complex structure refuses first, but a
+        # three-form coefficient of Q leaves omega alone.
         ("degree-identities", "p", 0b000011),
+        ("degree-identities", "q", 0b000111),
         ("kahler-square", "q", 0b000011),
         ("holomorphic-contraction", "p", 0b000111),
         ("torsion-metric-trace", "p", 0b000111),
@@ -535,7 +550,8 @@ def test_product_sign_table_matches_the_closed_formula():
 def test_basis_proof_agrees_with_the_sampled_route():
     rng = random.Random(1729)
     sampled = (oracle.sampled_brackets(rng), oracle.sampled_sandwich(rng))
-    assert clifford._algebra_identities() == sampled == (True, True)
+    sampled += oracle.sampled_form_identities(rng)
+    assert clifford._algebra_identities() == sampled == (True,) * 5
 
 
 def test_basis_proof_is_lazy_and_runs_once_per_process(rep):
@@ -559,12 +575,21 @@ def test_basis_proof_is_lazy_and_runs_once_per_process(rep):
 
 @pytest.fixture
 def flipped_sign(monkeypatch):
-    """Flip s(a, b) of e_a e_b = s(a, b) e_{a xor b} in the product table;
+    """Flip s(a, b) of e_a e_b = s(a, b) e_{a xor b} in the product table,
+    or with ``contraction`` the sign of e_a -| e_b for a = 1 << i in b;
     both caches are cleared before and after."""
     clifford._product_signs.cache_clear()
     clifford._algebra_identities.cache_clear()
 
-    def flip(a, b):
+    def flip(a, b, contraction=False):
+        if contraction:
+            true_sign = clifford._contraction_sign
+            monkeypatch.setattr(
+                clifford, "_contraction_sign",
+                lambda bit, mask: (-1 if (bit, mask) == (a, b) else 1)
+                * true_sign(bit, mask),
+            )
+            return
         table = [list(row) for row in clifford._product_signs()]
         table[a][b] = -table[a][b]
         flipped = tuple(tuple(row) for row in table)
@@ -579,7 +604,7 @@ def flipped_sign(monkeypatch):
 @pytest.mark.parametrize(
     "a,b,sandwich",
     [
-        (0b000001, 0b000110, True),  # e_1 e_23: only grade-brackets reads it
+        (0b000001, 0b000110, True),  # e_1 e_23: vector-sandwich does not read it
         (0b000011, 0b000001, False),  # e_12 e_1: read by both
     ],
 )
@@ -592,6 +617,39 @@ def test_a_flipped_product_sign_fails_the_basis_proof(rep, flipped_sign, a, b, s
     rng = random.Random(1729)
     assert (oracle.sampled_brackets(rng), oracle.sampled_sandwich(rng)) == (
         False, sandwich)
+
+
+@pytest.mark.parametrize(
+    "name,a,b,contraction",
+    [
+        # e_1 -| e_1234: the degree proof on four-blades
+        ("degree-identities", 0b000001, 0b001111, True),
+        # e_123 e_124 = s e_34: e_123 and e_124 must anticommute
+        ("three-form-square", 0b000111, 0b001011, False),
+        # e_123 e_123 = 1 in <e_123, e_123>; it cancels in three-form-square
+        ("contraction-norm", 0b000111, 0b000111, False),
+    ],
+)
+def test_a_flipped_sign_fails_the_form_identity_that_reads_it(
+    rep, flipped_sign, name, a, b, contraction
+):
+    flipped_sign(a, b, contraction)
+    report = clifford.verify_identity_suite(rep, PSI, raise_on_failure=False)
+    assert [r.name for r in report if not r.passed] == [name]
+
+
+def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
+    # A kernel vector of op + 1 with one coordinate changed; only clifford
+    # sees the changed kernel, so ratlinalg's eigenspace ranks are unaffected.
+    def corrupted(mat):
+        first, *rest = ratlinalg.nullspace(mat)
+        return [[first[0] + 1] + list(first[1:])] + rest
+
+    seen = types.SimpleNamespace(**vars(ratlinalg))
+    seen.nullspace = corrupted
+    monkeypatch.setattr(clifford, "ratlinalg", seen)
+    with pytest.raises(SpectrumError, match=r"not a \(-1\)-eigenvector"):
+        clifford.q_contraction_spectrum(rep, PSI)
 
 
 @pytest.mark.parametrize(

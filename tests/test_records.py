@@ -28,7 +28,7 @@ def _records(rep):
         "CliffordRep": (rep, "blades"),
         "SpinorBlockSpectra": (clifford.spinor_decomposition_spectra(rep, PSI), "q_values"),
         "CheckResult": (clifford.verify_identity_suite(rep, PSI)[0], "passed"),
-        "TwoFormSpectrum": (clifford.q_contraction_spectrum(rep, PSI), "projector"),
+        "TwoFormSpectrum": (clifford.q_contraction_spectrum(rep, PSI), "minus_one_basis"),
         "RepDecomposition": (c.mstar, "entries"),
     }
 
