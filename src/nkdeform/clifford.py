@@ -24,11 +24,13 @@ spinor adding only a scan of the grades of P and Q; the other three run per
 spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J, each
 right-hand side carrying its power of d^2.  The contraction with Q is
 read off d^2 Q by signed lookups as an integer matrix over its common
-denominator; its eigenvalues come from minimal polynomials of basis vectors
-(``ratlinalg.eigenspace_dimensions``), and the checks of its spectrum run
-on integers too: primitive integer eigenvectors and d^2 J, every check
-being homogeneous in the scale; bracket closure is checked on unordered
-pairs.  The dense-matrix route, the sampled route and the characteristic
+denominator.  Its spectrum is read off the J-type split of two-forms
+R omega + Lambda^2_6 + Lambda^2_8, whose blocks are integer kernels of
+the action of d^2 J on two-forms: the operator must be one scalar on each
+block, read on primitive integer vectors, and these scalars are then its
+whole spectrum, with Lambda^2_8 as the (-1)-eigenspace; bracket closure
+is checked on unordered pairs.  Every check is homogeneous in the scale.
+The dense-matrix route, the sampled route and the characteristic
 polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 """
 
@@ -109,10 +111,6 @@ class Multivector:
         return "Multivector(coeffs=%r)" % (self.coeffs,)
 
     @staticmethod
-    def zero():
-        return Multivector((0,) * N_BLADES)
-
-    @staticmethod
     def scalar(value):
         return Multivector.blade(0, value)
 
@@ -141,14 +139,10 @@ class Multivector:
         return Multivector(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        """Geometric (Clifford) product."""
+        """Geometric (Clifford) product: the sum of a_A b_B s(A, B)
+        e_{A xor B} over the nonzero coefficients."""
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self._blade_products(other, wedge=False)
-
-    def _blade_products(self, other, wedge):
-        """Sum of a_A b_B e_A e_B over nonzero coefficients; with ``wedge``
-        only over disjoint A, B, where e_A e_B = e_A ^ e_B."""
         signs = _product_signs()
         right = [(m, b) for m, b in enumerate(other.coeffs) if b]
         out = [0] * N_BLADES
@@ -157,8 +151,6 @@ class Multivector:
                 continue
             row = signs[m1]
             for m2, b in right:
-                if wedge and m1 & m2:
-                    continue
                 out[m1 ^ m2] += row[m2] * (a * b)
         return Multivector(tuple(out))
 
@@ -173,12 +165,6 @@ class Multivector:
 
     def scale(self, k):
         return Multivector(tuple(k * a if a else a for a in self.coeffs))
-
-    def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
-
-    def wedge(self, other):
-        return self._blade_products(other, wedge=True)
 
     def contract_vector(self, index):
         """Interior product e_index -| self (1-based index, orthonormal)."""
@@ -747,59 +733,75 @@ def _check_bracket_closure(a_int, d, skews):
                 raise SpectrumError("(-1)-eigenspace is not bracket-closed")
 
 
+def _block_value(a_int, d, block, name):
+    """The one eigenvalue of op = a_int / d on the nonzero integer vectors
+    of ``block``, read off the first by integer cross-multiplication as in
+    :func:`_eigenvalue_on`; raises ``SpectrumError`` unless every vector
+    is an eigenvector with that value."""
+    v = block[0]
+    pivot = next(i for i, x in enumerate(v) if x)
+    num, den = ratlinalg.mat_vec(a_int, v)[pivot], v[pivot]
+    for v in block:
+        if [den * x for x in ratlinalg.mat_vec(a_int, v)] != [num * x for x in v]:
+            raise SpectrumError("contraction by Q is not scalar on %s" % name)
+    return _F(num, d * den)
+
+
 def q_contraction_spectrum(rep, psi):
     """Classify contraction with Q on two-forms, exactly.
 
-    The operator must be diagonalizable with rational eigenvalues, found
-    from minimal polynomials of basis vectors with exact eigenspace ranks
-    (:func:`ratlinalg.eigenspace_dimensions`; anything else raises
-    ``SpectrumError``), the (-1)-eigenspace must be eight-dimensional and
-    closed under the commutator bracket of the corresponding skew
-    endomorphisms, and every vector of its basis is checked to be a
-    (-1)-eigenvector, omega-orthogonal and invariant under the complex
-    structure.
+    J acts on two-forms by S -> J^T S J on their skew matrices S, with
+    eigenvalue +1 on the J-invariant forms and -1 on the rest.  That
+    splits the two-forms into the J-type blocks R omega + Lambda^2_6 +
+    Lambda^2_8: Lambda^2_6 is the (-1)-eigenspace and Lambda^2_8 the
+    J-invariant forms orthogonal to omega, the su(3) fibre of the
+    instanton condition.  The blocks lie in different eigenspaces of that
+    action, or in the orthogonal complement of omega, so their sum is
+    direct; with dimensions 1, 6 and 8 it is all 15 dimensions, and an
+    operator that is one scalar on each block is diagonalizable with those
+    scalars as its whole spectrum.  Anything else raises
+    ``SpectrumError``, as does a (-1)-eigenspace that is not
+    eight-dimensional (so not Lambda^2_8) or not closed under the
+    commutator bracket of the corresponding skew endomorphisms.
 
     The checks run on integers: A = d op for the common denominator d of
-    op (:func:`_q_operator`), whose rational eigenvalues d lam are
-    integers; primitive integer eigenvectors v; e J for e = d^2 of the
-    integer spinor psi~ = d psi.  Every check is homogeneous, so no verdict
-    changes: A v = -d v; (e J)^T S (e J) = e^2 S for the skew matrix S of
-    v; and A c = -d c for a bracket c (:func:`_check_bracket_closure`).
+    op (:func:`_q_operator`); K = e^2 (S -> J^T S J), read off e J for
+    e = d^2 of the integer spinor psi~ = d psi, whose kernels shifted by
+    e^2 are the blocks; primitive integer block vectors, on which each
+    scalar is read by cross-multiplication (:func:`_block_value`); and
+    A c = -d c for a bracket c (:func:`_check_bracket_closure`).
     """
     spinor, e, _, q_int = _integer_forms(rep, psi)
     d, a_int = _q_operator(q_int, e)
-    n = len(a_int)
-    dims = ratlinalg.eigenspace_dimensions(a_int, d)
-    if dims.get(-1, 0) != 8:
-        raise SpectrumError(
-            "(-1)-eigenspace has dimension %d, not 8" % dims.get(-1, 0)
-        )
-
-    # A + d has the reduced row echelon form of op + 1, so the same basis.
-    basis = ratlinalg.nullspace(ratlinalg.minus_scalar(a_int, -d))
-    vectors = [ratlinalg.primitive(v) for v in basis]
-
-    omega = ratlinalg.primitive(_two_form_coords(q_int.star()))
-    image = ratlinalg.mat_vec(a_int, omega)
-    pivot = next(i for i in range(n) if omega[i] != 0)
-    if any(x * omega[pivot] != image[pivot] * c for x, c in zip(image, omega)):
-        raise SpectrumError("omega is not an eigenvector of contraction by Q")
-    omega_eig = _F(image[pivot], d * omega[pivot])
-
     j = _complex_structure(rep, spinor, e, q_int)
-    jt = ratlinalg.transpose(j)
-    skews = [_skew_matrix(v) for v in vectors]
-    for v, skew in zip(vectors, skews):
-        if ratlinalg.mat_vec(a_int, v) != [-d * x for x in v]:
-            raise SpectrumError("(-1)-basis vector is not a (-1)-eigenvector")
-        if ratlinalg.dot(v, omega) != 0:
-            raise SpectrumError("(-1)-eigenvector is not omega-orthogonal")
-        conjugated = ratlinalg.mat_mul(jt, ratlinalg.mat_mul(skew, j))
-        if conjugated != [[e * e * x for x in row] for row in skew]:
-            raise SpectrumError("(-1)-eigenvector has a (2,0)+(0,2) part")
-    _check_bracket_closure(a_int, d, skews)
+    e2 = e * e
+    # (J^T S J)_ab = sum over c < f of S_cf (J_ca J_fb - J_fa J_cb)
+    k = [[j[c][a] * j[f][b] - j[f][a] * j[c][b] for c, f in _PAIRS_2FORM]
+         for a, b in _PAIRS_2FORM]
+    omega = ratlinalg.primitive(_two_form_coords(q_int.star()))
+    if ratlinalg.mat_vec(k, omega) != [e2 * x for x in omega]:
+        raise SpectrumError("omega is not J-invariant")
+
+    def shifted(s):
+        return [[x - s if r == c else x for c, x in enumerate(row)]
+                for r, row in enumerate(k)]
+
+    su3 = ratlinalg.nullspace(shifted(e2) + [omega])
+    blocks = [[omega], ratlinalg.nullspace(shifted(-e2)), su3]
+    if [len(b) for b in blocks] != [1, 6, 8]:
+        raise SpectrumError("J-type blocks have dimensions %s, not [1, 6, 8]"
+                            % [len(b) for b in blocks])
+    ints = [[ratlinalg.primitive(v) for v in b] for b in blocks]
+    values = [_block_value(a_int, d, b, name)
+              for b, name in zip(ints, ("omega", "Lambda^2_6", "Lambda^2_8"))]
+    dims = collections.Counter()
+    for value, b in zip(values, blocks):
+        dims[value] += len(b)
+    if dims[-1] != 8:
+        raise SpectrumError("(-1)-eigenspace has dimension %d, not 8" % dims[-1])
+    _check_bracket_closure(a_int, d, [_skew_matrix(v) for v in ints[2]])
     return TwoFormSpectrum(
         entries=tuple(sorted(dims.items())),
-        omega_eigenvalue=omega_eig,
-        minus_one_basis=tuple(tuple(v) for v in basis),
+        omega_eigenvalue=values[0],
+        minus_one_basis=tuple(tuple(v) for v in su3),
     )

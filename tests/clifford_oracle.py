@@ -4,10 +4,11 @@ A deliberately separate route used only by the tests: the six generators
 are built as dense 8x8 matrices straight from the octonion structure table,
 every blade as the ordered matrix product of its generators, and the
 identities, P and Q, J and the spectrum of contraction with Q are computed
-by matrix products, traces and Faddeev-LeVerrier (:func:`charpoly`, the
-package's former route to the eigenvalues).  It shares with the package
-only the octonion table, the exterior-algebra operations of
-``Multivector`` (wedge, contraction by a vector, Hodge star) and the exact
+by matrix products, traces and Faddeev-LeVerrier (:func:`charpoly` and
+:func:`rational_roots`, the package's former route to the eigenvalues).
+It shares with the package only the octonion table, the exterior-algebra
+operations of ``Multivector`` (contraction by a vector, Hodge star; the
+wedge product is :func:`wedge`, from :func:`merge_sign`) and the exact
 linear algebra of ``ratlinalg``; it never uses the geometric product or the
 signed-permutation blades, except in :func:`dense_blades`, which checks the
 latter against the dense ones, and in :func:`sampled_brackets` and
@@ -64,7 +65,7 @@ def contract(alpha, beta):
     """Interior product alpha -| beta, extending the metric pairing: on
     basis blades (e_{i1} ^ ... ^ e_{ik}) -| w applies the contraction by
     e_{i1} first, so that e_I -| e_I = +1."""
-    out = Multivector.zero()
+    out = zero()
     for mask, a in enumerate(alpha.coeffs):
         if a:
             term = beta
@@ -88,6 +89,25 @@ def product_sign(a, b):
     """s(a, b) of e_a e_b = s(a, b) e_{a xor b}: the reordering sign, and
     e_i e_i = -1 for each generator the blades share."""
     return merge_sign(a, b) * (-1 if bin(a & b).count("1") % 2 else 1)
+
+
+def zero():
+    return Multivector((0,) * N_BLADES)
+
+
+def is_zero(mv):
+    return all(a == 0 for a in mv.coeffs)
+
+
+def wedge(alpha, beta):
+    """alpha ^ beta, on blades e_A ^ e_B = merge_sign(A, B) e_{A xor B} for
+    disjoint A, B and 0 otherwise."""
+    out = [0] * N_BLADES
+    for m1, a in enumerate(alpha.coeffs):
+        for m2, b in enumerate(beta.coeffs):
+            if a and b and not m1 & m2:
+                out[m1 ^ m2] += merge_sign(m1, m2) * (a * b)
+    return Multivector(tuple(out))
 
 
 def perm_matrix(perm):
@@ -176,7 +196,7 @@ def _anticommutator(a, b):
 def random_form(rng, grade):
     """A form of the given grade with seeded rational coefficients on every
     blade of that grade."""
-    mv = Multivector.zero()
+    mv = zero()
     for mask in range(N_BLADES):
         if bin(mask).count("1") == grade:
             mv = mv + Multivector.blade(
@@ -188,9 +208,9 @@ def random_form(rng, grade):
 def _bracket_expectations(alpha, beta, grade):
     """The commutator and anticommutator that grade-brackets predicts for a
     one-form alpha and a form beta of the given grade."""
-    wedge = alpha.wedge(beta).scale(2)
+    wedged = wedge(alpha, beta).scale(2)
     contr = contract(alpha, beta).scale(-2)
-    return (wedge, contr) if grade % 2 == 1 else (contr, wedge)
+    return (wedged, contr) if grade % 2 == 1 else (contr, wedged)
 
 
 def sampled_brackets(rng):
@@ -212,7 +232,7 @@ def sampled_sandwich(rng):
     with the geometric product of ``Multivector``."""
     vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
     for eps in vectors + [random_form(rng, 1)]:
-        acc = Multivector.zero()
+        acc = zero()
         for e in vectors:
             acc = acc + e * eps * e
         if acc != eps.scale(4):
@@ -224,20 +244,20 @@ def degree_identities(p, q):
     """Degree-identities for a three-form p and four-form q, by wedge and
     contraction."""
     star_p, star_q = p.star(), q.star()
-    lhs1 = lhs2 = Multivector.zero()
+    lhs1 = lhs2 = zero()
     for a in range(1, DIM + 1):
         e = Multivector.vector(a)
-        lhs1 = lhs1 + e.wedge(e.wedge(p) + q.contract_vector(a))
-        lhs2 = lhs2 + e.wedge(-star_p.contract_vector(a) - e.wedge(star_q))
-    return (lhs1 - q.scale(4)).is_zero() and (lhs2 + star_p.scale(3)).is_zero()
+        lhs1 = lhs1 + wedge(e, wedge(e, p) + q.contract_vector(a))
+        lhs2 = lhs2 + wedge(e, -star_p.contract_vector(a) - wedge(e, star_q))
+    return is_zero(lhs1 - q.scale(4)) and is_zero(lhs2 + star_p.scale(3))
 
 
 def three_form_square(p):
     """Three-form-square for p, with P . P as a product of dense matrices."""
-    correction = Multivector.zero()
+    correction = zero()
     for a in range(1, DIM + 1):
         pa = p.contract_vector(a)
-        correction = correction + pa.wedge(pa)
+        correction = correction + wedge(pa, pa)
     rhs = Multivector.scalar(p.norm_sq()) - correction
     return ratlinalg.mat_mul(matrix(p), matrix(p)) == matrix(rhs)
 
@@ -272,7 +292,7 @@ def extract_PQ(psi):
     mv = multivector([[8 * psi[i] * psi[j] for j in range(8)] for i in range(8)])
     assert mv.coeffs[0] == 1
     residue = mv - Multivector.scalar(1) - grade_part(mv, 3) - grade_part(mv, 4)
-    assert residue.is_zero()
+    assert is_zero(residue)
     return grade_part(mv, 3), -grade_part(mv, 4)
 
 
@@ -359,12 +379,12 @@ def identity_suite(psi):
 
     def holomorphic_contraction():
         for a, v in enumerate(vectors):
-            jv = Multivector.zero()
+            jv = zero()
             for b, e in enumerate(vectors):
                 jv = jv + e.scale(j[b][a])
             real = contract(v, p) + contract(jv, star_p)
             imag = contract(v, star_p) - contract(jv, p)
-            if not real.is_zero() or not imag.is_zero():
+            if not is_zero(real) or not is_zero(imag):
                 return False
         return True
 
@@ -404,6 +424,59 @@ def identity_suite(psi):
     return [(name, bool(fn())) for name, fn in checks]
 
 
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
+def rational_roots(coeffs):
+    """All roots (with multiplicity) of a rational polynomial.
+
+    Returns a dict ``{root: multiplicity}``.  Raises ``SpectrumError`` when
+    the polynomial does not split over the rationals.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    denom_lcm = ratlinalg.common_denominator(coeffs)
+    ipoly = [int(c * denom_lcm) for c in coeffs]
+
+    roots = {}
+    # Peel zero roots first so the rational-root candidates stay finite.
+    while len(ipoly) > 1 and ipoly[-1] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        ipoly = ipoly[:-1]
+
+    def synth_div(poly, r):
+        out = [Fraction(poly[0])]
+        for c in poly[1:]:
+            out.append(c + out[-1] * r)
+        return out[:-1], out[-1]
+
+    while len(ipoly) > 1:
+        candidates = (
+            Fraction(sign * p, q)
+            for p in _divisors(ipoly[-1])
+            for q in _divisors(ipoly[0])
+            for sign in (1, -1)
+        )
+        root = next((r for r in candidates if synth_div(ipoly, r)[1] == 0), None)
+        if root is None:
+            raise SpectrumError(
+                "polynomial has an irrational factor of degree %d" % (len(ipoly) - 1)
+            )
+        roots[root] = roots.get(root, 0) + 1
+        quot = synth_div(ipoly, root)[0]
+        scale = ratlinalg.common_denominator(quot)
+        ipoly = [int(c * scale) for c in quot]
+    return roots
+
+
 def charpoly(mat):
     """Monic characteristic polynomial coefficients [1, c1, ..., cn].
 
@@ -437,7 +510,7 @@ def charpoly_spectrum(mat):
     unless it equals the algebraic one."""
     n = len(mat)
     out = {}
-    for lam, mult in ratlinalg.rational_roots(charpoly(mat)).items():
+    for lam, mult in rational_roots(charpoly(mat)).items():
         shifted = [[x - lam if i == k else x for k, x in enumerate(row)]
                    for i, row in enumerate(mat)]
         dim = n - len(rref(shifted)[1])
@@ -477,7 +550,7 @@ def q_spectrum(psi, eigenvalues=None):
     n = len(op)
     ident = identity(n)
     if eigenvalues is None:
-        eigenvalues = ratlinalg.rational_roots(charpoly(op))
+        eigenvalues = rational_roots(charpoly(op))
     entries = []
     projector = ident
     for lam in sorted(eigenvalues):

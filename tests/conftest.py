@@ -4,6 +4,11 @@ import pytest
 
 from nkdeform import clifford, cosets
 
+# The oracle's asserts check the oracle route itself.  Rewritten by pytest,
+# which must happen before a test module imports it, they also run under
+# ``python -O``, which strips plain asserts.
+pytest.register_assert_rewrite("clifford_oracle")
+
 
 @pytest.fixture(scope="session")
 def rep():

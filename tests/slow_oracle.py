@@ -21,8 +21,8 @@ references for what it now computes or derives.
   elimination, are the references for ``clifford_oracle.charpoly`` and
   for the definiteness of the derived forms.
 * :func:`rref`, Fraction Gauss-Jordan elimination, is the reference for
-  the integer elimination of ``ratlinalg.rank``, ``nullspace`` and
-  ``inverse``.
+  the integer elimination of ``ratlinalg.nullspace`` and ``inverse``,
+  and its pivots give the ranks the tests check.
 
 The tests compare each pair exactly.
 """

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import types
@@ -83,8 +84,8 @@ def test_wedge_grading():
         l = rng.randint(0, 3)
         a = oracle.random_form(rng, k)
         b = oracle.random_form(rng, l)
-        w = a.wedge(b)
-        assert w.is_zero() or oracle.grades(w) == [k + l]
+        w = oracle.wedge(a, b)
+        assert oracle.is_zero(w) or oracle.grades(w) == [k + l]
 
 
 def test_extract_pq(rep):
@@ -123,7 +124,7 @@ def test_p_acts_with_eigenvalue_four_on_psi(rep):
 
 def test_one_form_block_is_six_dimensional(rep):
     vectors = [rep.act(Multivector.vector(a), PSI) for a in range(1, 7)]
-    assert ratlinalg.rank([list(v) for v in vectors]) == 6
+    assert len(oracle.rref([list(v) for v in vectors])[1]) == 6
 
 
 def test_complex_structure(rep):
@@ -217,7 +218,7 @@ def test_q_contraction_projector(rep):
     proj = _projector(spectrum)
     assert tuple(map(tuple, proj)) == oracle.q_spectrum(PSI)[3]
     assert ratlinalg.mat_mul(proj, proj) == proj
-    assert ratlinalg.rank(proj) == 8
+    assert len(oracle.rref(proj)[1]) == 8
     op = clifford.q_contraction_operator(rep, PSI)
     # projector annihilates omega
     omega = oracle.kahler_form(PSI)
@@ -253,11 +254,11 @@ def test_contraction_convention():
         a = oracle.random_form(rng, ka)
         b = oracle.random_form(rng, kb)
         for u in range(1, 7):
-            lhs = a.wedge(b).contract_vector(u)
-            rhs = a.contract_vector(u).wedge(b) + a.wedge(
-                b.contract_vector(u)
+            lhs = oracle.wedge(a, b).contract_vector(u)
+            rhs = oracle.wedge(a.contract_vector(u), b) + oracle.wedge(
+                a, b.contract_vector(u)
             ).scale((-1) ** ka)
-            assert (lhs - rhs).is_zero()
+            assert oracle.is_zero(lhs - rhs)
 
 
 def test_star_normalization():
@@ -381,7 +382,7 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
         oracle.mat_sub(op, oracle.identity(len(op)))
     )
     subspace = list(basis[:7]) + [plus_one[0]]
-    assert ratlinalg.rank(subspace) == 8
+    assert len(oracle.rref(subspace)[1]) == 8
     with pytest.raises(SpectrumError, match="bracket-closed"):
         clifford._check_bracket_closure(a_int, d, _integer_skews(subspace))
 
@@ -396,28 +397,71 @@ def test_complex_structure_refuses_a_volume_element_off_the_span(rep):
         clifford.complex_structure(broken, PSI)
 
 
+def _operator_on_blocks(rep, psi, values):
+    """A replacement ``_q_operator`` for the matrix with the 15 eigenvalues
+    ``values`` on omega, then the basis of the (+1)-eigenspace of the true
+    operator (Lambda^2_6), then that of its (-1)-eigenspace (Lambda^2_8)."""
+    op = clifford.q_contraction_operator(rep, psi)
+    blocks = [
+        [clifford._two_form_coords(oracle.kahler_form(psi))],
+        ratlinalg.nullspace(oracle.mat_sub(op, oracle.identity(len(op)))),
+        list(clifford.q_contraction_spectrum(rep, psi).minus_one_basis),
+    ]
+    basis = ratlinalg.transpose([v for block in blocks for v in block])
+    scaled = [[x * lam for x, lam in zip(row, values)] for row in basis]
+    moved = ratlinalg.mat_mul(scaled, ratlinalg.inverse(basis))
+    return lambda q, e: ratlinalg.integer_scaled(moved)
+
+
 def test_q_spectrum_refuses_a_one_dimensional_minus_one_eigenspace(
     rep, monkeypatch
 ):
-    # The true operator with seven of its eight su(3) directions moved to
-    # eigenvalue +1.  Its roots are rational, it is diagonalizable, and the
-    # one (-1)-vector left is omega-orthogonal, of type (1,1) and trivially
-    # bracket-closed: only the dimension check can refuse it.
-    op = clifford.q_contraction_operator(rep, PSI)
-    columns = list(clifford.q_contraction_spectrum(rep, PSI).minus_one_basis)
-    values = [-1] + [1] * 7
-    for lam in (1, 2):
-        shift = oracle.mat_scale(oracle.identity(len(op)), lam)
-        kernel = ratlinalg.nullspace(oracle.mat_sub(op, shift))
-        columns += kernel
-        values += [lam] * len(kernel)
-    basis = ratlinalg.transpose(columns)
-    scaled = [[x * lam for x, lam in zip(row, values)] for row in basis]
-    moved = ratlinalg.mat_mul(scaled, ratlinalg.inverse(basis))
-    monkeypatch.setattr(
-        clifford, "_q_operator", lambda q, e: ratlinalg.integer_scaled(moved)
-    )
+    # -1 on omega only, and one scalar on each J-type block: the blocks
+    # give the whole spectrum, and only the dimension check can refuse it.
+    values = [-1] + [1] * 6 + [2] * 8
+    monkeypatch.setattr(clifford, "_q_operator", _operator_on_blocks(rep, PSI, values))
     with pytest.raises(SpectrumError, match="dimension 1, not 8"):
+        clifford.q_contraction_spectrum(rep, PSI)
+
+
+@pytest.mark.parametrize(
+    "values,block",
+    [
+        # seven of the eight su(3) directions moved to eigenvalue +1
+        ([2] + [1] * 6 + [-1] + [1] * 7, "Lambda^2_8"),
+        ([2] + [1] * 5 + [3] + [-1] * 8, "Lambda^2_6"),
+    ],
+    ids=["Lambda^2_8", "Lambda^2_6"],
+)
+def test_q_spectrum_refuses_an_operator_not_scalar_on_a_j_type_block(
+    rep, monkeypatch, values, block
+):
+    # Diagonalizable with rational eigenvalues, but an eigenspace cuts
+    # across a J-type block.
+    monkeypatch.setattr(clifford, "_q_operator", _operator_on_blocks(rep, PSI, values))
+    with pytest.raises(SpectrumError, match=re.escape("not scalar on " + block)):
+        clifford.q_contraction_spectrum(rep, PSI)
+
+
+@pytest.mark.parametrize(
+    "diagonal,match",
+    [
+        # J = 1: every two-form is J-invariant, so Lambda^2_6 is empty
+        ([1] * 6, r"dimensions \[1, 0, 14\]"),
+        # J = diag(-1, 1, ..., 1) flips the e_12 part of omega
+        ([-1] + [1] * 5, "omega is not J-invariant"),
+    ],
+    ids=["identity", "one-sign-flipped"],
+)
+def test_q_spectrum_refuses_a_complex_structure_that_does_not_split_two_forms(
+    rep, monkeypatch, diagonal, match
+):
+    monkeypatch.setattr(
+        clifford, "_complex_structure",
+        lambda rep, spinor, e, q: [[e * x if a == b else 0 for b in range(6)]
+                                   for a, x in enumerate(diagonal)],
+    )
+    with pytest.raises(SpectrumError, match=match):
         clifford.q_contraction_spectrum(rep, PSI)
 
 
@@ -500,11 +544,11 @@ def test_eigenspace_dimensions_match_the_charpoly_route(rep, index):
     op = clifford.q_contraction_operator(rep, psi)
     assert op == oracle.q_operator(psi)
     assert _all_fractions(x for row in op for x in row)
-    d, a = ratlinalg.integer_scaled(op)
     _, e, _, q = clifford._integer_forms(rep, psi)
-    assert clifford._q_operator(q, e) == (d, a)
-    dims = ratlinalg.eigenspace_dimensions(a, d)
-    assert dims == oracle.charpoly_spectrum(op) == {F(-1): 8, F(1): 6, F(2): 1}
+    assert clifford._q_operator(q, e) == ratlinalg.integer_scaled(op)
+    entries = clifford.q_contraction_spectrum(rep, psi).entries
+    assert dict(entries) == oracle.charpoly_spectrum(op) == {F(-1): 8, F(1): 6, F(2): 1}
+    assert all(type(lam) is F and type(dim) is int for lam, dim in entries)
 
 
 @pytest.mark.parametrize(
@@ -639,8 +683,9 @@ def test_a_flipped_sign_fails_the_form_identity_that_reads_it(
 
 
 def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
-    # A kernel vector of op + 1 with one coordinate changed; only clifford
-    # sees the changed kernel, so ratlinalg's eigenspace ranks are unaffected.
+    # The first vector of each J-type block kernel with one coordinate
+    # changed, as only clifford sees it: Lambda^2_6 is read first, and
+    # its changed vector is no eigenvector.
     def corrupted(mat):
         first, *rest = ratlinalg.nullspace(mat)
         return [[first[0] + 1] + list(first[1:])] + rest
@@ -648,7 +693,7 @@ def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
     seen = types.SimpleNamespace(**vars(ratlinalg))
     seen.nullspace = corrupted
     monkeypatch.setattr(clifford, "ratlinalg", seen)
-    with pytest.raises(SpectrumError, match=r"not a \(-1\)-eigenvector"):
+    with pytest.raises(SpectrumError, match=r"not scalar on Lambda\^2_6"):
         clifford.q_contraction_spectrum(rep, PSI)
 
 
@@ -671,3 +716,4 @@ def test_integer_norm_off_by_one_from_d_squared_is_refused(rep, psi):
     ):
         with pytest.raises(ConventionError, match="unit length"):
             fn(rep, psi)
+
