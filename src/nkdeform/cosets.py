@@ -5,9 +5,12 @@ restriction map between their weight lattices, the two normalized invariant
 forms, the adjoints of g and h, the h-decomposition of the complexified
 cotangent representation m* together with its (1,0)-part V, and the two
 gauge algebras (the adjoint of h for ``H``; V (x) V* minus a trivial
-summand, from the descriptor's own V, for ``SU3``) with n_alpha,
-Cas_h(E_alpha) and E_alpha (x) m* for each irreducible summand E_alpha,
-derived once: both :mod:`deform` computations run from these.
+summand, from the descriptor's own V, for ``SU3``).  For each irreducible
+summand E_alpha of a gauge algebra it derives once n_alpha,
+Cas_h(E_alpha), E_alpha (x) m*, the curvature eigenvalue and dimension
+pairs of E_alpha (x) m* in integers and the G-irreducibles with
+Casimir Cas_h(E_alpha) (:class:`GaugeSummand`): both :mod:`deform`
+computations run from these.
 
 Only the two form pair tags and V are stored per coset.  g, h and the
 restriction map are those of the pairs in :mod:`casimir`, which derives B_H
@@ -152,16 +155,38 @@ def _gauge_su3(c):
         c.h_data, {hw: m for hw, m in entries.items() if m})
 
 
+class GaugeSummand(collections.namedtuple(
+        "GaugeSummand", "hw n_alpha casimir tensor curvature matched")):
+    """One irreducible summand E_alpha of a gauge algebra: its highest
+    weight, n_alpha, Cas_h(E_alpha) and E_alpha (x) m*, and what the two
+    :mod:`deform` computations read off them.  ``curvature`` holds the
+    pairs (q(E_alpha) - 4D - q(U), n_alpha * mult * dim U) over the
+    irreducibles U of E_alpha (x) m*, with q = D * Cas_h in integers;
+    ``matched`` the G-highest weights W with Cas_g(W) = Cas_h(E_alpha),
+    sorted."""
+
+    __slots__ = ()
+
+
 def _gauge_data(c, decomp):
-    """The decomposition and its summands (hw, n_alpha, Cas_h(E_alpha),
-    E_alpha (x) m*), sorted by hw so that equal descriptors hold equal ones."""
+    """The decomposition and its :class:`GaugeSummand` tuple, sorted by hw
+    so that equal descriptors hold equal ones."""
+    ctx_h = c.context_h
     summands = []
     for hw, n_alpha in decomp.sorted_items():
         tensor = {}
         for m_hw, m_mult in c.mstar.entries.items():
             _add(tensor, decompose.tensor_decompose(c.h_data, hw, m_hw), m_mult)
-        summands.append((hw, n_alpha, casimir.casimir_eigenvalue(c.context_h, hw),
-                         decompose.RepDecomposition(c.h_data, tensor)))
+        tensor = decompose.RepDecomposition(c.h_data, tensor)
+        c_alpha = casimir.casimir_eigenvalue(ctx_h, hw)
+        base = ctx_h.scaled_casimir(hw) - 4 * ctx_h.denominator
+        curvature = tuple(
+            (base - ctx_h.scaled_casimir(u_hw),
+             n_alpha * u_mult * lie._weyl_dimension(c.h_data, u_hw))
+            for u_hw, u_mult in tensor.sorted_items())
+        summands.append(GaugeSummand(
+            hw, n_alpha, c_alpha, tensor, curvature,
+            tuple(casimir.irreps_with_casimir(c.context_g, c_alpha))))
     return decomp, tuple(summands)
 
 

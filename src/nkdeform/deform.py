@@ -15,8 +15,11 @@ Two computations, both exact:
   once per common irreducible component of its restriction to H and of
   E_alpha (x) m*, provided Cas_g(W) equals Cas_h(E_alpha).
 
-Both read each gauge summand's n_alpha, Cas_h(E_alpha) and E_alpha (x) m*
-from the coset descriptor, which derives them once (:mod:`cosets`).
+Both read what the coset descriptor derives once per gauge summand
+E_alpha (:class:`cosets.GaugeSummand`): the spectrum adds its stored
+integer eigenvalue/dimension pairs, and the count runs over its stored
+G-irreducibles W with Cas_g(W) = Cas_h(E_alpha), so a warm call computes no
+Casimir.  The branching of each W and the Frobenius count are done here.
 
 The complexified solution space always has even multiplicities (the volume
 form acts as a complex structure swapping two copies); the halved
@@ -27,7 +30,7 @@ complex dimensions of the halved summands.
 import collections
 from fractions import Fraction
 
-from . import casimir, cosets, decompose, lie
+from . import cosets, decompose, lie
 from .errors import ConsistencyError, EvennessViolationError
 
 
@@ -67,41 +70,34 @@ class DeformationSpace(collections.namedtuple(
 
 
 def curvature_spectrum(c, gauge):
-    """Spectrum of eps -> -2 F . eps on m* (x) E for the canonical connection.
-
-    The weights are the descriptor's own, checked when it was built, so
-    their Casimirs and dimensions are looked up without checking them again.
-    """
+    """Spectrum of eps -> -2 F . eps on m* (x) E for the canonical connection:
+    the sum of the D-scaled eigenvalue/dimension pairs the descriptor
+    stores with each gauge summand, divided by D once per eigenvalue."""
     gauge_decomp, summands = cosets._gauge(c, gauge)
-    ctx_h = c.context_h
-    d = ctx_h.denominator
     spectrum = {}
-    for hw, n_alpha, _, tensor in summands:
-        base = ctx_h.scaled_casimir(hw) - 4 * d
-        for u_hw, u_mult in tensor.entries.items():
-            eig = base - ctx_h.scaled_casimir(u_hw)
-            dim = n_alpha * u_mult * lie._weyl_dimension(c.h_data, u_hw)
+    for s in summands:
+        for eig, dim in s.curvature:
             spectrum[eig] = spectrum.get(eig, 0) + dim
+    d = c.context_h.denominator
     entries = tuple((Fraction(e, d), m) for e, m in sorted(spectrum.items()))
     return CurvatureSpectrum(entries, gauge_decomp.dimension())
 
 
 def _complexified_solutions(c, summands):
-    """Frobenius-reciprocity count of the solutions of the Casimir-matching
-    condition, as a G-decomposition with (even) multiplicities."""
-    ctx_g = c.context_g
+    """Frobenius-reciprocity count over each summand's Casimir-matched
+    G-irreducibles, as a G-decomposition with (even) multiplicities."""
     total = {}
-    for _, n_alpha, c_alpha, tensor in summands:
-        for w_hw in casimir.irreps_with_casimir(ctx_g, c_alpha):
+    for s in summands:
+        for w_hw in s.matched:
             restricted = decompose.branch(
                 c.restriction, c.g_data, c.h_data, w_hw
             )
             n = sum(
                 u_mult * restricted.mult(u_hw)
-                for u_hw, u_mult in tensor.entries.items()
+                for u_hw, u_mult in s.tensor.entries.items()
             )
             if n:
-                total[w_hw] = total.get(w_hw, 0) + n_alpha * n
+                total[w_hw] = total.get(w_hw, 0) + s.n_alpha * n
     return total
 
 
@@ -127,14 +123,3 @@ def deformation_space(c, gauge):
     )
     return DeformationSpace(complexified, halved, real_dim)
 
-
-def abelian_rigidity_check(c):
-    """True iff the trivial-charge part of the H-gauge bundle is rigid.
-
-    Runs the generic pipeline on the trivial-weight components of the
-    adjoint of H (all of it for an abelian H; vacuously true when there are
-    none); the expected result for every coset is an empty solution space.
-    """
-    zero = (0,) * c.h_data.num_coords
-    summands = cosets._gauge(c, cosets.GAUGE_H)[1]
-    return not _complexified_solutions(c, [s for s in summands if s[0] == zero])

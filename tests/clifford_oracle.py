@@ -14,10 +14,13 @@ signed-permutation blades, except in :func:`dense_blades`, which checks the
 latter against the dense ones, and in :func:`sampled_brackets` and
 :func:`sampled_sandwich`, the sampled route of the two algebra identities
 the package proves on basis blades; :func:`sampled_form_identities` checks
-the three it proves for all forms on seeded random forms.  :func:`merge_sign` is the closed formula
-that the package's table of blade-product signs is checked against, and
-:func:`contract` the contraction by a form that the package's operator of
-contraction with Q is checked against.
+the three it proves for all forms on seeded random forms.
+:func:`check_bracket_closure` checks that a (-1)-eigenspace of the
+contraction with Q is closed under the commutator bracket, which the
+package's J-type split makes true by construction.  :func:`merge_sign` is
+the closed formula that the package's table of blade-product signs is
+checked against, and :func:`contract` the contraction by a form that the
+package's operator of contraction with Q is checked against.
 """
 
 import random
@@ -521,7 +524,8 @@ def charpoly_spectrum(mat):
     return out
 
 
-_MASKS_2FORM = [(1 << a) | (1 << b) for a in range(DIM) for b in range(a + 1, DIM)]
+_PAIRS_2FORM = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
+_MASKS_2FORM = [(1 << a) | (1 << b) for a, b in _PAIRS_2FORM]
 
 
 def q_operator(psi):
@@ -573,3 +577,27 @@ def q_spectrum(psi, eigenvalues=None):
         tuple(tuple(v) for v in basis),
         tuple(tuple(row) for row in projector),
     )
+
+
+def skew_matrix(coords):
+    """The 6x6 skew matrix of a two-form on the basis e_ab (a < b)."""
+    m = [[0] * DIM for _ in range(DIM)]
+    for (a, b), c in zip(_PAIRS_2FORM, coords):
+        m[a][b] = c
+        m[b][a] = -c
+    return m
+
+
+def check_bracket_closure(a_int, d, skews):
+    """Raise ``SpectrumError`` unless the commutator of every pair of the
+    integer skew matrices is a (-1)-eigenvector of op = a_int / d, i.e.
+    a_int c = -d c for its upper coordinates c.  Only the pairs u < v are
+    formed: [u, u] = 0 and [v, u] = -[u, v] add no constraint."""
+    for i, su in enumerate(skews):
+        for sv in skews[i + 1:]:
+            bracket = [
+                sum(su[a][k] * sv[k][b] - sv[a][k] * su[k][b] for k in range(DIM))
+                for a, b in _PAIRS_2FORM
+            ]
+            if ratlinalg.mat_vec(a_int, bracket) != [-d * c for c in bracket]:
+                raise SpectrumError("(-1)-eigenspace is not bracket-closed")

@@ -23,6 +23,9 @@ references for what it now computes or derives.
 * :func:`rref`, Fraction Gauss-Jordan elimination, is the reference for
   the integer elimination of ``ratlinalg.nullspace`` and ``inverse``,
   and its pivots give the ranks the tests check.
+* :func:`abelian_rigidity_check` is the abstract's "abelian instantons
+  are rigid": the deformation count on the trivial-charge summands of the
+  H gauge, which the package does not single out.
 
 The tests compare each pair exactly.
 """
@@ -31,7 +34,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from nkdeform import casimir as _casimir, decompose, lie, ratlinalg
+from nkdeform import casimir as _casimir, cosets, decompose, deform, lie, ratlinalg
 from nkdeform.errors import ConsistencyError
 
 from weyl_oracle import CARTAN
@@ -310,3 +313,16 @@ def tensor_by_characters(root_data, hw1, hw2):
             prod[w] = prod.get(w, 0) + m1 * m2
     char = lie.WeightCharacter(root_data, prod)
     return decompose.peel_off(char), sum(char.weights.values())
+
+
+def abelian_rigidity_check(c):
+    """True iff the trivial-charge part of the H-gauge bundle is rigid.
+
+    Runs the package's deformation count on the stored trivial-weight
+    summands of the adjoint of H (all of it for an abelian H; vacuously
+    true when there are none); the expected result for every coset is an
+    empty solution space.
+    """
+    zero = (0,) * c.h_data.num_coords
+    summands = c.gauges[cosets.GAUGE_H][1]
+    return not deform._complexified_solutions(c, [s for s in summands if s.hw == zero])

@@ -364,13 +364,25 @@ def _spectrum_operator(rep, psi):
 
 
 def _integer_skews(vectors):
-    return [clifford._skew_matrix(ratlinalg.primitive(v)) for v in vectors]
+    return [oracle.skew_matrix(ratlinalg.primitive(v)) for v in vectors]
 
 
 def test_bracket_closure_accepts_the_minus_one_eigenspace(rep):
     _, d, a_int = _spectrum_operator(rep, PSI_B)
     basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
-    clifford._check_bracket_closure(a_int, d, _integer_skews(basis))
+    oracle.check_bracket_closure(a_int, d, _integer_skews(basis))
+
+
+@pytest.mark.parametrize(
+    "psi", [PSI] + [_seeded_spinor(p, 101) for p in DENSE_SPINOR_PATTERNS],
+    ids=["standard", "dense-2-3-6", "dense-1111", "dense-1111111-3"])
+def test_minus_one_basis_is_bracket_closed(rep, psi):
+    # Lambda^2_8 is su(3), so the brackets of the returned basis stay in the
+    # (-1)-eigenspace of the dense oracle's operator.
+    d, a_int = ratlinalg.integer_scaled(oracle.q_operator(psi))
+    basis = clifford.q_contraction_spectrum(rep, psi).minus_one_basis
+    assert len(basis) == 8
+    oracle.check_bracket_closure(a_int, d, _integer_skews(basis))
 
 
 def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
@@ -384,7 +396,7 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
     subspace = list(basis[:7]) + [plus_one[0]]
     assert len(oracle.rref(subspace)[1]) == 8
     with pytest.raises(SpectrumError, match="bracket-closed"):
-        clifford._check_bracket_closure(a_int, d, _integer_skews(subspace))
+        oracle.check_bracket_closure(a_int, d, _integer_skews(subspace))
 
 
 def test_complex_structure_refuses_a_volume_element_off_the_span(rep):

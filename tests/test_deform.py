@@ -5,6 +5,44 @@ from nkdeform import casimir, cosets, decompose, deform, lie
 import slow_oracle
 
 
+# The frozen answers for every coset x gauge step.  Curvature spectra, by
+# alias: for H those of Prop 4.2; for SU3 assembled by the same Casimir
+# bookkeeping, derived by hand once (the G2 case coincides with the H case
+# since H = SU(3)).
+SPECTRA = {
+    "H": {
+        "g2su3": {F(-9): 6, F(-3): 12, F(3): 30},
+        "su2cubed": {F(-8): 2, F(-4): 6, F(4): 10},
+        "sp2": {F(-8): 4, F(0): 12, F(4): 8},
+        # abelian isotropy: the curvature operator vanishes identically
+        "su3t2": {F(0): 12},
+    },
+    "SU3": {
+        "g2su3": {F(-9): 6, F(-3): 12, F(3): 30},
+        "su2cubed": {F(-12): 6, F(-8): 2, F(-4): 16, F(4): 10, F(8): 14},
+        "sp2": {F(-12): 6, F(-8): 4, F(-4): 6, F(0): 14, F(4): 8, F(8): 6,
+                F(12): 4},
+        "su3t2": {F(-12): 12, F(0): 24, F(12): 12},
+    },
+}
+
+# Thm 5.2: the halved deformation space and its real dimension.
+DEFORMATIONS = {
+    "H": {
+        "G2/SU(3)": ({}, 0),
+        "SU(2)^3/SU(2)": ({}, 0),
+        "Sp(2)/Sp(1)xU(1)": ({(1, 0): 1}, 5),
+        "SU(3)/U(1)^2": ({}, 0),
+    },
+    "SU3": {
+        "G2/SU(3)": ({}, 0),
+        "SU(2)^3/SU(2)": ({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, 9),
+        "Sp(2)/Sp(1)xU(1)": ({(1, 0): 1, (0, 2): 2}, 25),
+        "SU(3)/U(1)^2": ({(1, 1): 6}, 48),
+    },
+}
+
+
 def spectrum_dict(name, gauge):
     return dict(deform.curvature_spectrum(cosets.coset(name), gauge).entries)
 
@@ -29,34 +67,13 @@ def test_memoised_results_equal_fresh_ones():
 
 
 def test_curvature_spectra_structure_group_h():
-    assert spectrum_dict("g2su3", "H") == {F(-9): 6, F(-3): 12, F(3): 30}
-    assert spectrum_dict("su2cubed", "H") == {F(-8): 2, F(-4): 6, F(4): 10}
-    assert spectrum_dict("sp2", "H") == {F(-8): 4, F(0): 12, F(4): 8}
-    # abelian isotropy: the curvature operator vanishes identically
-    assert spectrum_dict("su3t2", "H") == {F(0): 12}
+    for name, expected in SPECTRA["H"].items():
+        assert spectrum_dict(name, "H") == expected
 
 
 def test_curvature_spectra_structure_group_su3():
-    # assembled by the same Casimir bookkeeping, derived by hand once and
-    # frozen; the G2 case coincides with the H case since H = SU(3)
-    assert spectrum_dict("g2su3", "SU3") == {F(-9): 6, F(-3): 12, F(3): 30}
-    assert spectrum_dict("su2cubed", "SU3") == {
-        F(-12): 6,
-        F(-8): 2,
-        F(-4): 16,
-        F(4): 10,
-        F(8): 14,
-    }
-    assert spectrum_dict("sp2", "SU3") == {
-        F(-12): 6,
-        F(-8): 4,
-        F(-4): 6,
-        F(0): 14,
-        F(4): 8,
-        F(8): 6,
-        F(12): 4,
-    }
-    assert spectrum_dict("su3t2", "SU3") == {F(-12): 12, F(0): 24, F(12): 12}
+    for name, expected in SPECTRA["SU3"].items():
+        assert spectrum_dict(name, "SU3") == expected
 
 
 def test_curvature_spectrum_invariants():
@@ -110,13 +127,7 @@ def test_gauge_h_spectrum_is_submultiset_of_su3_spectrum():
 
 
 def test_deformations_structure_group_h():
-    expected = {
-        "G2/SU(3)": ({}, 0),
-        "SU(2)^3/SU(2)": ({}, 0),
-        "Sp(2)/Sp(1)xU(1)": ({(1, 0): 1}, 5),
-        "SU(3)/U(1)^2": ({}, 0),
-    }
-    for name, (halved, dim) in expected.items():
+    for name, (halved, dim) in DEFORMATIONS["H"].items():
         space = deform.deformation_space(cosets.coset(name), "H")
         assert space.halved.entries == halved
         assert space.real_dimension == dim
@@ -124,16 +135,47 @@ def test_deformations_structure_group_h():
 
 
 def test_deformations_structure_group_su3():
-    expected = {
-        "G2/SU(3)": ({}, 0),
-        "SU(2)^3/SU(2)": ({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, 9),
-        "Sp(2)/Sp(1)xU(1)": ({(1, 0): 1, (0, 2): 2}, 25),
-        "SU(3)/U(1)^2": ({(1, 1): 6}, 48),
-    }
-    for name, (halved, dim) in expected.items():
+    for name, (halved, dim) in DEFORMATIONS["SU3"].items():
         space = deform.deformation_space(cosets.coset(name), "SU3")
         assert space.halved.entries == halved
         assert space.real_dimension == dim
+
+
+def test_a_warm_call_computes_no_casimir(monkeypatch):
+    """Once the descriptors are built, both computations read each gauge
+    summand's stored data: with the Casimir search and the integer Casimir
+    made to raise, all eight coset x gauge steps still give the frozen
+    answers."""
+    descriptors = {name: cosets.coset(name)
+                   for name in [*SPECTRA["H"], *DEFORMATIONS["H"]]}
+
+    def refuse(*args):
+        raise AssertionError("a warm deform call computed a Casimir")
+
+    monkeypatch.setattr(casimir, "irreps_with_casimir", refuse)
+    monkeypatch.setattr(casimir.CasimirContext, "scaled_casimir", refuse)
+    for gauge in cosets.GAUGE_GROUPS:
+        for name, expected in SPECTRA[gauge].items():
+            got = deform.curvature_spectrum(descriptors[name], gauge)
+            assert dict(got.entries) == expected, (name, gauge)
+        for name, (halved, dim) in DEFORMATIONS[gauge].items():
+            space = deform.deformation_space(descriptors[name], gauge)
+            assert (space.halved.entries, space.real_dimension) == (halved, dim)
+
+
+def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
+    """Each gauge summand's stored G-irreducibles W with Cas_g(W) =
+    Cas_h(E_alpha) against the full-box scan on the hand-entered forms, on
+    the built-in descriptors and on the ones fixture files load."""
+    matched = 0
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+        for gauge in cosets.GAUGE_GROUPS:
+            for s in c.gauges[gauge][1]:
+                assert s.casimir == slow_oracle.casimir(c.b_h_pair, s.hw)
+                expected = slow_oracle.irreps_with_casimir(c.b_g_pair, s.casimir)
+                assert s.matched == tuple(expected), (c.name, gauge, s.hw)
+                matched += len(s.matched)
+    assert matched
 
 
 def test_sp2_gauge_h_answer_is_one_copy_of_the_five_dimensional_irrep():
@@ -185,7 +227,7 @@ def test_trivial_gauge_components_contribute_nothing():
 
 def test_abelian_rigidity_check():
     for name in cosets.COSET_NAMES:
-        assert deform.abelian_rigidity_check(cosets.coset(name)) is True
+        assert slow_oracle.abelian_rigidity_check(cosets.coset(name)) is True
 
 
 def test_real_dimension_uses_complex_dimensions_of_halved_summands():

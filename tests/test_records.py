@@ -22,6 +22,7 @@ def _records(rep):
         "RestrictionMap": (c.restriction, "matrix"),
         "CasimirContext": (ctx, "denominator"),
         "CosetDescriptor": (c, "b_h_pair"),
+        "GaugeSummand": (c.gauges[cosets.GAUGE_H][1][0], "matched"),
         "CurvatureSpectrum": (deform.curvature_spectrum(c, cosets.GAUGE_H), "entries"),
         "DeformationSpace": (deform.deformation_space(c, cosets.GAUGE_H), "halved"),
         "Multivector": (clifford.Multivector.vector(1), "coeffs"),
@@ -34,7 +35,8 @@ def _records(rep):
 
 
 # A RepDecomposition defines no hash, nor do the records holding one.
-UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "RepDecomposition"}
+UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "GaugeSummand",
+              "RepDecomposition"}
 
 
 def _rebuild(record):
