@@ -81,10 +81,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_weight(text, root_data):
-    try:
-        w = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    """Coordinates in ASCII ``-?[0-9]+`` only: ``int`` would also take
+    underscores, surrounding spaces and non-ASCII digits."""
+    parts = text.split(",")
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
         raise ValueError("weight %r is not a comma-separated integer list" % text)
+    w = tuple(map(int, parts))
     root_data.check_weight(w)
     return w
 

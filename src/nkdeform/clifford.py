@@ -678,13 +678,6 @@ class TwoFormSpectrum(collections.namedtuple(
     __slots__ = ()
 
 
-def q_contraction_operator(rep, psi):
-    """Matrix of beta -> beta -| Q on the ordered basis e_ab (a < b)."""
-    _, e, _, q = _integer_forms(rep, psi)
-    d, a = _q_operator(q, e)
-    return _fraction_matrix(a, d)
-
-
 # (four-form blade K, row, column, sign) for each two-form blade M = e_ij
 # (i < j) in K: e_M -| e_K = sign e_{K xor M}, contracting by e_i first;
 # M is the column and K xor M the row.

@@ -7,10 +7,10 @@ cotangent representation m* together with its (1,0)-part V, and the two
 gauge algebras (the adjoint of h for ``H``; V (x) V* minus a trivial
 summand, from the descriptor's own V, for ``SU3``).  For each irreducible
 summand E_alpha of a gauge algebra it derives once n_alpha,
-Cas_h(E_alpha), E_alpha (x) m*, the curvature eigenvalue and dimension
-pairs of E_alpha (x) m* in integers and the G-irreducibles with
-Casimir Cas_h(E_alpha) (:class:`GaugeSummand`): both :mod:`deform`
-computations run from these.
+Cas_h(E_alpha), the curvature eigenvalue and dimension pairs of
+E_alpha (x) m* in integers, and the Frobenius count of each G-irreducible W
+with Casimir Cas_h(E_alpha) (:class:`GaugeSummand`); E_alpha (x) m* itself
+is not kept.  Both :mod:`deform` computations only add these.
 
 Only the two form pair tags and V are stored per coset.  g, h and the
 restriction map are those of the pairs in :mod:`casimir`, which derives B_H
@@ -24,16 +24,20 @@ m* = branch(adjoint g) - adjoint h.  Every descriptor is validated:
 * dim m* = 6, dim V = 3, and m* = V + conj(V);
 * every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
   curvature of the canonical connection is 4x the metric).
+* the curvature pairs of each gauge algebra E cover 6 dim E and are
+  traceless.
 
 The form checks run before m* is derived, so that a wrong form is reported
-as such; the others catch a wrong restriction matrix.
+as such; the m* checks catch a wrong restriction matrix, and the curvature
+checks (:class:`ConsistencyError`) a wrong tensor product or dimension.
 
 Descriptors can also be serialized to / loaded from JSON with all rationals
 as exact numerator/denominator pairs (see :func:`load_fixtures`).  A file
 keeps a copy of the adjoints and m*, which the loader checks against the
 ones derived from its algebras and restriction map.  A malformed file
 raises :class:`FixtureError` naming the JSON path of the bad field, e.g.
-``cosets[0].mstar[0].mult`` or ``cosets[0].h_adjoint``.
+``cosets[0].mstar[0].mult`` or ``cosets[0].h_adjoint``, or ``fixture file``
+when it is not UTF-8 JSON.
 """
 
 import collections
@@ -44,7 +48,7 @@ from types import MappingProxyType
 
 from . import casimir, decompose, lie, ratlinalg
 from .decompose import _decomp_json
-from .errors import FixtureError, UnknownTagError
+from .errors import ConsistencyError, FixtureError, UnknownTagError
 from .ratlinalg import _frac_json
 
 GAUGE_H = "H"
@@ -71,9 +75,6 @@ class CosetDescriptor(collections.namedtuple(
     @property
     def context_h(self):
         return casimir.context(self.b_h_pair)
-
-    def validate(self):
-        return self._check_forms()._check_mstar()
 
     def _check_forms(self):
         for key, pair, ctx, data in (
@@ -156,37 +157,53 @@ def _gauge_su3(c):
 
 
 class GaugeSummand(collections.namedtuple(
-        "GaugeSummand", "hw n_alpha casimir tensor curvature matched")):
+        "GaugeSummand", "hw n_alpha casimir curvature matched")):
     """One irreducible summand E_alpha of a gauge algebra: its highest
-    weight, n_alpha, Cas_h(E_alpha) and E_alpha (x) m*, and what the two
-    :mod:`deform` computations read off them.  ``curvature`` holds the
-    pairs (q(E_alpha) - 4D - q(U), n_alpha * mult * dim U) over the
-    irreducibles U of E_alpha (x) m*, with q = D * Cas_h in integers;
-    ``matched`` the G-highest weights W with Cas_g(W) = Cas_h(E_alpha),
-    sorted."""
+    weight, n_alpha and Cas_h(E_alpha), and what the two :mod:`deform`
+    computations read off E_alpha (x) m*.  ``curvature`` holds the pairs
+    (q(E_alpha) - 4D - q(U), n_alpha * mult * dim U) over the irreducibles U
+    of E_alpha (x) m*, with q = D * Cas_h in integers; ``matched`` the pairs
+    (W, count) over the G-highest weights W with Cas_g(W) = Cas_h(E_alpha),
+    sorted by W, where count = sum_U mult_U(E_alpha (x) m*) mult_U(W|_H) is
+    the Frobenius-reciprocity count, zeros included."""
 
     __slots__ = ()
 
 
 def _gauge_data(c, decomp):
     """The decomposition and its :class:`GaugeSummand` tuple, sorted by hw
-    so that equal descriptors hold equal ones."""
+    so that equal descriptors hold equal ones.  The curvature pairs of the
+    whole gauge must cover 6 dim E and be traceless, or
+    :class:`ConsistencyError` is raised."""
     ctx_h = c.context_h
     summands = []
     for hw, n_alpha in decomp.sorted_items():
         tensor = {}
         for m_hw, m_mult in c.mstar.entries.items():
             _add(tensor, decompose.tensor_decompose(c.h_data, hw, m_hw), m_mult)
-        tensor = decompose.RepDecomposition(c.h_data, tensor)
         c_alpha = casimir.casimir_eigenvalue(ctx_h, hw)
         base = ctx_h.scaled_casimir(hw) - 4 * ctx_h.denominator
         curvature = tuple(
             (base - ctx_h.scaled_casimir(u_hw),
              n_alpha * u_mult * lie._weyl_dimension(c.h_data, u_hw))
-            for u_hw, u_mult in tensor.sorted_items())
-        summands.append(GaugeSummand(
-            hw, n_alpha, c_alpha, tensor, curvature,
-            tuple(casimir.irreps_with_casimir(c.context_g, c_alpha))))
+            for u_hw, u_mult in sorted(tensor.items()))
+        matched = []
+        for w_hw in casimir.irreps_with_casimir(c.context_g, c_alpha):
+            restricted = decompose.branch(c.restriction, c.g_data, c.h_data, w_hw)
+            matched.append((w_hw, sum(
+                u_mult * restricted.mult(u_hw) for u_hw, u_mult in tensor.items())))
+        summands.append(GaugeSummand(hw, n_alpha, c_alpha, curvature, tuple(matched)))
+    pairs = [pair for s in summands for pair in s.curvature]
+    covered = sum(dim for _, dim in pairs)
+    if covered != 6 * decomp.dimension():
+        raise ConsistencyError(
+            "%s: curvature spectrum covers %d dimensions, expected %d"
+            % (c.name, covered, 6 * decomp.dimension()))
+    trace = sum(eig * dim for eig, dim in pairs)
+    if trace:
+        raise ConsistencyError(
+            "%s: curvature operator trace %s != 0"
+            % (c.name, Fraction(trace, ctx_h.denominator)))
     return decomp, tuple(summands)
 
 
@@ -408,7 +425,10 @@ def load_fixtures(path):
     :class:`FixtureError` with the JSON path of the bad field.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise FixtureError("fixture file: not UTF-8 JSON: %s" % exc) from None
     _check_schema(data, {"schema": str, "cosets": [dict]}, "")
     if data["schema"] != FIXTURE_SCHEMA:
         raise FixtureError("schema: unsupported fixture schema %r" % data["schema"])

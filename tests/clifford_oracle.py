@@ -20,7 +20,8 @@ contraction with Q is closed under the commutator bracket, which the
 package's J-type split makes true by construction.  :func:`merge_sign` is
 the closed formula that the package's table of blade-product signs is
 checked against, and :func:`contract` the contraction by a form that the
-package's operator of contraction with Q is checked against.
+package's operator of contraction with Q (as a matrix,
+:func:`q_contraction_operator`) is checked against.
 """
 
 import random
@@ -535,6 +536,15 @@ def q_operator(psi):
     images = [contract(Multivector.blade(m), q) for m in _MASKS_2FORM]
     return ratlinalg.transpose(
         [[image.coeffs[k] for k in _MASKS_2FORM] for image in images])
+
+
+def q_contraction_operator(rep, psi):
+    """The package's matrix of beta -> beta -| Q on the basis e_ab (a < b):
+    its integer operator of :func:`clifford._q_operator` over its
+    denominator, which :func:`q_operator` checks."""
+    _, e, _, q = clifford._integer_forms(rep, psi)
+    d, a = clifford._q_operator(q, e)
+    return clifford._fraction_matrix(a, d)
 
 
 def q_spectrum(psi, eigenvalues=None):

@@ -325,4 +325,4 @@ def abelian_rigidity_check(c):
     """
     zero = (0,) * c.h_data.num_coords
     summands = c.gauges[cosets.GAUGE_H][1]
-    return not deform._complexified_solutions(c, [s for s in summands if s.hw == zero])
+    return not deform._complexified_solutions([s for s in summands if s.hw == zero])

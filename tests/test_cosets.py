@@ -256,7 +256,7 @@ def test_form_on_the_wrong_algebra_rejected():
     c = cosets.coset("g2su3")
     for changes in ({"b_g_pair": "sp2"}, {"b_h_pair": "sp1u1-in-sp2"}):
         with pytest.raises(FixtureError):
-            c._replace(**changes).validate()
+            c._replace(**changes)._check_forms()._check_mstar()
 
 
 def test_cosets_share_the_restriction_of_their_h_form():
@@ -272,4 +272,4 @@ def test_form_that_is_not_the_restriction_rejected():
     c = cosets.coset("g2su3")
     assert casimir.context("su3-ambient").root_data == c.h_data
     with pytest.raises(FixtureError, match="not the restriction of B_G"):
-        c._replace(b_h_pair="su3-ambient").validate()
+        c._replace(b_h_pair="su3-ambient")._check_forms()._check_mstar()

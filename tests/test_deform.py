@@ -80,10 +80,11 @@ def test_curvature_spectrum_invariants():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
         for gauge in cosets.GAUGE_GROUPS:
-            s = deform.curvature_spectrum(c, gauge)
-            assert s.trace() == 0
-            assert s.total_dimension() == 6 * cosets.gauge_rep(c, gauge).dimension()
-        assert deform.curvature_spectrum(c, "SU3").total_dimension() == 48
+            spectrum = deform.curvature_spectrum(c, gauge)
+            assert spectrum.gauge_dimension == cosets.gauge_rep(c, gauge).dimension()
+            assert sum(e * d for e, d in spectrum.entries) == 0
+            assert sum(d for _, d in spectrum.entries) == 6 * spectrum.gauge_dimension
+        assert sum(d for _, d in deform.curvature_spectrum(c, "SU3").entries) == 48
 
 
 def test_integer_spectrum_matches_the_fraction_sum(fixture_descriptors):
@@ -143,17 +144,19 @@ def test_deformations_structure_group_su3():
 
 def test_a_warm_call_computes_no_casimir(monkeypatch):
     """Once the descriptors are built, both computations read each gauge
-    summand's stored data: with the Casimir search and the integer Casimir
-    made to raise, all eight coset x gauge steps still give the frozen
-    answers."""
+    summand's stored data: with the Casimir search, the integer Casimir,
+    branching and the tensor product made to raise, all eight coset x gauge
+    steps still give the frozen answers."""
     descriptors = {name: cosets.coset(name)
                    for name in [*SPECTRA["H"], *DEFORMATIONS["H"]]}
 
     def refuse(*args):
-        raise AssertionError("a warm deform call computed a Casimir")
+        raise AssertionError("a warm deform call computed a Casimir or a decomposition")
 
     monkeypatch.setattr(casimir, "irreps_with_casimir", refuse)
     monkeypatch.setattr(casimir.CasimirContext, "scaled_casimir", refuse)
+    monkeypatch.setattr(decompose, "branch", refuse)
+    monkeypatch.setattr(decompose, "tensor_decompose", refuse)
     for gauge in cosets.GAUGE_GROUPS:
         for name, expected in SPECTRA[gauge].items():
             got = deform.curvature_spectrum(descriptors[name], gauge)
@@ -173,9 +176,45 @@ def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
             for s in c.gauges[gauge][1]:
                 assert s.casimir == slow_oracle.casimir(c.b_h_pair, s.hw)
                 expected = slow_oracle.irreps_with_casimir(c.b_g_pair, s.casimir)
-                assert s.matched == tuple(expected), (c.name, gauge, s.hw)
+                assert tuple(w for w, _ in s.matched) == tuple(expected), (
+                    c.name, gauge, s.hw)
                 matched += len(s.matched)
     assert matched
+
+
+def _restricted_character(c, w_hw):
+    """W's character pushed to H weight by weight through the restriction
+    matrix in Fraction arithmetic, and peeled into H-irreducibles."""
+    restricted = {}
+    for w, m in lie.weight_multiplicities(c.g_data, w_hw).weights.items():
+        v = tuple(sum(F(a) * x for a, x in zip(row, w)) for row in c.restriction.matrix)
+        assert all(x.denominator == 1 for x in v)
+        v = tuple(int(x) for x in v)
+        restricted[v] = restricted.get(v, 0) + m
+    return decompose.peel_off(lie.WeightCharacter(c.h_data, restricted))
+
+
+def test_stored_frobenius_counts_match_an_independent_count(fixture_descriptors):
+    """Each stored (W, count) against sum_U mult_U(E_alpha (x) m*)
+    mult_U(W|_H), with E_alpha (x) m* from the product of characters and
+    W|_H from W's restricted character, on the built-in descriptors and on
+    the ones fixture files load; zero counts are stored too."""
+    counts = []
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+        for gauge in cosets.GAUGE_GROUPS:
+            for s in c.gauges[gauge][1]:
+                tensor = {}
+                for m_hw, m_mult in c.mstar.entries.items():
+                    decomp, dim = slow_oracle.tensor_by_characters(c.h_data, s.hw, m_hw)
+                    assert dim == lie.dimension(c.h_data, s.hw) * lie.dimension(c.h_data, m_hw)
+                    for u_hw, u_mult in decomp.entries.items():
+                        tensor[u_hw] = tensor.get(u_hw, 0) + m_mult * u_mult
+                for w_hw, count in s.matched:
+                    restricted = _restricted_character(c, w_hw)
+                    expected = sum(m * restricted.mult(u) for u, m in tensor.items())
+                    assert count == expected, (c.name, gauge, s.hw, w_hw)
+                    counts.append(count)
+    assert 0 in counts and any(counts)
 
 
 def test_sp2_gauge_h_answer_is_one_copy_of_the_five_dimensional_irrep():
@@ -222,7 +261,17 @@ def test_trivial_gauge_components_contribute_nothing():
     c = cosets.coset("sp2")
     trivial = [s for s in c.gauges[cosets.GAUGE_H][1] if s[0] == (0, 0)]
     assert [s[:3] for s in trivial] == [((0, 0), 1, 0)]
-    assert deform._complexified_solutions(c, trivial) == {}
+    assert deform._complexified_solutions(trivial) == {}
+
+
+def test_each_count_is_weighted_by_n_alpha():
+    # On the four cosets every summand with n_alpha > 1 counts 0, so the
+    # weight is checked on Sp(2)'s stored summands with n_alpha doubled.
+    summands = cosets.coset("sp2").gauges[cosets.GAUGE_H][1]
+    once = deform._complexified_solutions(summands)
+    assert once == {(1, 0): 2}
+    doubled = [s._replace(n_alpha=2 * s.n_alpha) for s in summands]
+    assert deform._complexified_solutions(doubled) == {(1, 0): 4}
 
 
 def test_abelian_rigidity_check():

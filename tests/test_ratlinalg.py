@@ -80,9 +80,7 @@ def test_charpoly_matches_det_on_dense_rational_matrix():
 
 
 def test_charpoly_matches_det_on_q_operator(rep):
-    from nkdeform import clifford
-
-    op = clifford.q_contraction_operator(rep, (F(3, 5), F(4, 5)) + (F(0),) * 6)
+    op = clifford_oracle.q_contraction_operator(rep, (F(3, 5), F(4, 5)) + (F(0),) * 6)
     _check_charpoly_against_det(op)
 
 

@@ -2,8 +2,6 @@
 classes with ``__slots__`` for ``Multivector``, ``RepDecomposition`` and
 ``WeightCharacter``."""
 
-from fractions import Fraction as F
-
 import pytest
 
 from nkdeform import casimir, clifford, cosets, decompose, deform, lie
@@ -35,8 +33,7 @@ def _records(rep):
 
 
 # A RepDecomposition defines no hash, nor do the records holding one.
-UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "GaugeSummand",
-              "RepDecomposition"}
+UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "RepDecomposition"}
 
 
 def _rebuild(record):
@@ -109,14 +106,18 @@ def test_rep_decomposition_entries_are_read_only():
 
 
 @pytest.mark.parametrize(
-    "entries,message",
+    "trivial_summands,message",
     [
-        (((F(1), 3), (F(-1), 3)), "not sorted"),
-        (((F(-1), 3), (F(1), 2)), "covers 5 dimensions, expected 6"),
-        (((F(-1), 2), (F(1), 4)), "trace 2 != 0"),
+        (5, "covers 40 dimensions, expected 48"),
+        (6, "trace -192 != 0"),
     ],
+    ids=["covers", "trace"],
 )
-def test_curvature_spectrum_refuses_bad_entries(entries, message):
-    deform.CurvatureSpectrum(((F(-1), 3), (F(1), 3)), 1)
+def test_gauge_data_refuses_bad_curvature_pairs(trivial_summands, message):
+    # m* replaced by trivial summands, which _check_mstar would refuse: five
+    # cover too little, six give the eigenvalue -4 on all 48 dimensions.
+    c = cosets.coset("g2su3")
+    assert cosets._gauge_data(c, c.h_adjoint) == c.gauges[cosets.GAUGE_H]
+    mstar = decompose.RepDecomposition(c.h_data, {(0, 0): trivial_summands})
     with pytest.raises(ConsistencyError, match=message):
-        deform.CurvatureSpectrum(entries, 1)
+        cosets._gauge_data(c._replace(mstar=mstar), c.h_adjoint)
