@@ -14,10 +14,13 @@ algebra, and the trace of a product is 8 times its scalar part.  A unit
 spinor psi determines the three-form P and four-form Q through
 8 psi psi^T = 1 + P - Q; from these the almost complex structure J, the
 two-form omega = *Q and the eigenspace structure of contraction with Q on
-two-forms all follow and are verified.  P, Q, omega and J are built once
-per public call, in integers: psi = psi~ / d for the integer spinor psi~,
-|psi~|^2 = d^2 is checked exactly, d^2 P, d^2 Q and d^2 J are integral,
-and ``Fraction`` values are built only for what is returned.  Of the eight
+two-forms all follow and are verified.  The representation is built and
+checked once per process, and P, Q and J once per spinor, in integers:
+psi = psi~ / d for the integer spinor psi~, |psi~|^2 = d^2 is checked
+exactly, d^2 P, d^2 Q and d^2 J are integral, and ``Fraction`` values are
+built only for what is returned.  The public functions share these
+through a one-entry memo of the last spinor asked about, so the calls a
+``clifford-verify`` run makes on one spinor derive each once.  Of the eight
 identities of the suite, five hold for the algebra or for every three-form
 P and four-form Q and are proved once per process on basis blades, a
 spinor adding only a scan of the grades of P and Q; the other three run per
@@ -280,14 +283,16 @@ class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
         return tuple(out)
 
 
+@functools.cache
 def build_rep():
-    """Construct and verify the spinor representation.
+    """Construct and verify the spinor representation, once per process.
 
     Postconditions (all exact, on the signed permutations): generators are
     orthogonal and skew and satisfy e_a e_b + e_b e_a = -2 delta_ab; a blade
     is symmetric iff its grade is 0, 3 or 4; every blade other than 1 is
     traceless; the volume element squares to -1.  The Clifford relations
     and tracelessness make the blades a basis of the 8x8 real matrices.
+    Every caller shares the one result, an immutable tuple of tuples.
     """
     table = _octonion_table()
     gammas = [
@@ -358,6 +363,43 @@ def _integer_forms(rep, psi):
     return spinor, d2, p, q
 
 
+class _Spinor:
+    """What a unit spinor psi determines under ``rep``: psi~, d^2, d^2 P
+    and d^2 Q from :func:`_integer_forms`, and d^2 J on first need
+    (:meth:`j`), so a call that needs no J neither builds nor checks it."""
+
+    __slots__ = ("rep", "key", "spinor", "d2", "p", "q", "_j")
+
+    def __init__(self, rep, key, forms):
+        self.rep, self.key = rep, key
+        self.spinor, self.d2, self.p, self.q = forms
+        self._j = None
+
+    def j(self):
+        if self._j is None:
+            self._j = _complex_structure(self.rep, self.spinor, self.d2, self.q)
+        return self._j
+
+
+_last_spinor = None
+
+
+def _spinor(rep, psi):
+    """The :class:`_Spinor` of psi under rep, from a one-entry memo.  Its
+    key is the identity of rep, which is immutable and held by the record,
+    and the entries of psi with their types: a ``float`` entry raises
+    where an equal ``int`` does not.  A derivation that raises is not
+    stored.  Racing threads may derive a record twice, never a wrong one."""
+    global _last_spinor
+    values = tuple(psi)
+    key = (values, tuple(map(type, values)))
+    last = _last_spinor
+    if last is not None and last.rep is rep and last.key == key:
+        return last
+    _last_spinor = record = _Spinor(rep, key, _integer_forms(rep, psi))
+    return record
+
+
 def _over(mv, d2):
     """The multivector mv / d^2 with ``Fraction`` coefficients."""
     return Multivector(tuple(_F(c, d2) for c in mv.coeffs))
@@ -369,8 +411,8 @@ def extract_PQ(rep, psi):
     Raises :class:`ConventionError` when psi is not a unit spinor or the
     rank-one projector has residue outside grades {0, 3, 4}.
     """
-    _, d2, p, q = _integer_forms(rep, psi)
-    return _over(p, d2), _over(q, d2)
+    rec = _spinor(rep, psi)
+    return _over(rec.p, rec.d2), _over(rec.q, rec.d2)
 
 
 def _eigenvalue_on(rep, mv, spinor, d2):
@@ -395,7 +437,8 @@ def spinor_decomposition_spectra(rep, psi):
     of S = span(psi) + {u.psi} + span(Vol.psi); also verifies that the eight
     vectors spanning those blocks are orthonormal.  Runs on psi~ = d psi,
     d^2 P and d^2 Q, whose inner products and eigenvalues carry d^2."""
-    spinor, d2, p, q = _integer_forms(rep, psi)
+    rec = _spinor(rep, psi)
+    spinor, d2, p, q = rec.spinor, rec.d2, rec.p, rec.q
     basis = [tuple(spinor)]
     basis += [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     basis.append(_apply(rep.blades[VOL_MASK], spinor))
@@ -421,8 +464,8 @@ def complex_structure(rep, psi):
     Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being 8 times the
     scalar part of omega u v.
     """
-    spinor, d2, _, q = _integer_forms(rep, psi)
-    return _fraction_matrix(_complex_structure(rep, spinor, d2, q), d2)
+    rec = _spinor(rep, psi)
+    return _fraction_matrix(rec.j(), rec.d2)
 
 
 def _fraction_matrix(mat, d2):
@@ -564,10 +607,11 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
     """
-    spinor, d2, p, q = _integer_forms(rep, psi)
+    rec = _spinor(rep, psi)
+    d2, p, q = rec.d2, rec.p, rec.q
     star_p = p.star()
     star_q = q.star()
-    j = _complex_structure(rep, spinor, d2, q)
+    j = rec.j()
     brackets, sandwich, degree, square, norm = _algebra_identities()
     p_three_form = not any(c for c, k in zip(p.coeffs, _GRADES) if k != 3)
     q_four_form = not any(c for c, k in zip(q.coeffs, _GRADES) if k != 4)
@@ -742,9 +786,10 @@ def q_contraction_spectrum(rep, psi):
     e^2 are the blocks; and primitive integer block vectors, on which each
     scalar is read by cross-multiplication (:func:`_block_value`).
     """
-    spinor, e, _, q_int = _integer_forms(rep, psi)
+    rec = _spinor(rep, psi)
+    e, q_int = rec.d2, rec.q
     d, a_int = _q_operator(q_int, e)
-    j = _complex_structure(rep, spinor, e, q_int)
+    j = rec.j()
     e2 = e * e
     # (J^T S J)_ab = sum over c < f of S_cf (J_ca J_fb - J_fa J_cb)
     k = [[j[c][a] * j[f][b] - j[f][a] * j[c][b] for c, f in _PAIRS_2FORM]

@@ -21,6 +21,15 @@ PSI_B = oracle.PSI_B
 PSI_C = (F(1, 2), F(1, 2), F(1, 2), F(0), F(0), F(0), F(1, 2), F(0))
 
 
+@pytest.fixture(autouse=True)
+def empty_spinor_memo():
+    """Each test starts with an empty per-spinor memo, and no record a test
+    derived under its patches outlives it."""
+    clifford._last_spinor = None
+    yield
+    clifford._last_spinor = None
+
+
 def test_generator_relations(rep):
     ident = oracle.identity(8)
     blades = oracle.dense_blades(rep)
@@ -309,11 +318,34 @@ def _corrupt_row(table):
 
 @pytest.mark.parametrize("corrupt", [_corrupt_sign, _corrupt_row])
 def test_build_rep_rejects_a_corrupt_octonion_table(monkeypatch, corrupt):
+    # build_rep is cached per process: cleared before the patch so that the
+    # corrupt table is read, and after it so that no later call sees it.
     table = clifford._octonion_table()
     corrupt(table)
+    clifford.build_rep.cache_clear()
     monkeypatch.setattr(clifford, "_octonion_table", lambda: table)
-    with pytest.raises(ConsistencyError):
-        clifford.build_rep()
+    try:
+        with pytest.raises(ConsistencyError):
+            clifford.build_rep()
+    finally:
+        monkeypatch.undo()
+        clifford.build_rep.cache_clear()
+
+
+def test_build_rep_runs_once_per_process():
+    code = (
+        "from nkdeform import clifford\n"
+        "table, calls = clifford._octonion_table, []\n"
+        "clifford._octonion_table = lambda: calls.append(1) or table()\n"
+        "reps = [clifford.build_rep() for _ in range(3)]\n"
+        "print(all(r is reps[0] for r in reps), len(calls))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True 1\n"), proc.stderr
 
 
 # Patterns (numerators, denominator) of dense rational unit spinors, each
@@ -697,7 +729,10 @@ def test_a_flipped_sign_fails_the_form_identity_that_reads_it(
 def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
     # The first vector of each J-type block kernel with one coordinate
     # changed, as only clifford sees it: Lambda^2_6 is read first, and
-    # its changed vector is no eigenvector.
+    # its changed vector is no eigenvector.  PSI's record is warm first:
+    # the kernels are taken per call, not stored with it.
+    clifford.q_contraction_spectrum(rep, PSI)
+
     def corrupted(mat):
         first, *rest = ratlinalg.nullspace(mat)
         return [[first[0] + 1] + list(first[1:])] + rest
@@ -729,3 +764,111 @@ def test_integer_norm_off_by_one_from_d_squared_is_refused(rep, psi):
         with pytest.raises(ConventionError, match="unit length"):
             fn(rep, psi)
 
+
+# ---------------------------------------------------------------------------
+# The per-spinor record and its one-entry memo
+
+PIPELINE = (
+    clifford.extract_PQ,
+    clifford.verify_identity_suite,
+    clifford.spinor_decomposition_spectra,
+    clifford.q_contraction_spectrum,
+)
+
+
+def _counted(monkeypatch, name):
+    """Replace clifford.<name> by a wrapper; returns the list of its calls."""
+    calls = []
+    true_fn = getattr(clifford, name)
+
+    def counted(*args):
+        calls.append(args)
+        return true_fn(*args)
+
+    monkeypatch.setattr(clifford, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("psi", [PSI, PSI_B, PSI_C] + _benchmark_spinors(101))
+def test_a_pipeline_derives_the_forms_and_j_once(rep, monkeypatch, psi):
+    forms = _counted(monkeypatch, "_integer_forms")
+    j = _counted(monkeypatch, "_complex_structure")
+    for fn in PIPELINE:
+        fn(rep, psi)
+    clifford.complex_structure(rep, psi)
+    assert (len(forms), len(j)) == (1, 1)
+
+
+def test_p_q_and_the_spinor_blocks_build_no_j(rep, monkeypatch):
+    j = _counted(monkeypatch, "_complex_structure")
+    clifford.extract_PQ(rep, PSI_B)
+    clifford.spinor_decomposition_spectra(rep, PSI_B)
+    assert j == []
+
+
+def _results(rep, psi):
+    """Every public per-spinor result, as a repr, so that types count."""
+    return repr((
+        clifford.extract_PQ(rep, psi),
+        clifford.verify_identity_suite(rep, psi),
+        clifford.spinor_decomposition_spectra(rep, psi),
+        clifford.complex_structure(rep, psi),
+        clifford.q_contraction_spectrum(rep, psi),
+    ))
+
+
+def test_the_memo_answers_as_a_fresh_derivation(rep, monkeypatch):
+    a_ints = [1, 0, 0, 0, 0, 0, 0, 0]
+    # A, B, A: PSI as Fractions, then as ints (another key), list and tuple
+    spinors = [PSI, list(PSI), PSI_B, list(PSI_B), a_ints, tuple(a_ints), PSI]
+    fresh = []
+    for psi in spinors:
+        clifford._last_spinor = None
+        fresh.append(_results(rep, psi))
+    clifford._last_spinor = None
+    forms = _counted(monkeypatch, "_integer_forms")
+    assert [_results(rep, psi) for psi in spinors] == fresh
+    assert len(forms) == 4
+    assert fresh[0] == fresh[4]
+
+
+def test_a_non_unit_spinor_is_refused_by_every_call_and_never_stored(
+    rep, monkeypatch
+):
+    bad = (F(2, 3), F(2, 3)) + (F(0),) * 6
+    clifford.extract_PQ(rep, PSI)
+    forms = _counted(monkeypatch, "_integer_forms")
+    for fn in PIPELINE:
+        with pytest.raises(ConventionError, match="unit length"):
+            fn(rep, bad)
+        with pytest.raises(ConventionError, match="unit length"):
+            fn(rep, list(bad))
+    assert len(forms) == 2 * len(PIPELINE)
+    # the refusals stored nothing, so PSI's record still answers
+    clifford.extract_PQ(rep, PSI)
+    assert len(forms) == 2 * len(PIPELINE)
+
+
+def test_an_exact_record_does_not_answer_for_an_equal_float_spinor(rep):
+    floats = tuple(float(x) for x in PSI)
+    with pytest.raises(Exception) as fresh:
+        clifford.extract_PQ(rep, floats)
+    clifford.extract_PQ(rep, PSI)
+    with pytest.raises(type(fresh.value)):
+        clifford.extract_PQ(rep, floats)
+
+
+def test_a_complex_structure_that_raises_is_never_stored(rep, monkeypatch):
+    # As in test_complex_structure_refuses_a_volume_element_off_the_span;
+    # the broken representation is another object, so it has its own record.
+    blades = list(rep.blades)
+    blades[clifford.VOL_MASK] = blades[1]
+    broken = rep._replace(blades=tuple(blades))
+    clifford.complex_structure(rep, PSI)
+    j = _counted(monkeypatch, "_complex_structure")
+    assert clifford.extract_PQ(broken, PSI) == clifford.extract_PQ(rep, PSI)
+    for fn in (clifford.complex_structure, clifford.verify_identity_suite,
+               clifford.q_contraction_spectrum, clifford.complex_structure):
+        with pytest.raises(ConsistencyError, match="span"):
+            fn(broken, PSI)
+    assert len(j) == 4
