@@ -86,7 +86,7 @@ def _dual_gram(root_data):
     dual = [[_F(0)] * n for _ in range(n)]
     for tag, start, _ in root_data.blocks:
         st = lie.SIMPLE_TYPES[tag]
-        theta = max(st.positive_roots, key=sum)
+        theta = st.positive_roots[-1]
         cas = st.root_pairing([x + 2 for x in st.root_fund(theta)], theta)
         for i, (row, e) in enumerate(zip(st.cartan, st.symmetrizer)):
             for j, c in enumerate(row):

@@ -346,6 +346,10 @@ def _integer_forms(rep, psi):
     <e_A psi, psi> = <e_A psi~, psi~> / d^2, and its grade-0 part is 1 once
     |psi~|^2 = d^2 is checked.  Raises :class:`ConventionError` as
     :func:`extract_PQ` does."""
+    for x in psi:
+        if type(x) not in (int, _F):
+            raise ConventionError(
+                "spinor entry %r is not an int or a Fraction" % (x,))
     d, (spinor,) = ratlinalg.integer_scaled([psi])
     d2 = d * d
     if sum(x * x for x in spinor) != d2:
@@ -396,7 +400,7 @@ def _spinor(rep, psi):
     last = _last_spinor
     if last is not None and last.rep is rep and last.key == key:
         return last
-    _last_spinor = record = _Spinor(rep, key, _integer_forms(rep, psi))
+    _last_spinor = record = _Spinor(rep, key, _integer_forms(rep, values))
     return record
 
 
@@ -408,8 +412,9 @@ def _over(mv, d2):
 def extract_PQ(rep, psi):
     """The unique three-form P and four-form Q with 8 psi psi^T = 1 + P - Q.
 
-    Raises :class:`ConventionError` when psi is not a unit spinor or the
-    rank-one projector has residue outside grades {0, 3, 4}.
+    Raises :class:`ConventionError` when an entry of psi is not an ``int``
+    or a ``Fraction``, psi is not a unit spinor, or the rank-one projector
+    has residue outside grades {0, 3, 4}.
     """
     rec = _spinor(rep, psi)
     return _over(rec.p, rec.d2), _over(rec.q, rec.d2)

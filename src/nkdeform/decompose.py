@@ -1,15 +1,16 @@
-"""Tensor products, branching and highest-weight peel-off.
+"""Tensor products, branching and the decomposition of characters.
 
-Tensor products follow the Brauer-Klimyk rule (Humphreys, *Introduction to
-Lie Algebras and Representation Theory*, section 24): V(lambda) (x) V(mu) is
-the signed sum of V(w(lambda + nu + delta) - delta) over the weights nu of
-the smaller factor, with w the Weyl element that makes lambda + nu + delta
-dominant; a weight fixed by a reflection contributes nothing.  Only one
-character is built.  Branching restricts the character of the G-irreducible
-and repeatedly strips the character of the irreducible generated by a
-maximal-height remaining weight.  Dimension conservation is checked on every
-tensor product and branching; the peel-off raises
-:class:`NotACharacterError` if the input multiset is not Weyl-closed.
+One loop splits every character into irreducibles, the signed Weyl sum of
+Brauer-Klimyk (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, section 24): over a Weyl-invariant multiset of weights nu it adds
+sign(w) mult(nu) to V(w(shift + nu) - delta), with w the Weyl element that
+makes shift + nu dominant; a weight fixed by a reflection adds nothing.
+With shift lambda + delta over the weights of V(mu) the sum is V(lambda)
+(x) V(mu), so only one character is built.  With shift delta it expands
+any Weyl-invariant multiset in irreducible characters, which are a Z-basis
+of those multisets: that is :func:`peel_off`, which branching runs on the
+restricted character of the G-irreducible.  Dimension conservation is
+checked on every tensor product and branching.
 
 Each tensor product and each branching is built once per process, after its
 arguments are checked, and the same read-only :class:`RepDecomposition` is
@@ -109,48 +110,56 @@ class RestrictionMap(collections.namedtuple("RestrictionMap", "matrix")):
         return tuple(out)
 
 
-def peel_off(char):
-    """Decompose a genuine character into irreducibles.
+def _signed_sum(root_data, shift, weights):
+    """The nonzero coefficients of the sum, over the weights nu of the
+    mapping ``weights``, of sign(w) weights[nu] V(w(shift + nu) - delta),
+    with w the Weyl element that makes shift + nu dominant."""
+    delta = root_data.delta()
+    out = {}
+    for nu, m in weights.items():
+        image, sign = root_data.reflect_to_dominant(
+            tuple(a + b for a, b in zip(shift, nu))
+        )
+        if any(image[i] == 0 for i in root_data.simple_coords):
+            continue  # on a wall: fixed by a reflection
+        hw = tuple(a - b for a, b in zip(image, delta))
+        out[hw] = out.get(hw, 0) + sign * m
+    return {hw: m for hw, m in out.items() if m}
 
-    Selection rule: maximal height (sum of simple-root coordinates), ties
-    broken by picking the lexicographically largest weight.  The selected
-    weight must be dominant and subtraction of its full irreducible
-    character must never drive a multiplicity negative; otherwise the input
-    was not a character.
+
+def peel_off(char):
+    """Decompose a genuine character into irreducibles by the signed Weyl
+    sum with shift delta.
+
+    A weight that does not match the algebra raises ``ValueError``.  A
+    negative multiplicity, a multiset with m(s_i mu) != m(mu) for some
+    simple reflection s_i, or a negative coefficient in the sum (which is
+    then the exact expansion in irreducible characters) means the input was
+    not a character, and raises :class:`NotACharacterError`.
     """
     rd = char.root_data
-    remaining = {w: m for w, m in char.weights.items() if m != 0}
-    if any(m < 0 for m in remaining.values()):
+    weights = {w: m for w, m in char.weights.items() if m != 0}
+    if any(m < 0 for m in weights.values()):
         raise NotACharacterError("negative multiplicity in input multiset")
-    h = rd.height_vector
-    # Subtraction only removes weights (a weight it would add is negative),
-    # so the maximal remaining weight is the first of this order still left.
-    order = sorted(
-        remaining,
-        key=lambda w: (sum(a * b for a, b in zip(h, w)), w),
-        reverse=True,
-    )
-    entries = {}
-    for top in order:
-        if top not in remaining:
+    for w in weights:
+        rd.check_weight(w)
+    for tag, start, stop in rd.blocks:
+        if tag == lie.U1:
             continue
-        if not rd.is_dominant(top):
-            raise NotACharacterError(
-                "maximal-height weight %r is not dominant" % (top,)
-            )
-        mult = remaining[top]
-        for w, m in lie.weight_multiplicities(rd, top).weights.items():
-            new = remaining.get(w, 0) - mult * m
-            if new < 0:
-                raise NotACharacterError(
-                    "subtracting %d x V%r drives weight %r negative"
-                    % (mult, top, w)
-                )
-            if new:
-                remaining[w] = new
-            else:
-                remaining.pop(w, None)
-        entries[top] = entries.get(top, 0) + mult
+        st = lie.SIMPLE_TYPES[tag]
+        for w, m in weights.items():
+            for i in range(stop - start):
+                image = w[:start] + st.reflect(w[start:stop], i) + w[stop:]
+                if weights.get(image, 0) != m:
+                    raise NotACharacterError(
+                        "weight %r has multiplicity %d, its reflection %r has %d"
+                        % (w, m, image, weights.get(image, 0))
+                    )
+    entries = _signed_sum(rd, rd.delta(), weights)
+    negative = {hw: m for hw, m in entries.items() if m < 0}
+    if negative:
+        raise NotACharacterError(
+            "negative coefficients on irreducibles: %s" % negative)
     return RepDecomposition(rd, entries)
 
 
@@ -170,18 +179,9 @@ def _tensor_decompose(root_data, hw1, hw2):
     dim2 = lie.dimension(root_data, hw2)
     if dim2 > dim1:
         hw1, hw2 = hw2, hw1
-    delta = root_data.delta()
-    shifted = tuple(a + b for a, b in zip(hw1, delta))
-    entries = {}
-    for nu, m in lie.weight_multiplicities(root_data, hw2).weights.items():
-        image, sign = root_data.reflect_to_dominant(
-            tuple(a + b for a, b in zip(shifted, nu))
-        )
-        if any(image[i] == 0 for i in root_data.simple_coords):
-            continue  # on a wall: fixed by a reflection
-        hw = tuple(a - b for a, b in zip(image, delta))
-        entries[hw] = entries.get(hw, 0) + sign * m
-    entries = {hw: m for hw, m in entries.items() if m}
+    shift = tuple(a + b for a, b in zip(hw1, root_data.delta()))
+    entries = _signed_sum(
+        root_data, shift, lie.weight_multiplicities(root_data, hw2).weights)
     if any(m < 0 for m in entries.values()):
         raise ConsistencyError(
             "Brauer-Klimyk gave a negative multiplicity in V%r x V%r: %s"

@@ -30,7 +30,7 @@ complex dimensions of the halved summands.
 import collections
 from fractions import Fraction
 
-from . import cosets, decompose, lie
+from . import cosets, decompose
 from .errors import EvennessViolationError
 
 
@@ -93,8 +93,5 @@ def deformation_space(c, gauge):
     halved = decompose.RepDecomposition(
         c.g_data, {hw: m // 2 for hw, m in total.items()}
     )
-    real_dim = sum(
-        m * lie.dimension(c.g_data, hw) for hw, m in halved.entries.items()
-    )
-    return DeformationSpace(complexified, halved, real_dim)
+    return DeformationSpace(complexified, halved, halved.dimension())
 

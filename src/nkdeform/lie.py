@@ -139,14 +139,6 @@ class SimpleType(collections.namedtuple("SimpleType", "name cartan")):
             out.append(tuple(2 * a * b // norm for a, b in zip(r, self.symmetrizer)))
         return tuple(out)
 
-    @cached_property
-    def height_vector(self):
-        """Integer vector h with h.w = 2 x the height of w (the sum of its
-        simple-root coordinates): the sum of the coroot vectors, since the
-        positive coroots add up to twice the element pairing to 1 with
-        every simple root."""
-        return tuple(sum(col) for col in zip(*self.coroots))
-
     def weyl_dimension(self, hw):
         """prod <hw + delta, alpha^vee> // prod <delta, alpha^vee>."""
         num = den = 1
@@ -258,15 +250,6 @@ class RootData(collections.namedtuple("RootData", "factors")):
         for i in self.simple_coords:
             w[i] = 1
         return tuple(w)
-
-    @cached_property
-    def height_vector(self):
-        """Integer vector h with h.w = 2 x the sum of the simple-root
-        coordinates of ``w`` (charges contribute 0)."""
-        out = []
-        for tag, _, _ in self.blocks:
-            out.extend((0,) if tag == U1 else SIMPLE_TYPES[tag].height_vector)
-        return tuple(out)
 
     def dominant_representative(self, w):
         self.check_weight(w)

@@ -1,8 +1,11 @@
 """The package's former slow routes and hand-entered tables, kept as
 references for what it now computes or derives.
 
+* :func:`peel_off_by_subtraction` strips the character of the irreducible
+  of a highest remaining weight until nothing is left; the package reads
+  every coefficient off one signed Weyl sum.
 * :func:`tensor_by_characters` multiplies the two characters and peels off
-  irreducibles; the package uses the Brauer-Klimyk rule.
+  irreducibles by subtraction; the package uses the Brauer-Klimyk rule.
 * :func:`casimir` is B(hw, hw) + 2 B(hw, delta) in ``Fraction`` arithmetic
   on the hand-entered Gram matrix of :data:`PAIRS`; the package derives the
   Gram matrix from the Cartan matrices and uses the integer form D * Cas.
@@ -35,7 +38,7 @@ import math
 from fractions import Fraction as F
 
 from nkdeform import casimir as _casimir, cosets, decompose, deform, lie, ratlinalg
-from nkdeform.errors import ConsistencyError
+from nkdeform.errors import ConsistencyError, NotACharacterError
 
 from weyl_oracle import CARTAN
 
@@ -301,9 +304,60 @@ def leading_principal_minors(mat):
     return [det([row[: k + 1] for row in mat[: k + 1]]) for k in range(len(mat))]
 
 
+def peel_off_by_subtraction(char):
+    """Decompose a genuine character into irreducibles by subtraction.
+
+    The remaining weights are taken in decreasing height (the sum of their
+    simple-root coordinates, w . u with C u = 1 for each block's Cartan
+    matrix C, solved by :func:`rref`; charges count 0), ties broken by the
+    lexicographically larger weight.  Subtraction only removes weights, so
+    the first of this order still left is maximal: it must be dominant, and
+    subtracting its irreducible character must drive no multiplicity
+    negative, or :class:`NotACharacterError` is raised.
+    """
+    rd = char.root_data
+    remaining = {w: m for w, m in char.weights.items() if m != 0}
+    if any(m < 0 for m in remaining.values()):
+        raise NotACharacterError("negative multiplicity in input multiset")
+    u = []
+    for tag, _, _ in rd.blocks:
+        if tag == lie.U1:
+            u.append(0)
+        else:
+            rows, _ = rref([list(row) + [1] for row in CARTAN[tag]])
+            u.extend(row[-1] for row in rows)
+    order = sorted(
+        remaining,
+        key=lambda w: (sum(a * b for a, b in zip(u, w)), w),
+        reverse=True,
+    )
+    entries = {}
+    for top in order:
+        if top not in remaining:
+            continue
+        if not rd.is_dominant(top):
+            raise NotACharacterError(
+                "maximal-height weight %r is not dominant" % (top,)
+            )
+        mult = remaining[top]
+        for w, m in lie.weight_multiplicities(rd, top).weights.items():
+            new = remaining.get(w, 0) - mult * m
+            if new < 0:
+                raise NotACharacterError(
+                    "subtracting %d x V%r drives weight %r negative"
+                    % (mult, top, w)
+                )
+            if new:
+                remaining[w] = new
+            else:
+                remaining.pop(w, None)
+        entries[top] = mult
+    return decompose.RepDecomposition(rd, entries)
+
+
 def tensor_by_characters(root_data, hw1, hw2):
     """(decomposition, dimension of the product character) of V(hw1) x V(hw2),
-    from the product of the two characters and peel-off."""
+    from the product of the two characters, peeled off by subtraction."""
     c1 = lie.weight_multiplicities(root_data, hw1)
     c2 = lie.weight_multiplicities(root_data, hw2)
     prod = {}
@@ -312,7 +366,7 @@ def tensor_by_characters(root_data, hw1, hw2):
             w = tuple(a + b for a, b in zip(w1, w2))
             prod[w] = prod.get(w, 0) + m1 * m2
     char = lie.WeightCharacter(root_data, prod)
-    return decompose.peel_off(char), sum(char.weights.values())
+    return peel_off_by_subtraction(char), sum(char.weights.values())
 
 
 def abelian_rigidity_check(c):

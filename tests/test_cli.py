@@ -176,13 +176,17 @@ def test_clifford_verify_matches_golden_output(fmt, golden):
 
 
 # One command per subcommand besides clifford-verify, whose goldens are
-# checked above; stdout is compared byte for byte in text and JSON.
+# checked above, and a branching on each coset; stdout is compared byte for
+# byte in text and JSON.
 GOLDEN_COMMANDS = {
     "tables_prop-4.2": ["tables", "prop-4.2"],
     "tables_thm-5.2-H": ["tables", "thm-5.2-H"],
     "tables_thm-5.2-SU3": ["tables", "thm-5.2-SU3"],
     "casimir_su2cubed": ["casimir", "--pair", "su2cubed", "--hw", "1,1,1"],
     "branch_su3t2": ["branch", "--coset", "su3t2", "--hw", "2,1"],
+    "branch_g2su3": ["branch", "--coset", "g2su3", "--hw", "1,1"],
+    "branch_su2cubed": ["branch", "--coset", "su2cubed", "--hw", "1,2,1"],
+    "branch_sp2": ["branch", "--coset", "sp2", "--hw", "2,1"],
     "tensor_sp1u1": ["tensor", "--algebra", "sp1u1", "--a", "2,-3", "--b", "1,2"],
 }
 

@@ -851,11 +851,19 @@ def test_a_non_unit_spinor_is_refused_by_every_call_and_never_stored(
 
 def test_an_exact_record_does_not_answer_for_an_equal_float_spinor(rep):
     floats = tuple(float(x) for x in PSI)
-    with pytest.raises(Exception) as fresh:
+    with pytest.raises(ConventionError, match="not an int or a Fraction"):
         clifford.extract_PQ(rep, floats)
     clifford.extract_PQ(rep, PSI)
-    with pytest.raises(type(fresh.value)):
+    with pytest.raises(ConventionError, match="not an int or a Fraction"):
         clifford.extract_PQ(rep, floats)
+
+
+@pytest.mark.parametrize("entry", [0.0, True, "0", None])
+def test_a_spinor_entry_that_is_not_exact_is_refused_by_every_call(rep, entry):
+    spinor = tuple(clifford.STANDARD_SPINOR[:-1]) + (entry,)
+    for fn in PIPELINE + (clifford.complex_structure,):
+        with pytest.raises(ConventionError, match=re.escape("entry %r " % (entry,))):
+            fn(rep, spinor)
 
 
 def test_a_complex_structure_that_raises_is_never_stored(rep, monkeypatch):

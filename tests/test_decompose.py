@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkdeform import casimir, cli, decompose, lie
+from nkdeform import casimir, cli, cosets, decompose, lie
 from nkdeform.errors import (
     ConsistencyError,
     MalformedEmbeddingError,
@@ -187,6 +187,93 @@ def test_peel_off_rejects_non_characters():
         decompose.peel_off(lie.WeightCharacter(lie.A1, {(2,): 1}))
     with pytest.raises(NotACharacterError):
         decompose.peel_off(lie.WeightCharacter(lie.A1, {(1,): 1, (-1,): -1}))
+
+
+RESTRICTIONS = [
+    (SP2_TO_SP1U1, lie.C2, lie.A1_U1),
+    (G2_TO_SU3, lie.G2, lie.A2),
+    (SU3_TO_U1U1, lie.A2, lie.U1_U1),
+    (SU2CUBED_TO_SU2, lie.A1_CUBED, lie.A1),
+]
+
+
+def _restricted(rmap, g_data, h_data, hw):
+    char = lie.weight_multiplicities(g_data, hw)
+    return decompose.restrict_character(rmap, char, h_data)
+
+
+def _peeled_both_ways(char):
+    got = decompose.peel_off(char)
+    assert got == slow_oracle.peel_off_by_subtraction(char)
+    return got
+
+
+def test_peel_off_matches_subtraction_on_every_branched_restriction():
+    # the adjoints and every Casimir-matched W each descriptor branches
+    for name in cosets.COSET_NAMES:
+        c = cosets.coset(name)
+        ws = set(c.g_adjoint.entries)
+        for gauge in cosets.GAUGE_GROUPS:
+            ws.update(w for s in c.gauges[gauge][1] for w, _ in s.matched)
+        for w in sorted(ws):
+            char = _restricted(c.restriction, c.g_data, c.h_data, w)
+            assert _peeled_both_ways(char) == decompose.branch(
+                c.restriction, c.g_data, c.h_data, w)
+
+
+@pytest.mark.parametrize(
+    "rmap, g_data, h_data", RESTRICTIONS,
+    ids=["sp2", "g2su3", "su3t2", "su2cubed"])
+def test_peel_off_matches_subtraction_on_a_box_of_restrictions(
+        rmap, g_data, h_data):
+    bound = 2 if g_data.num_coords <= 2 else 1
+    for hw in slow_oracle.dominant_weights_in_box(g_data, bound):
+        got = _peeled_both_ways(_restricted(rmap, g_data, h_data, hw))
+        assert got.dimension() == lie.dimension(g_data, hw)
+
+
+@pytest.mark.parametrize(
+    "rd", [lie.A1, lie.A2, lie.C2, lie.G2, lie.A1_U1, lie.U1_U1],
+    ids=lambda rd: "x".join(rd.factors))
+def test_peel_off_matches_subtraction_on_random_sums_of_irreducibles(rd):
+    rng = random.Random(31)
+    simple = set(rd.simple_coords)
+    for _ in range(12):
+        entries = {}
+        for _ in range(rng.randint(1, 4)):
+            hw = tuple(
+                rng.randint(0, 3) if i in simple else rng.randint(-3, 3)
+                for i in range(rd.num_coords)
+            )
+            entries[hw] = entries.get(hw, 0) + rng.randint(1, 3)
+        char = {}
+        for hw, mult in entries.items():
+            for w, m in lie.weight_multiplicities(rd, hw).weights.items():
+                char[w] = char.get(w, 0) + mult * m
+        assert _peeled_both_ways(lie.WeightCharacter(rd, char)) == d(rd, entries)
+
+
+@pytest.mark.parametrize(
+    "weights, error, message",
+    [
+        ({(2,): 1, (0,): 1, (-2,): -1}, NotACharacterError, "negative multiplicity"),
+        ({(2,): 1}, NotACharacterError, None),
+        # the orbit sum of (2) is V(2) - V(0)
+        ({(2,): 1, (-2,): 1}, NotACharacterError, None),
+        # Weyl-invariance, not dimension: its signed sum is V(2), of dimension 3
+        ({(2,): 1, (-1,): 2}, NotACharacterError, None),
+        ({(1, 0): 1}, ValueError, "does not match algebra"),
+    ],
+    ids=["negative-multiplicity", "lone-weight", "orbit-sum",
+         "not-weyl-invariant", "wrong-shape"],
+)
+@pytest.mark.parametrize(
+    "route", [decompose.peel_off, slow_oracle.peel_off_by_subtraction],
+    ids=["signed_sum", "subtraction"])
+def test_both_peel_offs_refuse_what_is_not_a_character(
+        route, weights, error, message):
+    with pytest.raises(error, match=message):
+        route(lie.WeightCharacter(lie.A1, weights))
 
 
 def test_tensor_rejects_non_dominant():

@@ -184,14 +184,16 @@ def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
 
 def _restricted_character(c, w_hw):
     """W's character pushed to H weight by weight through the restriction
-    matrix in Fraction arithmetic, and peeled into H-irreducibles."""
+    matrix in Fraction arithmetic, and peeled into H-irreducibles by
+    subtraction."""
     restricted = {}
     for w, m in lie.weight_multiplicities(c.g_data, w_hw).weights.items():
         v = tuple(sum(F(a) * x for a, x in zip(row, w)) for row in c.restriction.matrix)
         assert all(x.denominator == 1 for x in v)
         v = tuple(int(x) for x in v)
         restricted[v] = restricted.get(v, 0) + m
-    return decompose.peel_off(lie.WeightCharacter(c.h_data, restricted))
+    return slow_oracle.peel_off_by_subtraction(
+        lie.WeightCharacter(c.h_data, restricted))
 
 
 def test_stored_frobenius_counts_match_an_independent_count(fixture_descriptors):

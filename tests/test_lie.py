@@ -86,18 +86,6 @@ def test_character_checked_against_weyl_formula(monkeypatch):
         lie._simple_character.__wrapped__("A2", (1, 1))
 
 
-def test_height_vector_is_twice_the_height():
-    # the height of w is sum_j w_j x (height of the j-th fundamental weight)
-    for rd in (lie.A1, lie.A2, lie.C2, lie.G2, lie.A1_U1, lie.A1_CUBED):
-        for w in itertools.product(range(-3, 4), repeat=rd.num_coords):
-            height = Fraction(0)
-            for tag, start, stop in rd.blocks:
-                if tag != lie.U1:
-                    fw = _fundamental_weights(lie.SIMPLE_TYPES[tag])
-                    height += sum(c * sum(f) for c, f in zip(w[start:stop], fw))
-            assert sum(a * b for a, b in zip(rd.height_vector, w)) == 2 * height
-
-
 def _g2_tables(**changes):
     fields = dict(name="G2", cartan=lie.SIMPLE_TYPES["G2"].cartan)
     fields.update(changes)
