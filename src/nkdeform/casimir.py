@@ -27,12 +27,16 @@ _F = Fraction
 
 
 class CasimirContext(collections.namedtuple(
-        "CasimirContext", "root_data dual denominator gram_int linear")):
+        "CasimirContext",
+        "root_data dual denominator gram_int linear box disc_quad disc_linear")):
     """A form on a root datum: ``dual`` is gram^-1, the form on roots, and
     the Gram matrix on fundamental-weight coordinates is kept as integers:
     ``denominator`` is its common denominator D, ``gram_int`` is D * gram
     and ``linear`` is 2D * gram * delta, so that D * Cas(w) = q(w) =
-    w.gram_int.w + linear.w."""
+    w.gram_int.w + linear.w.  The rest serves :func:`irreps_with_casimir`
+    on the coordinates h before the last: ``box`` holds (p, r, is a U(1)
+    charge) with p / r = dual_ii / D per coordinate, and ``disc_quad`` M and
+    ``disc_linear`` m give the discriminant hMh + m.h + l^2 + 4at."""
 
     __slots__ = ()
 
@@ -106,7 +110,17 @@ def context(pair):
     d, gram_int = ratlinalg.integer_scaled(ratlinalg.inverse(dual))
     gram_int = tuple(map(tuple, gram_int))
     linear = tuple(2 * sum(g * c for g, c in zip(row, delta)) for row in gram_int)
-    return CasimirContext(root_data, tuple(map(tuple, dual)), d, gram_int, linear)
+    # q(h, x) = a x^2 + b(h) x + c(h) with b(h) = 2 g.h + l and
+    # c(h) = h G_hh h + L_h.h, so that b^2 - 4a(c - t) = hMh + m.h + l^2 + 4at.
+    *head_rows, last = gram_int
+    a, g, l = last[-1], last[:-1], linear[-1]
+    disc_quad = tuple(tuple(4 * (gi * gj - a * row[j]) for j, gj in enumerate(g))
+                      for gi, row in zip(g, head_rows))
+    disc_linear = tuple(4 * (l * gi - a * li) for gi, li in zip(g, linear))
+    box = tuple((dual[i][i].numerator, d * dual[i][i].denominator,
+                 i not in root_data.simple_coords) for i in range(len(g)))
+    return CasimirContext(root_data, tuple(map(tuple, dual)), d, gram_int, linear,
+                          box, disc_quad, disc_linear)
 
 
 def casimir_eigenvalue(ctx, hw):
@@ -117,40 +131,47 @@ def casimir_eigenvalue(ctx, hw):
 
 
 def irreps_with_casimir(ctx, value):
-    """All dominant weights whose Casimir eigenvalue equals ``value``, sorted.
+    """All dominant weights whose Casimir eigenvalue equals ``value``, an
+    ``int`` or a ``Fraction``, sorted; any other type raises ``TypeError``.
 
     Completeness: -Cas(w) = q(w) + l(w) with q the positive definite form
     -B and l(w) = -2B(w, delta) >= 0 on dominant weights (delta has no
     charge components), so any solution satisfies q(w) <= |value|, hence
     w_i^2 <= |value| * (q^-1)_ii exactly.  The box's first n - 1
-    coordinates h are enumerated; D * Cas(h, x) = a x^2 + b x + c is an
-    integer quadratic in the last coordinate x, with a = gram_int[-1][-1],
-    whose integer roots are solved for exactly (a perfect-square
-    discriminant, an exact division by 2a, x >= 0 unless x is a U(1)
-    charge).  Every dominant solution lies in the box, so these are
-    exactly the box's solutions.
+    coordinates h are enumerated; D * Cas(h, x) = a x^2 + b(h) x + c(h) is
+    an integer quadratic in the last coordinate x, with a = gram_int[-1][-1],
+    whose integer roots are solved for exactly: its discriminant
+    b(h)^2 - 4a(c(h) - t), t = D * value, is the integer quadratic form of
+    ``ctx.disc_quad`` and ``ctx.disc_linear`` in h, and only where it is a
+    perfect square is b(h) formed, divided exactly by 2a and kept if
+    x >= 0 or x is a U(1) charge.  Every dominant solution lies in the box,
+    so these are exactly the box's solutions.
     """
-    value = _F(value)
-    target = value * ctx.denominator
-    if value > 0 or target.denominator != 1:
+    if type(value) is bool or not isinstance(value, (int, _F)):
+        raise TypeError("Casimir value %r is not an int or a Fraction" % (value,))
+    target, rest = divmod(value.numerator * ctx.denominator, value.denominator)
+    if target > 0 or rest:
         return []
-    target = target.numerator
-    simple = ctx.root_data.simple_coords
     ranges = []
-    for i, row in enumerate(ctx.dual[:-1]):
-        # w_i^2 <= target * dual_ii / D; floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
-        bound = math.isqrt(target * row[i].numerator // (ctx.denominator * row[i].denominator))
-        ranges.append(range(0, bound + 1) if i in simple else range(-bound, bound + 1))
-    last_row = ctx.gram_int[-1]
-    two_a = 2 * last_row[-1]
-    charge_last = ctx.root_data.num_coords - 1 not in simple
+    for p, r, charge in ctx.box:
+        # w_i^2 <= target * p / r; floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+        bound = math.isqrt(target * p // r)
+        ranges.append(range(-bound, bound + 1) if charge else range(bound + 1))
+    g, l = ctx.gram_int[-1], ctx.linear[-1]
+    two_a = 2 * g[-1]
+    const = l * l + 2 * two_a * target
+    charge_last = ctx.root_data.num_coords - 1 not in ctx.root_data.simple_coords
+    quad, lin = ctx.disc_quad, ctx.disc_linear
     found = []
     for head in itertools.product(*ranges):
-        b = 2 * sum(g * h for g, h in zip(last_row, head)) + ctx.linear[-1]
-        disc = b * b - 2 * two_a * (ctx.scaled_casimir(head + (0,)) - target)
-        root = math.isqrt(max(disc, 0))
+        disc = const + sum(h * (sum(q * k for q, k in zip(row, head)) + m)
+                           for h, row, m in zip(head, quad, lin))
+        if disc < 0:
+            continue
+        root = math.isqrt(disc)
         if root * root != disc:
             continue
+        b = 2 * sum(gi * h for gi, h in zip(g, head)) + l
         for num in {-b - root, -b + root}:
             x, rest = divmod(num, two_a)
             if not rest and (x >= 0 or charge_last):

@@ -136,7 +136,7 @@ def cmd_tables(args, out):
         rows = []
         text = "curvature operator spectrum on m* (x) h, canonical connection\n"
         for name in names:
-            entries = deform.curvature_spectrum(lookup(name), cosets.GAUGE_H).entries
+            entries = deform.curvature_spectrum(lookup(name), deform.GAUGE_H).entries
             rows.append({
                 "coset": name,
                 "spectrum": [{"eigenvalue": _frac_json(e), "dimension": d}
@@ -150,10 +150,10 @@ def cmd_tables(args, out):
             text += "  dimension " + "".join(s.rjust(width) for s in dims) + "\n"
         return _emit(args, out, "tables", {"which": which}, rows, text)
 
-    gauge = cosets.GAUGE_H if which == "thm-5.2-H" else cosets.GAUGE_SU3
+    gauge = deform.GAUGE_H if which == "thm-5.2-H" else deform.GAUGE_SU3
     rows = []
     text = ("instanton deformations of the canonical connection "
-            "(structure group %s)\n\n" % ("H" if gauge == cosets.GAUGE_H else "SU(3)"))
+            "(structure group %s)\n\n" % ("H" if gauge == deform.GAUGE_H else "SU(3)"))
     for name in cosets.COSET_NAMES:
         space = deform.deformation_space(lookup(name), gauge)
         rows.append({

@@ -4,13 +4,10 @@ Each descriptor bundles the isometry algebra g, the isotropy algebra h, the
 restriction map between their weight lattices, the two normalized invariant
 forms, the adjoints of g and h, the h-decomposition of the complexified
 cotangent representation m* together with its (1,0)-part V, and the two
-gauge algebras (the adjoint of h for ``H``; V (x) V* minus a trivial
-summand, from the descriptor's own V, for ``SU3``).  For each irreducible
-summand E_alpha of a gauge algebra it derives once n_alpha,
-Cas_h(E_alpha), the curvature eigenvalue and dimension pairs of
-E_alpha (x) m* in integers, and the Frobenius count of each G-irreducible W
-with Casimir Cas_h(E_alpha) (:class:`GaugeSummand`); E_alpha (x) m* itself
-is not kept.  Both :mod:`deform` computations only add these.
+gauges (the adjoint of h for ``H``; V (x) V* minus a trivial summand, from
+the descriptor's own V, for ``SU3``).  Each gauge's curvature spectrum and
+deformation space are derived once, when the descriptor is built, by
+:mod:`deform` (:class:`deform.Gauge`), which holds that math.
 
 Only the two form pair tags and V are stored per coset.  g, h and the
 restriction map are those of the pairs in :mod:`casimir`, which derives B_H
@@ -23,9 +20,10 @@ m* = branch(adjoint g) - adjoint h.  Every descriptor is validated:
   restriction map R;
 * dim m* = 6, dim V = 3, and m* = V + conj(V);
 * every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
-  curvature of the canonical connection is 4x the metric).
-* the curvature pairs of each gauge algebra E cover 6 dim E and are
-  traceless.
+  curvature of the canonical connection is 4x the metric);
+* the gauge checks of :mod:`deform`: the curvature pairs of each gauge
+  algebra E cover 6 dim E and are traceless, and every complexified
+  deformation multiplicity is even.
 
 The form checks run before m* is derived, so that a wrong form is reported
 as such; the m* checks catch a wrong restriction matrix, and the curvature
@@ -44,16 +42,11 @@ import collections
 import json
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
-from . import casimir, decompose, lie, ratlinalg
+from . import casimir, decompose, deform, lie, ratlinalg
 from .decompose import _decomp_json
-from .errors import ConsistencyError, FixtureError, UnknownTagError
+from .errors import FixtureError, UnknownTagError
 from .ratlinalg import _frac_json
-
-GAUGE_H = "H"
-GAUGE_SU3 = "SU3"
-GAUGE_GROUPS = (GAUGE_H, GAUGE_SU3)
 
 
 class CosetDescriptor(collections.namedtuple(
@@ -64,7 +57,7 @@ class CosetDescriptor(collections.namedtuple(
     :class:`decompose.RestrictionMap`, the two form pair tags of
     :mod:`casimir`, m*, its (1,0)-part V and the two adjoints as
     :class:`decompose.RepDecomposition`, and ``gauges``, a read-only map
-    from each gauge group to the pair :func:`_gauge_data` builds for it."""
+    from each gauge group to its :class:`deform.Gauge`."""
 
     __slots__ = ()
 
@@ -123,12 +116,6 @@ class CosetDescriptor(collections.namedtuple(
         return self
 
 
-def _add(total, decomp, k):
-    """Add k times the decomposition to the dict ``total``."""
-    for hw, mult in decomp.entries.items():
-        total[hw] = total.get(hw, 0) + k * mult
-
-
 def _adjoint(root_data):
     """The adjoint: the highest root of each simple factor, and one trivial
     summand per U(1) factor."""
@@ -142,71 +129,6 @@ def _adjoint(root_data):
     return decompose.RepDecomposition(root_data, entries)
 
 
-def _gauge_su3(c):
-    """V (x) V* minus one trivial summand, V the (1,0)-part of c's m*.  The
-    identity of V is the trivial summand, and dim V = 3 gives dimension 8."""
-    holo = c.mstar_holomorphic
-    entries = {}
-    for hw1, m1 in holo.entries.items():
-        for hw2, m2 in holo.entries.items():
-            dual = c.h_data.dominant_representative(tuple(-x for x in hw2))
-            _add(entries, decompose.tensor_decompose(c.h_data, hw1, dual), m1 * m2)
-    entries[(0,) * c.h_data.num_coords] -= 1
-    return decompose.RepDecomposition(
-        c.h_data, {hw: m for hw, m in entries.items() if m})
-
-
-class GaugeSummand(collections.namedtuple(
-        "GaugeSummand", "hw n_alpha casimir curvature matched")):
-    """One irreducible summand E_alpha of a gauge algebra: its highest
-    weight, n_alpha and Cas_h(E_alpha), and what the two :mod:`deform`
-    computations read off E_alpha (x) m*.  ``curvature`` holds the pairs
-    (q(E_alpha) - 4D - q(U), n_alpha * mult * dim U) over the irreducibles U
-    of E_alpha (x) m*, with q = D * Cas_h in integers; ``matched`` the pairs
-    (W, count) over the G-highest weights W with Cas_g(W) = Cas_h(E_alpha),
-    sorted by W, where count = sum_U mult_U(E_alpha (x) m*) mult_U(W|_H) is
-    the Frobenius-reciprocity count, zeros included."""
-
-    __slots__ = ()
-
-
-def _gauge_data(c, decomp):
-    """The decomposition and its :class:`GaugeSummand` tuple, sorted by hw
-    so that equal descriptors hold equal ones.  The curvature pairs of the
-    whole gauge must cover 6 dim E and be traceless, or
-    :class:`ConsistencyError` is raised."""
-    ctx_h = c.context_h
-    summands = []
-    for hw, n_alpha in decomp.sorted_items():
-        tensor = {}
-        for m_hw, m_mult in c.mstar.entries.items():
-            _add(tensor, decompose.tensor_decompose(c.h_data, hw, m_hw), m_mult)
-        c_alpha = casimir.casimir_eigenvalue(ctx_h, hw)
-        base = ctx_h.scaled_casimir(hw) - 4 * ctx_h.denominator
-        curvature = tuple(
-            (base - ctx_h.scaled_casimir(u_hw),
-             n_alpha * u_mult * lie._weyl_dimension(c.h_data, u_hw))
-            for u_hw, u_mult in sorted(tensor.items()))
-        matched = []
-        for w_hw in casimir.irreps_with_casimir(c.context_g, c_alpha):
-            restricted = decompose.branch(c.restriction, c.g_data, c.h_data, w_hw)
-            matched.append((w_hw, sum(
-                u_mult * restricted.mult(u_hw) for u_hw, u_mult in tensor.items())))
-        summands.append(GaugeSummand(hw, n_alpha, c_alpha, curvature, tuple(matched)))
-    pairs = [pair for s in summands for pair in s.curvature]
-    covered = sum(dim for _, dim in pairs)
-    if covered != 6 * decomp.dimension():
-        raise ConsistencyError(
-            "%s: curvature spectrum covers %d dimensions, expected %d"
-            % (c.name, covered, 6 * decomp.dimension()))
-    trace = sum(eig * dim for eig, dim in pairs)
-    if trace:
-        raise ConsistencyError(
-            "%s: curvature operator trace %s != 0"
-            % (c.name, Fraction(trace, ctx_h.denominator)))
-    return decomp, tuple(summands)
-
-
 def _descriptor(name, g_data, h_data, matrix, b_g_pair, b_h_pair, holomorphic):
     """The validated descriptor with its adjoints, m* and gauge data
     derived.  A negative multiplicity in branch(adjoint g) - adjoint h is
@@ -217,14 +139,11 @@ def _descriptor(name, g_data, h_data, matrix, b_g_pair, b_h_pair, holomorphic):
     )._check_forms()
     mstar = {}
     for hw, mult in c.g_adjoint.entries.items():
-        _add(mstar, decompose.branch(c.restriction, g_data, h_data, hw), mult)
-    _add(mstar, c.h_adjoint, -1)
+        decompose._add(mstar, decompose.branch(c.restriction, g_data, h_data, hw), mult)
+    decompose._add(mstar, c.h_adjoint, -1)
     c = c._replace(mstar=decompose.RepDecomposition(
         h_data, {hw: m for hw, m in mstar.items() if m}))._check_mstar()
-    return c._replace(gauges=MappingProxyType({
-        GAUGE_H: _gauge_data(c, c.h_adjoint),
-        GAUGE_SU3: _gauge_data(c, _gauge_su3(c)),
-    }))
+    return c._replace(gauges=deform._gauges(c))
 
 
 # name -> (B_G pair tag, B_H pair tag, highest weights of V, the (1,0)-part
@@ -272,24 +191,12 @@ def _coset(name):
     )
 
 
-def _gauge(c, gauge):
-    """The stored (decomposition, summands) of one gauge group of ``c``."""
-    if gauge not in GAUGE_GROUPS:
-        raise UnknownTagError("gauge must be one of %s" % (GAUGE_GROUPS,))
-    return c.gauges[gauge]
-
-
 def gauge_rep(c, gauge):
-    """H-decomposition of the complexified gauge representation.
-
-    ``H``: the adjoint of the structure group of the principal bundle
-    G -> G/H (for abelian factors: trivial charges), ``c.h_adjoint``.
-    ``SU3``: the su(3) of the tangent-bundle structure group, built as
-    V (x) V* minus one trivial summand where V is the (1,0)-part of c's m*.
-    The decomposition returned is the one stored in ``c``, shared and
-    read-only.
-    """
-    return _gauge(c, gauge)[0]
+    """H-decomposition of the complexified gauge representation: for ``H``
+    the adjoint ``c.h_adjoint`` (trivial charges for abelian factors), for
+    ``SU3`` the su(3) of the tangent bundle (:func:`deform._gauge_su3`).
+    The decomposition is the one stored in ``c``, shared and read-only."""
+    return deform._gauge(c, gauge).rep
 
 
 # ---------------------------------------------------------------------------

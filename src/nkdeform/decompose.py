@@ -81,6 +81,12 @@ class RepDecomposition:
         return " + ".join(parts)
 
 
+def _add(total, decomp, k):
+    """Add k times the decomposition to the dict ``total``."""
+    for hw, mult in decomp.entries.items():
+        total[hw] = total.get(hw, 0) + k * mult
+
+
 def _decomp_json(d):
     """The JSON form of a decomposition, shared by the CLI and the coset
     fixtures: its sorted highest weights and multiplicities."""

@@ -37,7 +37,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from nkdeform import casimir as _casimir, cosets, decompose, deform, lie, ratlinalg
+from nkdeform import casimir as _casimir, decompose, deform, lie, ratlinalg
 from nkdeform.errors import ConsistencyError, NotACharacterError
 
 from weyl_oracle import CARTAN
@@ -154,12 +154,7 @@ PAIRS = {
 
 def ip(gram, u, v):
     """u.gram.v in Fraction arithmetic."""
-    n = len(gram)
-    return sum(
-        F(u[i]) * gram[i][j] * F(v[j])
-        for i in range(n)
-        for j in range(n)
-    )
+    return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(u, gram))
 
 
 def root_fund(tag, root):
@@ -177,7 +172,7 @@ def casimir(tag, hw):
     delta = []
     for f in factors:
         delta += [0] if f == lie.U1 else [1] * len(CARTAN[f])
-    return ip(gram, hw, hw) + 2 * ip(gram, hw, delta)
+    return ip(gram, hw, [a + 2 * d for a, d in zip(hw, delta)])
 
 
 def irreps_with_casimir(tag, value):
@@ -378,5 +373,5 @@ def abelian_rigidity_check(c):
     empty solution space.
     """
     zero = (0,) * c.h_data.num_coords
-    summands = c.gauges[cosets.GAUGE_H][1]
+    summands = c.gauges[deform.GAUGE_H][1]
     return not deform._complexified_solutions([s for s in summands if s.hw == zero])

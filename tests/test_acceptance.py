@@ -33,11 +33,11 @@ def test_criterion_1_curvature_spectra():
     }
     for name, table in expected.items():
         c = cosets.coset(name)
-        spectrum = deform.curvature_spectrum(c, cosets.GAUGE_H)
+        spectrum = deform.curvature_spectrum(c, deform.GAUGE_H)
         assert dict(spectrum.entries) == table, name
         assert sum(e * d for e, d in spectrum.entries) == 0
         assert sum(d for _, d in spectrum.entries) == 6 * cosets.gauge_rep(
-            c, cosets.GAUGE_H
+            c, deform.GAUGE_H
         ).dimension()
     _report(1, "three curvature-operator tables, traceless, dimension 6*dim(h)")
 
@@ -45,10 +45,10 @@ def test_criterion_1_curvature_spectra():
 def test_criterion_2_deformations_structure_group_h():
     dims = []
     for name in cosets.COSET_NAMES:
-        space = deform.deformation_space(cosets.coset(name), cosets.GAUGE_H)
+        space = deform.deformation_space(cosets.coset(name), deform.GAUGE_H)
         dims.append(space.real_dimension)
     assert dims == [0, 0, 5, 0]
-    sp2 = deform.deformation_space(cosets.coset("sp2"), cosets.GAUGE_H)
+    sp2 = deform.deformation_space(cosets.coset("sp2"), deform.GAUGE_H)
     assert sp2.halved.entries == {(1, 0): 1}
     _report(2, "H-bundle deformation dimensions (0, 0, 5, 0); Sp(2) answer V(1,0)")
 
@@ -61,7 +61,7 @@ def test_criterion_3_deformations_structure_group_su3():
         "SU(3)/U(1)^2": ({(1, 1): 6}, 48),
     }
     for name, (halved, dim) in expected.items():
-        space = deform.deformation_space(cosets.coset(name), cosets.GAUGE_SU3)
+        space = deform.deformation_space(cosets.coset(name), deform.GAUGE_SU3)
         assert space.halved.entries == halved, name
         assert space.real_dimension == dim, name
     _report(3, "SU(3)-bundle deformation dimensions (0, 9, 25, 48) and decompositions")
@@ -246,7 +246,7 @@ def test_criterion_8_property_suite(rep):
 
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             space = deform.deformation_space(c, gauge)
             assert all(m % 2 == 0 for m in space.complexified.entries.values())
         assert slow_oracle.abelian_rigidity_check(c) is True

@@ -191,10 +191,10 @@ def test_irreps_with_casimir_completeness_against_box():
     # The solved last coordinate against the scan of the whole definiteness
     # box, on every pair (a U(1) last coordinate on sp1u1-in-sp2 and
     # u1u1-in-su3, rank 1 on su2-diagonal-in-su2cubed) and every k/D from 0
-    # down to -16, attained or not.
+    # down to -64, attained or not.
     for tag in casimir.PAIR_TAGS:
         ctx = casimir.context(tag)
-        values = [F(k, ctx.denominator) for k in range(0, -16 * ctx.denominator - 1, -1)]
+        values = [F(k, ctx.denominator) for k in range(0, -64 * ctx.denominator - 1, -1)]
         attained = 0
         for value in values:
             fast = casimir.irreps_with_casimir(ctx, value)
@@ -212,6 +212,14 @@ def test_irreps_with_casimir_completeness_against_box():
         for value in range(0, -31, -1):
             fast = casimir.irreps_with_casimir(ctx, value)
             assert [w for w in fast if w in box] == brute.get(value, []), (tag, value)
+
+
+@pytest.mark.parametrize("value", ["-8", True, False, -8.0, 0.1, None])
+def test_irreps_with_casimir_refuses_a_value_that_is_not_exact(value):
+    # bool is an int subclass, and a str or float would be converted.
+    with pytest.raises(TypeError) as info:
+        casimir.irreps_with_casimir(casimir.context("sp2"), value)
+    assert str(info.value) == "Casimir value %r is not an int or a Fraction" % (value,)
 
 
 def test_smallest_g2_eigenvalues():

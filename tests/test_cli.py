@@ -282,7 +282,7 @@ LOADED_BY = {
     "casimir": (["--pair", "g2", "--hw", "0,1"], ["casimir", "lie", "ratlinalg"]),
     "branch": (
         ["--coset", "sp2", "--hw", "1,0"],
-        ["casimir", "cosets", "decompose", "lie", "ratlinalg"],
+        ["casimir", "cosets", "decompose", "deform", "lie", "ratlinalg"],
     ),
     "tables": (
         ["thm-5.2-H"],
@@ -589,3 +589,73 @@ def test_malformed_fixtures_are_refused_in_one_line(name, tmp_path, capsys):
     if where is not None:
         assert code == 2
         assert where in err, err
+
+
+def _paths(node, prefix=()):
+    """The path of every field below ``node``, a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _fuzz_once(doc, rng, avoid):
+    """Mutate one field of ``doc`` in place, not the one at ``avoid``:
+    delete it, give it another JSON type, add +-1 or +-2 to an integer, or
+    duplicate a list item.  Returns the path of the field."""
+    paths = [p for p in _paths(doc) if p != avoid]
+    kind = rng.choice(("delete", "retype", "shift", "duplicate"))
+    if kind == "shift":
+        paths = [p for p in paths if type(_at(doc, p)) is int]
+    elif kind == "duplicate":
+        paths = [p for p in paths if type(p[-1]) is int]
+    path = rng.choice(paths)
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = rng.choice([v for v in (None, True, "1", 1.5, 1, [], {})
+                                  if type(v) is not type(parent[key])])
+    elif kind == "shift":
+        parent[key] += rng.choice((-2, -1, 1, 2))
+    else:
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    return path
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_fixture_fuzz_is_refused_in_one_line_or_gives_the_golden(tmp_path, capsys):
+    """Seeded mutations of the dumped fixture file, one or two fields each,
+    through the CLI: each is refused with exit code 1 or 2 and one line on
+    stderr, or accepted with stdout equal to the built-in tables' golden."""
+    import random
+
+    rng = random.Random(20250)
+    dump = json.loads(cosets.dump_fixtures())
+    path = tmp_path / "fuzz.json"
+    refused = 0
+    for _ in range(300):
+        doc = json.loads(json.dumps(dump))
+        first = _fuzz_once(doc, rng, None)
+        if rng.random() < 0.5:
+            _fuzz_once(doc, rng, first)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        which = rng.choice(("prop-4.2", "thm-5.2-H", "thm-5.2-SU3"))
+        fmt, suffix = rng.choice((("text", "txt"), ("json", "json")))
+        code = cli.main(["tables", which, "--format", fmt, "--fixtures", str(path)])
+        out, err = capsys.readouterr()
+        if code:
+            assert code in (1, 2) and out == "", doc
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+            refused += 1
+        else:
+            golden = GOLDEN / ("tables_%s.%s" % (which, suffix))
+            assert out.encode("utf-8") == golden.read_bytes(), doc
+            assert err == ""
+    assert 0 < refused < 300

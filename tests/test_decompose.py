@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkdeform import casimir, cli, cosets, decompose, lie
+from nkdeform import casimir, cli, cosets, decompose, deform, lie
 from nkdeform.errors import (
     ConsistencyError,
     MalformedEmbeddingError,
@@ -213,7 +213,7 @@ def test_peel_off_matches_subtraction_on_every_branched_restriction():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
         ws = set(c.g_adjoint.entries)
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             ws.update(w for s in c.gauges[gauge][1] for w, _ in s.matched)
         for w in sorted(ws):
             char = _restricted(c.restriction, c.g_data, c.h_data, w)

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
 
-from nkdeform import casimir, cosets, decompose, deform, lie
+import pytest
+
+from nkdeform import casimir, cli, cosets, decompose, deform, lie
+from nkdeform.errors import EvennessViolationError, UnknownTagError
 
 import slow_oracle
 
@@ -55,7 +58,7 @@ def test_memoised_results_equal_fresh_ones():
     memos = (decompose._tensor_decompose, decompose._branch, lie._weyl_dimension)
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             for step in (deform.deformation_space, deform.curvature_spectrum):
                 step(c, gauge)
                 memoised = step(c, gauge)
@@ -79,7 +82,7 @@ def test_curvature_spectra_structure_group_su3():
 def test_curvature_spectrum_invariants():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             spectrum = deform.curvature_spectrum(c, gauge)
             assert spectrum.gauge_dimension == cosets.gauge_rep(c, gauge).dimension()
             assert sum(e * d for e, d in spectrum.entries) == 0
@@ -93,7 +96,7 @@ def test_integer_spectrum_matches_the_fraction_sum(fixture_descriptors):
     forms and root tables, over E_alpha (x) m* decomposed afresh; on the
     built-in descriptors and on the ones fixture files load."""
     for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             expected = {}
             for e_hw, n_alpha in cosets.gauge_rep(c, gauge).entries.items():
                 c_alpha = slow_oracle.casimir(c.b_h_pair, e_hw)
@@ -143,10 +146,11 @@ def test_deformations_structure_group_su3():
 
 
 def test_a_warm_call_computes_no_casimir(monkeypatch):
-    """Once the descriptors are built, both computations read each gauge
-    summand's stored data: with the Casimir search, the integer Casimir,
-    branching and the tensor product made to raise, all eight coset x gauge
-    steps still give the frozen answers."""
+    """Once the descriptors are built, both computations return the records
+    built with them: with the Casimir search, the integer Casimir,
+    branching, the tensor product and the decomposition constructor made to
+    raise, all eight coset x gauge steps still give the frozen answers, and
+    a repeated call gives the same record."""
     descriptors = {name: cosets.coset(name)
                    for name in [*SPECTRA["H"], *DEFORMATIONS["H"]]}
 
@@ -157,13 +161,40 @@ def test_a_warm_call_computes_no_casimir(monkeypatch):
     monkeypatch.setattr(casimir.CasimirContext, "scaled_casimir", refuse)
     monkeypatch.setattr(decompose, "branch", refuse)
     monkeypatch.setattr(decompose, "tensor_decompose", refuse)
-    for gauge in cosets.GAUGE_GROUPS:
+    monkeypatch.setattr(decompose, "RepDecomposition", refuse)
+    for gauge in deform.GAUGE_GROUPS:
         for name, expected in SPECTRA[gauge].items():
             got = deform.curvature_spectrum(descriptors[name], gauge)
             assert dict(got.entries) == expected, (name, gauge)
+            assert deform.curvature_spectrum(descriptors[name], gauge) is got
         for name, (halved, dim) in DEFORMATIONS[gauge].items():
             space = deform.deformation_space(descriptors[name], gauge)
             assert (space.halved.entries, space.real_dimension) == (halved, dim)
+            assert deform.deformation_space(descriptors[name], gauge) is space
+
+
+def test_an_odd_multiplicity_is_refused_when_the_descriptor_is_built(
+        monkeypatch, tmp_path, capsys):
+    """The evenness check runs when a descriptor is built, so a fixture file
+    whose count came out odd is refused by every command that loads it,
+    ``tables prop-4.2`` included, with exit code 2 and one line."""
+    path = tmp_path / "fixtures.json"
+    path.write_text(cosets.dump_fixtures(), encoding="utf-8")
+    monkeypatch.setattr(deform, "_complexified_solutions", lambda summands: {(1, 0): 3})
+    with pytest.raises(EvennessViolationError, match=r"\(1, 0\) in G2/SU\(3\) is odd \(3\)"):
+        cosets.load_fixtures(path)
+    assert cli.main(["tables", "prop-4.2", "--fixtures", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant failure: complexified multiplicity of (1, 0) in G2/SU(3)" \
+        " is odd (3)\n"
+
+
+def test_unknown_gauge_is_refused():
+    c = cosets.coset("sp2")
+    for step in (deform.deformation_space, deform.curvature_spectrum):
+        with pytest.raises(UnknownTagError, match="gauge must be one of"):
+            step(c, "SO3")
 
 
 def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
@@ -172,7 +203,7 @@ def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
     the built-in descriptors and on the ones fixture files load."""
     matched = 0
     for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             for s in c.gauges[gauge][1]:
                 assert s.casimir == slow_oracle.casimir(c.b_h_pair, s.hw)
                 expected = slow_oracle.irreps_with_casimir(c.b_g_pair, s.casimir)
@@ -203,7 +234,7 @@ def test_stored_frobenius_counts_match_an_independent_count(fixture_descriptors)
     the ones fixture files load; zero counts are stored too."""
     counts = []
     for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             for s in c.gauges[gauge][1]:
                 tensor = {}
                 for m_hw, m_mult in c.mstar.entries.items():
@@ -228,7 +259,7 @@ def test_sp2_gauge_h_answer_is_one_copy_of_the_five_dimensional_irrep():
 
 def test_complexified_multiplicities_are_even():
     for name in cosets.COSET_NAMES:
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             space = deform.deformation_space(cosets.coset(name), gauge)
             for hw, mult in space.complexified.entries.items():
                 assert mult % 2 == 0
@@ -247,7 +278,7 @@ def test_gauge_h_solutions_are_submultiset_of_su3_solutions():
 def test_retained_irreps_satisfy_casimir_matching():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        for gauge in cosets.GAUGE_GROUPS:
+        for gauge in deform.GAUGE_GROUPS:
             space = deform.deformation_space(c, gauge)
             gauge_cas = {
                 casimir.casimir_eigenvalue(c.context_h, hw)
@@ -261,7 +292,7 @@ def test_trivial_gauge_components_contribute_nothing():
     # processed by the generic pipeline, not skipped: Sp(2) has a genuine
     # trivial summand in its gauge algebra, and its solution set is empty
     c = cosets.coset("sp2")
-    trivial = [s for s in c.gauges[cosets.GAUGE_H][1] if s[0] == (0, 0)]
+    trivial = [s for s in c.gauges[deform.GAUGE_H][1] if s[0] == (0, 0)]
     assert [s[:3] for s in trivial] == [((0, 0), 1, 0)]
     assert deform._complexified_solutions(trivial) == {}
 
@@ -269,7 +300,7 @@ def test_trivial_gauge_components_contribute_nothing():
 def test_each_count_is_weighted_by_n_alpha():
     # On the four cosets every summand with n_alpha > 1 counts 0, so the
     # weight is checked on Sp(2)'s stored summands with n_alpha doubled.
-    summands = cosets.coset("sp2").gauges[cosets.GAUGE_H][1]
+    summands = cosets.coset("sp2").gauges[deform.GAUGE_H][1]
     once = deform._complexified_solutions(summands)
     assert once == {(1, 0): 2}
     doubled = [s._replace(n_alpha=2 * s.n_alpha) for s in summands]

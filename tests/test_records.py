@@ -20,9 +20,10 @@ def _records(rep):
         "RestrictionMap": (c.restriction, "matrix"),
         "CasimirContext": (ctx, "denominator"),
         "CosetDescriptor": (c, "b_h_pair"),
-        "GaugeSummand": (c.gauges[cosets.GAUGE_H][1][0], "matched"),
-        "CurvatureSpectrum": (deform.curvature_spectrum(c, cosets.GAUGE_H), "entries"),
-        "DeformationSpace": (deform.deformation_space(c, cosets.GAUGE_H), "halved"),
+        "GaugeSummand": (c.gauges[deform.GAUGE_H][1][0], "matched"),
+        "Gauge": (c.gauges[deform.GAUGE_H], "space"),
+        "CurvatureSpectrum": (deform.curvature_spectrum(c, deform.GAUGE_H), "entries"),
+        "DeformationSpace": (deform.deformation_space(c, deform.GAUGE_H), "halved"),
         "Multivector": (clifford.Multivector.vector(1), "coeffs"),
         "CliffordRep": (rep, "blades"),
         "SpinorBlockSpectra": (clifford.spinor_decomposition_spectra(rep, PSI), "q_values"),
@@ -33,7 +34,7 @@ def _records(rep):
 
 
 # A RepDecomposition defines no hash, nor do the records holding one.
-UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "RepDecomposition"}
+UNHASHABLE = {"CosetDescriptor", "DeformationSpace", "Gauge", "RepDecomposition"}
 
 
 def _rebuild(record):
@@ -117,7 +118,7 @@ def test_gauge_data_refuses_bad_curvature_pairs(trivial_summands, message):
     # m* replaced by trivial summands, which _check_mstar would refuse: five
     # cover too little, six give the eigenvalue -4 on all 48 dimensions.
     c = cosets.coset("g2su3")
-    assert cosets._gauge_data(c, c.h_adjoint) == c.gauges[cosets.GAUGE_H]
+    assert deform._gauge_data(c, c.h_adjoint) == c.gauges[deform.GAUGE_H]
     mstar = decompose.RepDecomposition(c.h_data, {(0, 0): trivial_summands})
     with pytest.raises(ConsistencyError, match=message):
-        cosets._gauge_data(c._replace(mstar=mstar), c.h_adjoint)
+        deform._gauge_data(c._replace(mstar=mstar), c.h_adjoint)
