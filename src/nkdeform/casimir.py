@@ -65,21 +65,6 @@ _PAIRS = {
 PAIR_TAGS = tuple(sorted(_PAIRS))
 
 
-def _pair_record(pair):
-    try:
-        return _PAIRS[pair]
-    except KeyError:
-        raise UnknownTagError(
-            "unknown algebra pair %r (known: %s)" % (pair, ", ".join(PAIR_TAGS))
-        ) from None
-
-
-def restriction(pair):
-    """The pair's restriction map of weights from its ambient algebra (None
-    for an ambient algebra itself)."""
-    return _pair_record(pair)[2]
-
-
 def _dual_gram(root_data):
     """gram^-1 of B = -(1/12) Killing on a semisimple algebra, one block
     E^-1 C / s per simple factor with Cartan matrix C and symmetrizer E:
@@ -102,7 +87,12 @@ def _dual_gram(root_data):
 def context(pair):
     """The pair's form and its integer data.  A subalgebra's form is B
     restricted along R: gram^-1 = R gram_ambient^-1 R^T."""
-    root_data, ambient, r = _pair_record(pair)
+    try:
+        root_data, ambient, r = _PAIRS[pair]
+    except KeyError:
+        raise UnknownTagError(
+            "unknown algebra pair %r (known: %s)" % (pair, ", ".join(PAIR_TAGS))
+        ) from None
     dual = _dual_gram(ambient)
     if r is not None:
         dual = ratlinalg.mat_mul(ratlinalg.mat_mul(r, dual), ratlinalg.transpose(r))

@@ -111,12 +111,7 @@ def _coset_lookup(args):
     from . import cosets
 
     if getattr(args, "fixtures", None):
-        table = cosets.load_fixtures(args.fixtures)
-
-        def lookup(name):
-            return table[cosets.canonical_name(name)]
-
-        return lookup
+        cosets.load_fixtures(args.fixtures)
     return cosets.coset
 
 
@@ -277,7 +272,7 @@ def build_parser():
         if fixtures:
             p.add_argument(
                 "--fixtures", metavar="PATH", default=None,
-                help="load coset data from a JSON fixture file",
+                help="check a JSON fixture file against the built-in coset data",
             )
 
     p = sub.add_parser("tables", help="emit a full result table")

@@ -7,35 +7,24 @@ cotangent representation m* together with its (1,0)-part V, and the two
 gauges (the adjoint of h for ``H``; V (x) V* minus a trivial summand, from
 the descriptor's own V, for ``SU3``).  Each gauge's curvature spectrum and
 deformation space are derived once, when the descriptor is built, by
-:mod:`deform` (:class:`deform.Gauge`), which holds that math.
+:mod:`deform` (:class:`deform.Gauge`), which holds that math and its
+checks.
 
 Only the two form pair tags and V are stored per coset.  g, h and the
 restriction map are those of the pairs in :mod:`casimir`, which derives B_H
 from B_G through the same matrices.  Each adjoint is the highest root of
 every simple factor plus one trivial summand per U(1) factor, and
-m* = branch(adjoint g) - adjoint h.  Every descriptor is validated:
+m* = branch(adjoint g) - adjoint h.  The tests check what the paper asks of
+this data: dim m* = 6, m* = V + conj(V) with the weights of V summing to
+zero, and h-Casimir eigenvalue -4 on every irreducible component of m*.
 
-* each form is on the algebra it serves: B_G on g, B_H on h;
-* B_H is the restriction of B_G: gram_H^-1 = R gram_G^-1 R^T for the
-  restriction map R;
-* dim m* = 6, dim V = 3, and m* = V + conj(V);
-* every irreducible component of m* has h-Casimir eigenvalue -4 (the Ricci
-  curvature of the canonical connection is 4x the metric);
-* the gauge checks of :mod:`deform`: the curvature pairs of each gauge
-  algebra E cover 6 dim E and are traceless, and every complexified
-  deformation multiplicity is even.
-
-The form checks run before m* is derived, so that a wrong form is reported
-as such; the m* checks catch a wrong restriction matrix, and the curvature
-checks (:class:`ConsistencyError`) a wrong tensor product or dimension.
-
-Descriptors can also be serialized to / loaded from JSON with all rationals
-as exact numerator/denominator pairs (see :func:`load_fixtures`).  A file
-keeps a copy of the adjoints and m*, which the loader checks against the
-ones derived from its algebras and restriction map.  A malformed file
-raises :class:`FixtureError` naming the JSON path of the bad field, e.g.
-``cosets[0].mstar[0].mult`` or ``cosets[0].h_adjoint``, or ``fixture file``
-when it is not UTF-8 JSON.
+The descriptors can be written to JSON with all rationals as exact
+numerator/denominator pairs (:func:`dump_fixtures`).  :func:`load_fixtures`
+checks such a file field by field against the built-in descriptors, which
+it returns: a file can restate the coset data but not change it.  A
+malformed or differing file raises :class:`FixtureError` naming the JSON
+path of the first bad field, e.g. ``cosets[0].mstar[0].mult`` or
+``cosets[0].h_adjoint``, or ``fixture file`` when it is not UTF-8 JSON.
 """
 
 import collections
@@ -43,7 +32,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from . import casimir, decompose, deform, lie, ratlinalg
+from . import casimir, decompose, deform, lie
 from .decompose import _decomp_json
 from .errors import FixtureError, UnknownTagError
 from .ratlinalg import _frac_json
@@ -69,52 +58,6 @@ class CosetDescriptor(collections.namedtuple(
     def context_h(self):
         return casimir.context(self.b_h_pair)
 
-    def _check_forms(self):
-        for key, pair, ctx, data in (
-            ("B_G", self.b_g_pair, self.context_g, self.g_data),
-            ("B_H", self.b_h_pair, self.context_h, self.h_data),
-        ):
-            if ctx.root_data != data:
-                raise FixtureError(
-                    "%s: %s.pair %r is a form on %s, not on %s"
-                    % (self.name, key, pair, ctx.root_data.factors, data.factors)
-                )
-        r = self.restriction.matrix
-        restricted = ratlinalg.mat_mul(ratlinalg.mat_mul(r, self.context_g.dual),
-                                       ratlinalg.transpose(r))
-        if list(map(list, self.context_h.dual)) != restricted:
-            raise FixtureError(
-                "%s: B_H %r is not the restriction of B_G %r: gram_H^-1 != "
-                "R gram_G^-1 R^T" % (self.name, self.b_h_pair, self.b_g_pair)
-            )
-        return self
-
-    def _check_mstar(self):
-        if self.mstar.dimension() != 6:
-            raise FixtureError("%s: dim m* = %d" % (self.name, self.mstar.dimension()))
-        if self.mstar_holomorphic.dimension() != 3:
-            raise FixtureError(
-                "%s: dim V = %d" % (self.name, self.mstar_holomorphic.dimension())
-            )
-        both = dict(self.mstar_holomorphic.entries)
-        for hw, mult in self.mstar_holomorphic.entries.items():
-            neg = self.h_data.dominant_representative(tuple(-c for c in hw))
-            both[neg] = both.get(neg, 0) + mult
-        if both != self.mstar.entries:
-            raise FixtureError(
-                "%s: m* is not V + conj(V): %s vs %s"
-                % (self.name, both, self.mstar.entries)
-            )
-        ctx = self.context_h
-        for hw in self.mstar.entries:
-            value = casimir.casimir_eigenvalue(ctx, hw)
-            if value != -4:
-                raise FixtureError(
-                    "%s: m* component %r has Casimir %s, expected -4"
-                    % (self.name, hw, value)
-                )
-        return self
-
 
 def _adjoint(root_data):
     """The adjoint: the highest root of each simple factor, and one trivial
@@ -130,19 +73,19 @@ def _adjoint(root_data):
 
 
 def _descriptor(name, g_data, h_data, matrix, b_g_pair, b_h_pair, holomorphic):
-    """The validated descriptor with its adjoints, m* and gauge data
-    derived.  A negative multiplicity in branch(adjoint g) - adjoint h is
-    refused by :class:`decompose.RepDecomposition` with ``ValueError``."""
+    """The descriptor with its adjoints, m* and gauge data derived.  A
+    negative multiplicity in branch(adjoint g) - adjoint h is refused by
+    :class:`decompose.RepDecomposition` with ``ValueError``."""
     c = CosetDescriptor(
         name, g_data, h_data, decompose.RestrictionMap(matrix), b_g_pair,
         b_h_pair, None, holomorphic, _adjoint(g_data), _adjoint(h_data), None,
-    )._check_forms()
+    )
     mstar = {}
     for hw, mult in c.g_adjoint.entries.items():
         decompose._add(mstar, decompose.branch(c.restriction, g_data, h_data, hw), mult)
     decompose._add(mstar, c.h_adjoint, -1)
     c = c._replace(mstar=decompose.RepDecomposition(
-        h_data, {hw: m for hw, m in mstar.items() if m}))._check_mstar()
+        h_data, {hw: m for hw, m in mstar.items() if m}))
     return c._replace(gauges=deform._gauges(c))
 
 
@@ -242,17 +185,6 @@ def _check_schema(value, schema, path):
             _check_schema(item, schema[0], "%s[%d]" % (path, i))
 
 
-def _frac_load(obj):
-    return Fraction(obj["num"], obj["den"])
-
-
-def _decomp_load(root_data, items):
-    entries = {tuple(e["hw"]): e["mult"] for e in items}
-    if len(entries) != len(items):
-        raise FixtureError("a highest weight is listed twice in %s" % items)
-    return decompose.RepDecomposition(root_data, entries)
-
-
 def descriptor_to_dict(c):
     return {
         "name": c.name,
@@ -268,47 +200,29 @@ def descriptor_to_dict(c):
     }
 
 
-def descriptor_from_dict(obj, path="descriptor"):
-    """Build and validate one descriptor from its JSON form; FixtureError
-    names the JSON path, starting at ``path``, of what is wrong."""
-    _check_schema(obj, _DESCRIPTOR_SCHEMA, path)
-    try:
-        g_data = lie.RootData(tuple(obj["G"]["factors"]))
-        h_data = lie.RootData(tuple(obj["H"]["factors"]))
-    except ValueError as exc:
-        raise FixtureError("%s: %s" % (path, exc)) from None
-    rows = obj["restriction"]
+def _fields(obj, path):
+    """(JSON path, value) of each field of a descriptor's JSON form that
+    :func:`load_fixtures` compares, ``obj`` having passed the schema check:
+    the restriction as rows of Fractions and decompositions as {hw: mult}."""
+    for key in ("G", "H"):
+        yield "%s.%s.factors" % (path, key), obj[key]["factors"]
     where = path + ".restriction"
-    if len(rows) != h_data.num_coords or any(
-        len(row) != g_data.num_coords for row in rows
-    ):
-        raise FixtureError(
-            "%s: expected a %dx%d matrix, a row per H coordinate and a column"
-            " per G coordinate" % (where, h_data.num_coords, g_data.num_coords)
-        )
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
+    for r, row in enumerate(obj["restriction"]):
+        for col, x in enumerate(row):
             if x["den"] == 0:
-                raise FixtureError("%s[%d][%d].den: zero denominator" % (where, i, j))
-    try:
-        c = _descriptor(
-            obj["name"], g_data, h_data,
-            tuple(tuple(_frac_load(x) for x in row) for row in rows),
-            obj["B_G"]["pair"], obj["B_H"]["pair"],
-            _decomp_load(h_data, obj["mstar_holomorphic"]),
-        )
-        # The file repeats these; they are derived, and the copies checked.
-        given = {key: _decomp_load(getattr(c, key).root_data, obj[key])
-                 for key in ("mstar", "g_adjoint", "h_adjoint")}
-    except (ValueError, FixtureError) as exc:
-        raise FixtureError("%s: %s" % (path, exc)) from None
-    for key, d in given.items():
-        if d != getattr(c, key):
-            raise FixtureError(
-                "%s.%s: %s, but G, H and the restriction give %s"
-                % (path, key, d, getattr(c, key))
-            )
-    return c
+                raise FixtureError("%s[%d][%d].den: zero denominator" % (where, r, col))
+    # str of a Fraction is in lowest terms, so equal strings are equal rationals.
+    yield where, "[%s]" % ", ".join(
+        "[%s]" % ", ".join(str(Fraction(x["num"], x["den"])) for x in row)
+        for row in obj["restriction"])
+    for key in ("B_G", "B_H"):
+        yield "%s.%s.pair" % (path, key), obj[key]["pair"]
+    for key in ("mstar_holomorphic", "mstar", "g_adjoint", "h_adjoint"):
+        where = "%s.%s" % (path, key)
+        entries = {tuple(e["hw"]): e["mult"] for e in obj[key]}
+        if len(entries) != len(obj[key]):
+            raise FixtureError("%s: a highest weight is listed twice" % where)
+        yield where, entries
 
 
 def dump_fixtures():
@@ -324,12 +238,13 @@ def dump_fixtures():
 
 
 def load_fixtures(path):
-    """Load and validate coset descriptors from a JSON fixture file.
+    """Check a JSON fixture file against the built-in descriptors.
 
-    Returns a dict mapping canonical coset names to descriptors.  The file
-    must describe each of the four cosets once, and every descriptor passes
-    the full construction invariants; corrupt data raises
-    :class:`FixtureError` with the JSON path of the bad field.
+    The file must list each of the four cosets once, with the data
+    :func:`dump_fixtures` writes for it.  Returns a dict mapping canonical
+    coset names to the built-in descriptors themselves.  A malformed file,
+    or one that differs from the built-ins, raises :class:`FixtureError`
+    naming the JSON path of the first bad field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -342,12 +257,20 @@ def load_fixtures(path):
     table = {}
     for i, obj in enumerate(data["cosets"]):
         where = "cosets[%d]" % i
-        c = descriptor_from_dict(obj, where)
-        if c.name not in COSET_NAMES or c.name in table:
+        _check_schema(obj, _DESCRIPTOR_SCHEMA, where)
+        name = obj["name"]
+        if name not in COSET_NAMES or name in table:
             raise FixtureError(
-                "%s.name: %r is not a coset or is listed twice" % (where, c.name)
+                "%s.name: %r is not a coset or is listed twice" % (where, name)
             )
-        table[c.name] = c
+        table[name] = coset(name)
+        for (field, given), (_, expected) in zip(
+            _fields(obj, where), _fields(descriptor_to_dict(table[name]), where)
+        ):
+            if given != expected:
+                raise FixtureError(
+                    "%s: %s, but the built-in %s has %s" % (field, given, name, expected)
+                )
     missing = [name for name in COSET_NAMES if name not in table]
     if missing:
         raise FixtureError("cosets: no descriptor for %s" % ", ".join(missing))

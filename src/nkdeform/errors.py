@@ -33,7 +33,7 @@ class ConsistencyError(RuntimeError):
 
 
 class FixtureError(RuntimeError):
-    """A stored coset or form fixture fails its construction invariants."""
+    """A coset fixture file is malformed or differs from the built-in data."""
 
 
 class EvennessViolationError(RuntimeError):

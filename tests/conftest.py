@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from nkdeform import clifford, cosets
+from nkdeform import clifford, cosets, decompose
 
 # The oracle's asserts check the oracle route itself.  Rewritten by pytest,
 # which must happen before a test module imports it, they also run under
@@ -15,15 +13,13 @@ def rep():
     return clifford.build_rep()
 
 
-@pytest.fixture
-def fixture_descriptors(tmp_path):
-    """The descriptors a dumped fixture file loads, and Sp(2)/Sp(1)xU(1)
-    from a file whose V has the other chirality, V(0,2) + V(1,1)."""
-    data = json.loads(cosets.dump_fixtures())
-    path = tmp_path / "fixtures.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    loaded = list(cosets.load_fixtures(path).values())
-    (entry,) = [e for e in data["cosets"] if e["name"] == "Sp(2)/Sp(1)xU(1)"]
-    entry["mstar_holomorphic"] = [{"hw": [0, 2], "mult": 1}, {"hw": [1, 1], "mult": 1}]
-    path.write_text(json.dumps(data), encoding="utf-8")
-    return loaded + [cosets.load_fixtures(path)["Sp(2)/Sp(1)xU(1)"]]
+@pytest.fixture(scope="session")
+def non_builtin_descriptors():
+    """Descriptors outside the four built-in ones, built directly: Sp(2)/
+    Sp(1)xU(1) with V of the other chirality, V(0,2) + V(1,1).  It has the
+    built-in m*, but its V's weights do not sum to zero, so it is not a
+    nearly Kahler structure; the gauge derivations must still follow it."""
+    c = cosets.coset("sp2")
+    v = decompose.RepDecomposition(c.h_data, {(0, 2): 1, (1, 1): 1})
+    return [cosets._descriptor(c.name, c.g_data, c.h_data, c.restriction.matrix,
+                               c.b_g_pair, c.b_h_pair, v)]

@@ -357,30 +357,30 @@ def test_fixtures_option(tmp_path):
         assert code == 0 and native == from_file, which
 
 
-def test_fixture_files_v_sets_the_su3_gauge(tmp_path):
-    # Sp(2) with V = V(0,2) + V(1,1): the same m*, but the other gauge
-    # su(3), whose deformations are the five-dimensional V(1,0) alone.
+@pytest.mark.parametrize("index, name, v", [
+    # Sp(2) with the other chirality, V = V(0,2) + V(1,1): the same m*, but
+    # weight sum (0, 4), so Lambda^3 V is not trivial.
+    (2, "Sp(2)/Sp(1)xU(1)", [[0, 2], [1, 1]]),
+    # The flag manifold with V = the three positive roots, an integrable
+    # complex structure: weight sum (2, 2).
+    (3, "SU(3)/U(1)^2", [[2, -1], [-1, 2], [1, 1]]),
+], ids=["sp2-other-chirality", "su3t2-positive-roots"])
+def test_fixture_file_with_another_v_is_refused(index, name, v, tmp_path, capsys):
+    # Such a V is not an SU(3)-structure, outside Thm 5.2's hypotheses; the
+    # file may only restate the built-in V.
     data = json.loads(cosets.dump_fixtures())
-    (entry,) = [e for e in data["cosets"] if e["name"] == "Sp(2)/Sp(1)xU(1)"]
-    entry["mstar_holomorphic"] = [{"hw": [0, 2], "mult": 1}, {"hw": [1, 1], "mult": 1}]
-    path = tmp_path / "other-chirality.json"
+    entry = data["cosets"][index]
+    assert entry["name"] == name
+    entry["mstar_holomorphic"] = [{"hw": hw, "mult": 1} for hw in v]
+    path = tmp_path / "other-v.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    _, native = run(["tables", "thm-5.2-SU3", "--format", "json"])
-    code, out = run(["tables", "thm-5.2-SU3", "--format", "json", "--fixtures", str(path)])
-    assert code == 0
-    rows = {row["coset"]: row for row in json.loads(out)["result"]}
-    assert rows.pop("Sp(2)/Sp(1)xU(1)") == {
-        "coset": "Sp(2)/Sp(1)xU(1)",
-        "deformations": [{"hw": [1, 0], "mult": 1}],
-        "real_dimension": 5,
-    }
-    assert rows == {
-        row["coset"]: row for row in json.loads(native)["result"]
-        if row["coset"] != "Sp(2)/Sp(1)xU(1)"
-    }
-    code, out = run(["tables", "thm-5.2-SU3", "--fixtures", str(path)])
-    assert code == 0
-    assert "Sp(2)/Sp(1)xU(1):  V(1,0)" in out
+    code = cli.main(["tables", "thm-5.2-SU3", "--fixtures", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(
+        "invariant failure: cosets[%d].mstar_holomorphic: " % index), err
+    assert ("but the built-in %s has" % name) in err, err
 
 
 def test_fixtures_missing_file():
@@ -498,7 +498,7 @@ MALFORMED_FIXTURES = {
     ),
     "g-form-not-restricted": (
         _mutated(_set(["cosets", 3, "B_G", "pair"], "su3-in-g2")),
-        "is not the restriction of B_G",
+        "cosets[3].B_G.pair",
     ),
     "bool-mult": (
         _mutated(_set(["cosets", 1, "g_adjoint", 0, "mult"], True)),
@@ -530,15 +530,22 @@ MALFORMED_FIXTURES = {
         _mutated(_set(["cosets", 2, "restriction"], {"num": 1, "den": 1})),
         "cosets[2].restriction",
     ),
-    "unknown-factor": (_mutated(_set(["cosets", 0, "G", "factors"], ["E8"])), "cosets[0]"),
-    "unknown-pair": (_mutated(_set(["cosets", 0, "B_H", "pair"], "so5")), "cosets[0]"),
+    "unknown-factor": (
+        _mutated(_set(["cosets", 0, "G", "factors"], ["E8"])), "cosets[0].G.factors"
+    ),
+    "unknown-pair": (_mutated(_set(["cosets", 0, "B_H", "pair"], "so5")), "cosets[0].B_H.pair"),
     "non-dominant-weight": (
         _mutated(_set(["cosets", 0, "mstar", 0, "hw"], [-1, 0])),
-        "cosets[0]",
+        "cosets[0].mstar",
     ),
     "repeated-weight": (
         _mutated(lambda doc: doc["cosets"][1]["mstar"].append({"hw": [2], "mult": 1})),
-        "cosets[1]",
+        "cosets[1].mstar",
+    ),
+    # The same entry twice reads as the built-in {hw: mult}; refused anyway.
+    "repeated-weight-restated": (
+        _mutated(lambda doc: doc["cosets"][1]["mstar"].append(doc["cosets"][1]["mstar"][0])),
+        "cosets[1].mstar: a highest weight is listed twice",
     ),
     "repeated-coset": (
         _mutated(lambda doc: doc["cosets"].append(doc["cosets"][0])),
@@ -547,7 +554,7 @@ MALFORMED_FIXTURES = {
     "unknown-coset": (_mutated(_set(["cosets", 1, "name"], "S7")), "cosets[1].name"),
     "wrong-multiplicity": (
         _mutated(_set(["cosets", 2, "mstar", 0, "mult"], 3)),
-        "cosets[2]",
+        "cosets[2].mstar",
     ),
     "wrong-h-adjoint": (
         _mutated(_set(["cosets", 0, "h_adjoint", 0, "mult"], 2)),
@@ -559,7 +566,7 @@ MALFORMED_FIXTURES = {
     ),
     "zero-restriction": (
         _mutated(_set(["cosets", 0, "restriction"], [[{"num": 0, "den": 1}] * 2] * 2)),
-        "is not the restriction of B_G",
+        "cosets[0].restriction",
     ),
     "cosets-not-a-list": (_mutated(_set(["cosets"], {})), "cosets"),
     "top-level-list": (lambda: "[]", "fixture file"),

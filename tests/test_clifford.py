@@ -11,7 +11,12 @@ import pytest
 
 from nkdeform import clifford, ratlinalg
 from nkdeform.clifford import Multivector
-from nkdeform.errors import ConsistencyError, ConventionError, SpectrumError
+from nkdeform.errors import (
+    ConsistencyError,
+    ConventionError,
+    IdentityViolationError,
+    SpectrumError,
+)
 
 import clifford_oracle as oracle
 
@@ -626,6 +631,22 @@ def test_a_changed_integer_form_fails_its_identity(rep, monkeypatch, name, form,
     monkeypatch.setattr(clifford, "_integer_forms", changed_forms)
     report = clifford.verify_identity_suite(rep, PSI_B, raise_on_failure=False)
     assert {r.name: r.passed for r in report}[name] is False
+
+
+def test_a_changed_four_form_fails_the_kahler_form_trace(rep, monkeypatch):
+    # J is read off the spinor alone, omega = *Q off the forms: a changed
+    # four-form coefficient of Q moves omega off J's Kahler form.
+    true_forms = clifford._integer_forms
+
+    def changed_forms(rep, psi):
+        spinor, d2, p, q = true_forms(rep, psi)
+        coeffs = list(q.coeffs)
+        coeffs[0b001111] += 1
+        return spinor, d2, p, Multivector(tuple(coeffs))
+
+    monkeypatch.setattr(clifford, "_integer_forms", changed_forms)
+    with pytest.raises(IdentityViolationError, match="kahler-form-trace"):
+        clifford.complex_structure(rep, PSI_B)
 
 
 def test_product_sign_table_matches_the_closed_formula():

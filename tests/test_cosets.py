@@ -117,10 +117,10 @@ def test_gauge_su3_decompositions():
     )
 
 
-def test_gauge_su3_always_eight_dimensional(fixture_descriptors):
+def test_gauge_su3_always_eight_dimensional(non_builtin_descriptors):
     # V (x) V* holds the trivial summand (the identity of V), and dim V = 3
     # leaves dimension 8 once it is removed.
-    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + non_builtin_descriptors:
         v = c.mstar_holomorphic
         product = {}
         for hw1, m1 in v.entries.items():
@@ -193,10 +193,10 @@ def test_opposite_chirality_pairing_is_rejected():
     ) == 8  # both pairings have dimension 8; only the charges differ
 
 
-def test_su3_gauge_follows_the_fixture_files_v(fixture_descriptors):
-    # m* is the same for both chiralities, so the file loads; its SU(3)
-    # gauge is built from its own V, not from the built-in coset's.
-    c = fixture_descriptors[-1]
+def test_su3_gauge_follows_the_descriptors_v(non_builtin_descriptors):
+    # m* is the same for both chiralities; the SU(3) gauge is built from
+    # the descriptor's own V, not from the built-in coset's.
+    c = non_builtin_descriptors[-1]
     assert c.mstar_holomorphic.entries == {(0, 2): 1, (1, 1): 1}
     assert c.mstar == cosets.coset("sp2").mstar
     assert cosets.gauge_rep(c, "SU3").entries == OTHER_CHIRALITY_SU3
@@ -230,10 +230,7 @@ def test_fixture_json_round_trip(tmp_path):
     loaded = cosets.load_fixtures(path)
     assert sorted(loaded) == sorted(cosets.COSET_NAMES)
     for name, desc in loaded.items():
-        orig = cosets.coset(name)
-        assert desc.mstar == orig.mstar
-        assert desc.restriction.matrix == orig.restriction.matrix
-        assert desc.b_g_pair == orig.b_g_pair
+        assert desc is cosets.coset(name)
     # serialization is deterministic
     assert cosets.dump_fixtures() == text
 
@@ -252,24 +249,64 @@ def test_corrupt_fixture_rejected(tmp_path):
         cosets.load_fixtures(path)
 
 
-def test_form_on_the_wrong_algebra_rejected():
+def _load_changed(tmp_path, key, value):
+    """load_fixtures on the dump with G2/SU(3)'s ``key`` set to ``value``."""
+    data = json.loads(cosets.dump_fixtures())
+    assert data["cosets"][0]["name"] == "G2/SU(3)"
+    data["cosets"][0][key] = value
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return cosets.load_fixtures(path)
+
+
+def test_form_on_the_wrong_algebra_rejected(tmp_path):
     c = cosets.coset("g2su3")
-    for changes in ({"b_g_pair": "sp2"}, {"b_h_pair": "sp1u1-in-sp2"}):
-        with pytest.raises(FixtureError):
-            c._replace(**changes)._check_forms()._check_mstar()
+    for key, pair, data in (("B_G", "sp2", c.g_data), ("B_H", "sp1u1-in-sp2", c.h_data)):
+        assert casimir.context(pair).root_data != data
+        with pytest.raises(FixtureError, match=r"^cosets\[0\]\.%s\.pair: %s, but" % (key, pair)):
+            _load_changed(tmp_path, key, {"pair": pair})
 
 
 def test_cosets_share_the_restriction_of_their_h_form():
     for name in cosets.COSET_NAMES:
         c = cosets.coset(name)
-        assert c.restriction.matrix is casimir.restriction(c.b_h_pair)
-        assert casimir.restriction(c.b_g_pair) is None
+        assert c.restriction.matrix is casimir._PAIRS[c.b_h_pair][2]
+        assert casimir._PAIRS[c.b_g_pair][2] is None
 
 
-def test_form_that_is_not_the_restriction_rejected():
+def test_form_that_is_not_the_restriction_rejected(tmp_path):
     # su3-ambient is a form on A2, the right algebra for SU(3) in G2, but
     # with the ambient normalization, not the one B_G = g2 restricts to.
     c = cosets.coset("g2su3")
     assert casimir.context("su3-ambient").root_data == c.h_data
-    with pytest.raises(FixtureError, match="not the restriction of B_G"):
-        c._replace(b_h_pair="su3-ambient")._check_forms()._check_mstar()
+    assert casimir.context("su3-ambient").dual != c.context_h.dual
+    with pytest.raises(FixtureError, match=r"^cosets\[0\]\.B_H\.pair: su3-ambient, but"
+                       r" the built-in G2/SU\(3\) has su3-in-g2$"):
+        _load_changed(tmp_path, "B_H", {"pair": "su3-ambient"})
+
+
+def _weight_sum(c, v):
+    total = [0] * c.h_data.num_coords
+    for hw, m in v.entries.items():
+        for w, k in lie.weight_multiplicities(c.h_data, hw).weights.items():
+            total = [t + m * k * x for t, x in zip(total, w)]
+    return tuple(total)
+
+
+def test_mstar_is_v_plus_its_conjugate_and_v_has_weight_sum_zero(
+        non_builtin_descriptors):
+    # m* = V + conj(V) splits m* into its (1,0)- and (0,1)-parts, and a zero
+    # weight sum makes Lambda^3 V trivial: the invariant (3,0)-form of an
+    # SU(3)-structure.  The other chirality of Sp(2)/Sp(1)xU(1) has the same
+    # m* but weight sum (0, 4).
+    for name in cosets.COSET_NAMES:
+        c = cosets.coset(name)
+        both = dict(c.mstar_holomorphic.entries)
+        for hw, m in c.mstar_holomorphic.entries.items():
+            conj = c.h_data.dominant_representative(tuple(-x for x in hw))
+            both[conj] = both.get(conj, 0) + m
+        assert both == c.mstar.entries, name
+        assert _weight_sum(c, c.mstar_holomorphic) == (0,) * c.h_data.num_coords, name
+    (other,) = non_builtin_descriptors
+    assert other.mstar == cosets.coset("sp2").mstar
+    assert _weight_sum(other, other.mstar_holomorphic) == (0, 4)

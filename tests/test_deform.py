@@ -64,7 +64,7 @@ def test_memoised_results_equal_fresh_ones():
                 memoised = step(c, gauge)
                 for memo in memos:
                     memo.cache_clear()
-                fresh = cosets.descriptor_from_dict(cosets.descriptor_to_dict(c))
+                fresh = cosets._coset.__wrapped__(name)
                 assert fresh is not c and fresh.gauges == c.gauges, name
                 assert step(fresh, gauge) == memoised, (name, gauge, step.__name__)
 
@@ -90,12 +90,12 @@ def test_curvature_spectrum_invariants():
         assert sum(d for _, d in deform.curvature_spectrum(c, "SU3").entries) == 48
 
 
-def test_integer_spectrum_matches_the_fraction_sum(fixture_descriptors):
+def test_integer_spectrum_matches_the_fraction_sum(non_builtin_descriptors):
     """The D-scaled integer sum against -4 + Cas_h(E_alpha) - Cas_h(U) with
     multiplicity n_alpha * dim U, in Fraction arithmetic on the hand-entered
     forms and root tables, over E_alpha (x) m* decomposed afresh; on the
-    built-in descriptors and on the ones fixture files load."""
-    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+    built-in descriptors and on the other-chirality one."""
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + non_builtin_descriptors:
         for gauge in deform.GAUGE_GROUPS:
             expected = {}
             for e_hw, n_alpha in cosets.gauge_rep(c, gauge).entries.items():
@@ -175,19 +175,26 @@ def test_a_warm_call_computes_no_casimir(monkeypatch):
 
 def test_an_odd_multiplicity_is_refused_when_the_descriptor_is_built(
         monkeypatch, tmp_path, capsys):
-    """The evenness check runs when a descriptor is built, so a fixture file
-    whose count came out odd is refused by every command that loads it,
+    """The evenness check runs when a descriptor is built, so a count that
+    came out odd is refused by every command that builds the descriptor,
     ``tables prop-4.2`` included, with exit code 2 and one line."""
     path = tmp_path / "fixtures.json"
     path.write_text(cosets.dump_fixtures(), encoding="utf-8")
+    cosets._coset.cache_clear()
     monkeypatch.setattr(deform, "_complexified_solutions", lambda summands: {(1, 0): 3})
-    with pytest.raises(EvennessViolationError, match=r"\(1, 0\) in G2/SU\(3\) is odd \(3\)"):
-        cosets.load_fixtures(path)
-    assert cli.main(["tables", "prop-4.2", "--fixtures", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "invariant failure: complexified multiplicity of (1, 0) in G2/SU(3)" \
-        " is odd (3)\n"
+    try:
+        with pytest.raises(EvennessViolationError,
+                           match=r"\(1, 0\) in G2/SU\(3\) is odd \(3\)"):
+            cosets.load_fixtures(path)
+        for argv in (["tables", "prop-4.2"], ["tables", "prop-4.2", "--fixtures", str(path)]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "invariant failure: complexified multiplicity of (1, 0)" \
+                " in G2/SU(3) is odd (3)\n"
+    finally:
+        monkeypatch.undo()
+        cosets._coset.cache_clear()
 
 
 def test_unknown_gauge_is_refused():
@@ -197,12 +204,12 @@ def test_unknown_gauge_is_refused():
             step(c, "SO3")
 
 
-def test_stored_matched_weights_match_the_box_scan(fixture_descriptors):
+def test_stored_matched_weights_match_the_box_scan(non_builtin_descriptors):
     """Each gauge summand's stored G-irreducibles W with Cas_g(W) =
     Cas_h(E_alpha) against the full-box scan on the hand-entered forms, on
-    the built-in descriptors and on the ones fixture files load."""
+    the built-in descriptors and on the other-chirality one."""
     matched = 0
-    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + non_builtin_descriptors:
         for gauge in deform.GAUGE_GROUPS:
             for s in c.gauges[gauge][1]:
                 assert s.casimir == slow_oracle.casimir(c.b_h_pair, s.hw)
@@ -227,13 +234,13 @@ def _restricted_character(c, w_hw):
         lie.WeightCharacter(c.h_data, restricted))
 
 
-def test_stored_frobenius_counts_match_an_independent_count(fixture_descriptors):
+def test_stored_frobenius_counts_match_an_independent_count(non_builtin_descriptors):
     """Each stored (W, count) against sum_U mult_U(E_alpha (x) m*)
     mult_U(W|_H), with E_alpha (x) m* from the product of characters and
     W|_H from W's restricted character, on the built-in descriptors and on
-    the ones fixture files load; zero counts are stored too."""
+    the other-chirality one; zero counts are stored too."""
     counts = []
-    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + fixture_descriptors:
+    for c in [cosets.coset(name) for name in cosets.COSET_NAMES] + non_builtin_descriptors:
         for gauge in deform.GAUGE_GROUPS:
             for s in c.gauges[gauge][1]:
                 tensor = {}

@@ -125,6 +125,23 @@ def test_mismatched_coroots_raise_instead_of_closing_forever(monkeypatch):
         lie._simple_character.cache_clear()
 
 
+def test_a_freudenthal_step_that_does_not_divide_raises(monkeypatch):
+    # C2 with its coroots kept but the form's symmetrizer set to (1, 1) past
+    # the constructor's check: the closure and the Weyl formula are right,
+    # and the first step of the recursion below V(1, 0) gives 6/5.
+    st = lie.SimpleType("C2", lie.SIMPLE_TYPES["C2"].cartan)
+    assert st.coroots == lie.SIMPLE_TYPES["C2"].coroots
+    st.__dict__["symmetrizer"] = (1, 1)
+    monkeypatch.setitem(lie.SIMPLE_TYPES, "C2", st)
+    lie._simple_character.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=r"multiplicity 6/5 at \(0, 0\)"):
+            lie._simple_character("C2", (1, 0))
+    finally:
+        monkeypatch.undo()
+        lie._simple_character.cache_clear()
+
+
 def test_coroot_pairing_to_zero_with_delta_raises(monkeypatch):
     # G2 with its symmetrizer reversed, set past the constructor's check:
     # one coroot comes out as (0, 0), and the Weyl formula's denominator

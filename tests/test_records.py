@@ -115,7 +115,7 @@ def test_rep_decomposition_entries_are_read_only():
     ids=["covers", "trace"],
 )
 def test_gauge_data_refuses_bad_curvature_pairs(trivial_summands, message):
-    # m* replaced by trivial summands, which _check_mstar would refuse: five
+    # m* replaced by trivial summands, which no coset has (Casimir 0): five
     # cover too little, six give the eigenvalue -4 on all 48 dimensions.
     c = cosets.coset("g2su3")
     assert deform._gauge_data(c, c.h_adjoint) == c.gauges[deform.GAUGE_H]
