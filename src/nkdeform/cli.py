@@ -1,27 +1,29 @@
 """Command-line surface of the engine.
 
-Subcommands::
+Grammar, parsed from the one table ``COMMANDS``::
 
-    tables prop-4.2 | thm-5.2-H | thm-5.2-SU3   curvature / deformation tables
-    casimir --pair TAG --hw m1,m2,...           one Casimir eigenvalue
-    branch --coset NAME --hw m1,m2,...          restriction to the isotropy algebra
-    tensor --algebra TAG --a ... --b ...        tensor product decomposition
-    clifford-verify                             run the exact identity suite
+    nkdeform --version | -h | --help
+    nkdeform tables prop-4.2|thm-5.2-H|thm-5.2-SU3 [--fixtures PATH]
+    nkdeform casimir --pair TAG --hw m1,m2,...
+    nkdeform branch --coset NAME --hw m1,m2,... [--fixtures PATH]
+    nkdeform tensor --algebra TAG --a m1,m2,... --b m1,m2,...
+    nkdeform clifford-verify
 
-Every command accepts ``--format text|json``.  JSON output is deterministic
-(sorted keys) and serializes every rational as {"num": int, "den": int}.
-All output, text or JSON, is written by ``_emit``.
+Every subcommand also takes ``--format text|json``.  Options come in any
+order as ``--opt VALUE`` or ``--opt=VALUE``, unabbreviated, the last one
+counting; VALUE is the next argument unless that starts with ``--`` (so
+``--a -2,3`` is a weight), and may not be empty.  JSON output is
+deterministic (sorted keys) and serializes every rational as
+{"num": int, "den": int}.  All output, text or JSON, is written by ``_emit``.
 
 Exit codes: 0 success, 1 usage or parse error (a ``ValueError`` or
 ``OSError``), 2 internal invariant failure (a ``RuntimeError`` of
 :mod:`errors`, or ``ConventionError``).
 """
 
-import argparse
-import json
 import re
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -48,8 +50,6 @@ _INVARIANT_ERRORS = (
 )
 _USAGE_ERRORS = (ValueError, OSError)
 
-TABLE_IDS = ("prop-4.2", "thm-5.2-H", "thm-5.2-SU3")
-
 # Tag -> name of its lie.RootData, resolved in cmd_tensor so cli need not import lie.
 TENSOR_ALGEBRAS = {
     "su2": "A1",
@@ -65,19 +65,19 @@ TENSOR_ALGEBRAS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes only plain negative numbers for values; a weight
-        # such as -6,6 would otherwise be read as an unknown option.
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"
-        )
-
-    # argparse prints its usage text and exits with status 2 on usage
-    # errors; here main reports the message alone, in one line, with 1.
-    def error(self, message):
-        raise ValueError(message)
+# Subcommand -> {argument: (choices or None, default, required)}: options
+# start with "--", and the one positional, if any, does not.
+_FORMAT = {"--format": (("text", "json"), "text", False)}
+_FIXTURES = {"--fixtures": (None, None, False), **_FORMAT}
+_REQUIRED = (None, None, True)
+COMMANDS = {
+    "tables": {"which": (("prop-4.2", "thm-5.2-H", "thm-5.2-SU3"), None, True),
+               **_FIXTURES},
+    "casimir": {"--pair": _REQUIRED, "--hw": _REQUIRED, **_FORMAT},
+    "branch": {"--coset": _REQUIRED, "--hw": _REQUIRED, **_FIXTURES},
+    "tensor": {"--algebra": _REQUIRED, "--a": _REQUIRED, "--b": _REQUIRED, **_FORMAT},
+    "clifford-verify": _FORMAT,
+}
 
 
 def _parse_weight(text, root_data):
@@ -100,17 +100,18 @@ def _emit(args, out, command, inputs, result, text):
         "result": result,
         "engine_version": __version__,
     }
-    if args.format == "text":
-        out.write(text)
-    else:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out.write(text)
     return payload
 
 
 def _coset_lookup(args):
     from . import cosets
 
-    if getattr(args, "fixtures", None):
+    if args.fixtures is not None:
         cosets.load_fixtures(args.fixtures)
     return cosets.coset
 
@@ -201,6 +202,8 @@ def cmd_tensor(args, out):
 
 
 def cmd_clifford_verify(args, out):
+    from fractions import Fraction
+
     from . import clifford
     from .ratlinalg import _frac_json
 
@@ -249,69 +252,63 @@ def cmd_clifford_verify(args, out):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
-    parser = _Parser(
-        prog="nkdeform",
-        description=(
-            "Exact computations for instantons on the four homogeneous "
-            "nearly Kahler six-manifolds: Casimir spectra, branching, "
-            "curvature spectra, deformation counting and Clifford-algebra "
-            "verification."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version="%(prog)s " + __version__
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _usage():
+    lines = ["usage: nkdeform --version | -h | SUBCOMMAND ..."]
+    for command, fields in COMMANDS.items():
+        words = [command]
+        for name, (choices, _, required) in fields.items():
+            word = "|".join(choices) if choices else name.lstrip("-").upper()
+            word = "%s %s" % (name, word) if name.startswith("--") else word
+            words.append(word if required else "[%s]" % word)
+        lines.append("  " + " ".join(words))
+    return "\n".join(lines) + "\n"
 
-    def add_common(p, fixtures=False):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="output format (default: text)",
-        )
-        if fixtures:
-            p.add_argument(
-                "--fixtures", metavar="PATH", default=None,
-                help="check a JSON fixture file against the built-in coset data",
-            )
 
-    p = sub.add_parser("tables", help="emit a full result table")
-    p.add_argument("which", choices=TABLE_IDS, help="table identifier")
-    add_common(p, fixtures=True)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("casimir", help="Casimir eigenvalue of one irreducible")
-    p.add_argument("--pair", required=True, help="algebra pair tag")
-    p.add_argument("--hw", required=True, help="highest weight, e.g. 0,1")
-    add_common(p)
-    p.set_defaults(func=cmd_casimir)
-
-    p = sub.add_parser("branch", help="restrict a G-irreducible to H")
-    p.add_argument("--coset", required=True, help="coset name or alias")
-    p.add_argument("--hw", required=True, help="highest weight, e.g. 1,0")
-    add_common(p, fixtures=True)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("tensor", help="decompose a tensor product")
-    p.add_argument("--algebra", required=True, help="algebra tag, e.g. su3")
-    p.add_argument("--a", required=True, help="first highest weight")
-    p.add_argument("--b", required=True, help="second highest weight")
-    add_common(p)
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser(
-        "clifford-verify", help="run the exact Clifford identity suite"
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_clifford_verify)
-
-    return parser
+def parse_args(argv):
+    """The subcommand (``subcommand``) and the value of each of its
+    arguments, default included, as attributes; a usage error raises
+    ``ValueError``, and ``--version`` and ``--help`` exit with status 0."""
+    if argv[:1] == ["--version"]:
+        print("nkdeform " + __version__)
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS and argv[0] not in ("-h", "--help"):
+        raise ValueError("expected a subcommand (%s) or --help" % ", ".join(COMMANDS))
+    fields, given, rest, tokens = COMMANDS.get(argv[0], {}), {}, [], iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage())
+            raise SystemExit(0)
+        if token == "--":
+            rest.extend(tokens)
+        elif not token.startswith("--"):
+            rest.append(token)
+        elif name not in fields:
+            raise ValueError("unrecognized argument %s" % token)
+        else:
+            value = value if eq else next(tokens, "")
+            if not value or not eq and value.startswith("--"):
+                raise ValueError("argument %s: expected one non-empty value" % name)
+            given[name] = value
+    values = {"subcommand": rest.pop(0)}
+    for name, (choices, default, required) in fields.items():
+        value = rest.pop(0) if rest and name[0] != "-" else given.get(name, default)
+        if value is None and required:
+            raise ValueError("the following arguments are required: %s" % name)
+        if choices and value not in choices:
+            raise ValueError("argument %s: invalid choice: %r (choose from %s)"
+                             % (name, value, ", ".join(choices)))
+        values[name.lstrip("-")] = value
+    if rest:
+        raise ValueError("unrecognized arguments: %s" % " ".join(rest))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        args.func(args, sys.stdout)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        # Looked up at call time, so that a wrapped or patched command runs.
+        globals()["cmd_" + args.subcommand.replace("-", "_")](args, sys.stdout)
     except _INVARIANT_ERRORS as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return INVARIANT_ERROR

@@ -28,7 +28,6 @@ path of the first bad field, e.g. ``cosets[0].mstar[0].mult`` or
 """
 
 import collections
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -227,6 +226,8 @@ def _fields(obj, path):
 
 def dump_fixtures():
     """The embedded fixtures in the external JSON schema (deterministic)."""
+    import json
+
     return json.dumps(
         {
             "schema": FIXTURE_SCHEMA,
@@ -246,6 +247,8 @@ def load_fixtures(path):
     or one that differs from the built-ins, raises :class:`FixtureError`
     naming the JSON path of the first bad field.
     """
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -108,6 +108,38 @@ CATALOGUE = (
         "a decomposition that lists a highest weight twice is read as the"
         " last entry, so a file that repeats one can pass the comparison",
     ),
+    Mutant(
+        "spinor-memo-key-without-types", "clifford.py",
+        "key = (values, tuple(map(type, values)))",
+        "key = (values,)",
+        ["test_clifford.py"],
+        "an exact spinor's record answers for an equal float spinor, which"
+        " must be refused",
+    ),
+    Mutant(
+        "build-rep-uncached", "clifford.py",
+        "@functools.cache\ndef build_rep():",
+        "def build_rep():",
+        ["test_clifford.py"],
+        "the spinor representation is built and checked on every call, and"
+        " each call returns a new object, so no spinor record is reused",
+    ),
+    Mutant(
+        "cli-no-required-check", "cli.py",
+        "        if value is None and required:\n",
+        "        if False:\n",
+        ["test_cli.py"],
+        "a command line without a required argument is parsed, and the"
+        " command reads None for it",
+    ),
+    Mutant(
+        "cli-no-choices-check", "cli.py",
+        "        if choices and value not in choices:\n",
+        "        if False:\n",
+        ["test_cli.py"],
+        "a value outside an argument's choices, such as --format xml, is"
+        " accepted",
+    ),
 )
 
 

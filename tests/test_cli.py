@@ -2,11 +2,13 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+import argparse_oracle
 import nkdeform
 from nkdeform import cli, cosets, errors
 
@@ -70,11 +72,39 @@ def test_malformed_weight_exits_one(hw, capsys):
 
 def test_missing_argument_exits_one(capsys):
     # a malformed command line gets one error line, without the usage text
-    for argv in (["casimir", "--pair", "g2"], ["tables", "prop-9.9"], []):
-        assert cli.main(argv) == 1
+    for argv in (
+        ["casimir", "--pair", "g2"], ["tables", "prop-9.9"], [],
+        ["tabels", "prop-4.2"], ["tables"], ["--format", "json", "tables", "prop-4.2"],
+        ["casimir", "--pair", "g2", "--hw", "0,1", "--nope", "1"],
+        ["casimir", "--pair", "g2", "--hw", "0,1", "--fixtures", "f.json"],
+        ["casimir", "--pair", "g2", "--hw", "0,1", "--version"],
+        ["casimir", "--pair", "g2", "--hw", "0,1", "-x"],
+        ["casimir", "--pair", "g2", "--hw", "0,1", "--format", "xml"],
+        ["casimir", "--pair", "g2", "--hw"], ["casimir", "--pair", "--hw", "0,1"],
+        ["tables", "prop-4.2", "extra"], ["clifford-verify", "extra"],
+        # argparse took an abbreviation and an empty value; the CLI does not
+        ["tables", "prop-4.2", "--form", "json"],
+        ["tables", "thm-5.2-H", "--fixtures", ""], ["tables", "thm-5.2-H", "--fixtures="],
+        ["branch", "--coset", "sp2", "--hw", "1,0", "--fixtures="],
+    ):
+        assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["tables", "-h"], ["casimir", "--pair", "g2", "--help"],
+])
+def test_help_prints_the_usage_of_every_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: nkdeform ")
+    for command in ("tables", "casimir", "branch", "tensor", "clifford-verify"):
+        assert ("\n  %s " % command) in out, command
+    assert "prop-4.2|thm-5.2-H|thm-5.2-SU3" in out and "--format text|json" in out
 
 
 def test_branch_text():
@@ -292,12 +322,37 @@ LOADED_BY = {
 }
 
 
+# In a cold process without bytecode, argparse costs about 3.5 ms (import
+# and parser set-up) and importing json about 1.5 ms.
+_ARGPARSE_JSON = """
+print(sorted(m for m in ("argparse", "json") if m in sys.modules))
+"""
+
+
+def test_a_bare_interpreter_loads_neither_argparse_nor_json():
+    # Else the two tests below could not see a command load them.
+    assert fresh_python("-c", "import sys" + _ARGPARSE_JSON) == "[]\n"
+
+
 @pytest.mark.parametrize("command", sorted(LOADED_BY))
 def test_subcommand_loads_only_the_modules_it_runs(command):
+    # Every command here writes text (the default) and reads no fixture file.
     args, extra = LOADED_BY[command]
-    out = fresh_python("-c", _RUN_CLI + _LOADED_MODULES, command, *args)
+    out = fresh_python("-c", _RUN_CLI + _LOADED_MODULES + _ARGPARSE_JSON,
+                       command, *args)
     expected = sorted("nkdeform." + m for m in ["cli", "errors"] + extra)
-    assert out == "%r\n" % expected
+    assert out == "%r\n[]\n" % expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["casimir", "--pair", "g2", "--hw", "0,1", "--format", "json"],
+    ["tables", "prop-4.2", "--fixtures", "FILE"],
+], ids=["format-json", "fixtures"])
+def test_json_is_loaded_only_to_write_or_read_json(argv, tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(cosets.dump_fixtures(), encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert fresh_python("-c", _RUN_CLI + _ARGPARSE_JSON, *argv) == "['json']\n"
 
 
 def test_every_tensor_tag_resolves_to_its_root_data():
@@ -448,10 +503,11 @@ def test_failed_clifford_check_writes_the_report_then_exits_two(
         assert json.loads(out) == doc
 
 
-def test_version():
+def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["--version"])
+        cli.main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr() == ("nkdeform %s\n" % nkdeform.__version__, "")
 
 
 def _mutated(mutate):
@@ -666,3 +722,110 @@ def test_fixture_fuzz_is_refused_in_one_line_or_gives_the_golden(tmp_path, capsy
             assert out.encode("utf-8") == golden.read_bytes(), doc
             assert err == ""
     assert 0 < refused < 300
+
+
+# The grammar as the argparse oracle declares it, written out again here so
+# that the vectors do not come from the table under test: each subcommand's
+# positional choices, optional options and required options.
+GRAMMAR = {
+    "tables": (["prop-4.2", "thm-5.2-H", "thm-5.2-SU3"], ["--fixtures", "--format"], []),
+    "casimir": (None, ["--format"], ["--pair", "--hw"]),
+    "branch": (None, ["--fixtures", "--format"], ["--coset", "--hw"]),
+    "tensor": (None, ["--format"], ["--algebra", "--a", "--b"]),
+    "clifford-verify": (None, ["--format"], []),
+}
+OPTION_VALUES = {
+    "--pair": ["g2", "su2cubed", "sp1u1-in-sp2"],
+    "--coset": ["sp2", "G2/SU(3)"],
+    "--algebra": ["su3", "u1u1"],
+    "--hw": ["1,0", "-2,3", "0,-1,7"],
+    "--a": ["-6,6", "2,-3", "0"],
+    "--b": ["1,1", "-3,2"],
+    "--format": ["text", "json"],
+    "--fixtures": ["fixtures.json", "a b.json", "-", "-1"],
+}
+# Each turns a valid vector, a list of word groups, into a vector that is
+# invalid unless a repeated option restores what it dropped.
+BREAKS = (
+    lambda rng, groups: groups[:-1],  # drop the last group
+    lambda rng, groups: groups + [["--nope", "1"]],
+    lambda rng, groups: groups + [["--format=xml"]],
+    lambda rng, groups: groups + [["-x"]],
+    lambda rng, groups: groups + [["extra"]],
+    lambda rng, groups: groups + [["--version"]],
+    lambda rng, groups: groups + [[rng.choice(["--hw", "--format", "--fixtures"])]],
+    lambda rng, groups: [["--format", "text"]] + groups,
+    lambda rng, groups: [["tensr"]] + groups[1:],
+    lambda rng, groups: [[groups[0][0]], ["prop-9.9"]] + groups[1:],
+    lambda rng, groups: groups[:1] + [["--pair", "--hw"]] + groups[1:],
+)
+
+
+def _valid_groups(rng):
+    """A valid argv as word groups: the subcommand, then its positional and
+    options in a random order, each option as `--opt v` or `--opt=v`, and
+    sometimes an option given twice."""
+    command = rng.choice(sorted(GRAMMAR))
+    choices, optional, required = GRAMMAR[command]
+    names = required + [n for n in optional if rng.random() < 0.6]
+    if names and rng.random() < 0.3:
+        names.append(rng.choice(names))
+    rng.shuffle(names)
+    groups = []
+    for name in names:
+        value = rng.choice(OPTION_VALUES[name])
+        groups.append(["%s=%s" % (name, value)] if rng.random() < 0.5 else [name, value])
+    if choices:
+        groups.insert(rng.randrange(len(groups) + 1), [rng.choice(choices)])
+    return [[command]] + groups
+
+
+def _oracle_parse(argv):
+    """The oracle's attributes for argv, or None if it refuses argv."""
+    try:
+        return vars(argparse_oracle.build_parser(nkdeform.__version__).parse_args(argv))
+    except ValueError:
+        return None
+
+
+def test_parser_agrees_with_the_argparse_oracle(capsys):
+    rng = random.Random(2701)
+    vectors = [["tables", "--", "prop-4.2"], ["tables", "--format", "json", "--", "thm-5.2-H"],
+               ["tables", "--", "prop-4.2", "--format", "json"],
+               ["casimir", "--pair", "g2", "--", "--hw", "0,1"]]
+    for _ in range(400):
+        groups = _valid_groups(rng)
+        if rng.random() < 0.5:
+            groups = rng.choice(BREAKS)(rng, groups)
+        vectors.append([word for group in groups for word in group])
+    accepted = refused = 0
+    for argv in vectors:
+        expected = _oracle_parse(argv)
+        if expected is not None:
+            accepted += 1
+            assert vars(cli.parse_args(argv)) == expected, argv
+            continue
+        refused += 1
+        with pytest.raises(ValueError):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("error: "), argv
+    assert accepted > 150 and refused > 150, (accepted, refused)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "prop-4.2", "--form", "json"],
+    ["tables", "prop-4.2", "--form=json"],
+    ["branch", "--cos", "sp2", "--hw", "1,0"],
+    ["tables", "thm-5.2-H", "--fixtures", ""],
+    ["tables", "thm-5.2-H", "--fixtures="],
+], ids=["abbreviation", "abbreviation-joined", "abbreviated-required",
+        "empty-value", "empty-value-joined"])
+def test_the_recorded_differences_from_the_oracle(argv):
+    # argparse takes an unambiguous prefix of an option, and an empty value;
+    # the CLI refuses both.
+    assert _oracle_parse(argv) is not None
+    with pytest.raises(ValueError):
+        cli.parse_args(argv)
