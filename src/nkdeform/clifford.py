@@ -25,14 +25,14 @@ identities of the suite, five hold for the algebra or for every three-form
 P and four-form Q and are proved once per process on basis blades, a
 spinor adding only a scan of the grades of P and Q; the other three run per
 spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J, each
-right-hand side carrying its power of d^2.  The contraction with Q is
-read off d^2 Q by signed lookups as an integer matrix over its common
-denominator.  Its spectrum is read off the J-type split of two-forms
-R omega + Lambda^2_6 + Lambda^2_8, whose blocks are integer kernels of
-the action of d^2 J on two-forms: the operator must be one scalar on each
-block, read on primitive integer vectors, and these scalars are then its
-whole spectrum, with Lambda^2_8 as the (-1)-eigenspace.  Every check is
-homogeneous in the scale.
+right-hand side carrying its power of d^2, torsion-metric-trace by
+grade-brackets on the contractions e_a -| d^2 P.  Contraction with Q, read
+off d^2 Q by signed lookups as an integer matrix over its common
+denominator, is applied through its nonzero entries.  Its spectrum is read
+off the J-type split R omega + Lambda^2_6 + Lambda^2_8 of two-forms, with
+Lambda^2_6 spanned by those contractions and Lambda^2_8 an integer kernel
+of the action of d^2 J: the operator must be one scalar on each block,
+these scalars are its whole spectrum, and every check is homogeneous.
 The dense-matrix route, the sampled route and the characteristic
 polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 """
@@ -147,24 +147,17 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         signs = _product_signs()
-        right = [(m, b) for m, b in enumerate(other.coeffs) if b]
+        right = other.terms()
         out = [0] * N_BLADES
-        for m1, a in enumerate(self.coeffs):
-            if not a:
-                continue
+        for m1, a in self.terms():
             row = signs[m1]
             for m2, b in right:
                 out[m1 ^ m2] += row[m2] * (a * b)
         return Multivector(tuple(out))
 
-    def scalar_product(self, other):
-        """Scalar part of self * other."""
-        signs = _product_signs()
-        return sum(
-            signs[m][m] * (a * b)
-            for m, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
-            if a and b
-        )
+    def terms(self):
+        """The nonzero coefficients as (mask, coefficient) pairs."""
+        return [(m, a) for m, a in enumerate(self.coeffs) if a]
 
     def scale(self, k):
         return Multivector(tuple(k * a if a else a for a in self.coeffs))
@@ -272,12 +265,11 @@ class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
 
     __slots__ = ()
 
-    def act(self, mv, spinor):
-        """Clifford multiplication of a spinor by a multivector."""
+    def act(self, terms, spinor):
+        """Clifford multiplication of a spinor by the multivector with the
+        nonzero (mask, coefficient) ``terms`` (:meth:`Multivector.terms`)."""
         out = [0] * 8
-        for mask, a in enumerate(mv.coeffs):
-            if a == 0:
-                continue
+        for mask, a in terms:
             for (row, sign), x in zip(self.blades[mask], spinor):
                 out[row] += sign * (a * x)
         return tuple(out)
@@ -369,20 +361,29 @@ def _integer_forms(rep, psi):
 
 class _Spinor:
     """What a unit spinor psi determines under ``rep``: psi~, d^2, d^2 P
-    and d^2 Q from :func:`_integer_forms`, and d^2 J on first need
-    (:meth:`j`), so a call that needs no J neither builds nor checks it."""
+    and d^2 Q from :func:`_integer_forms`, and on first need d^2 J
+    (:meth:`j`) and the contractions e_a -| d^2 P (:meth:`contractions`),
+    so a call that needs neither builds nor checks them."""
 
-    __slots__ = ("rep", "key", "spinor", "d2", "p", "q", "_j")
+    __slots__ = ("rep", "key", "spinor", "d2", "p", "q", "_j", "_contractions")
 
     def __init__(self, rep, key, forms):
         self.rep, self.key = rep, key
         self.spinor, self.d2, self.p, self.q = forms
-        self._j = None
+        self._j = self._contractions = None
 
     def j(self):
         if self._j is None:
             self._j = _complex_structure(self.rep, self.spinor, self.d2, self.q)
         return self._j
+
+    def contractions(self):
+        """(u, G): the two-form coordinates u_a of e_a -| d^2 P, a = 1..6,
+        and their Gram matrix G."""
+        if self._contractions is None:
+            u = [_two_form_coords(self.p.contract_vector(a)) for a in range(1, DIM + 1)]
+            self._contractions = u, [[ratlinalg.dot(x, y) for y in u] for x in u]
+        return self._contractions
 
 
 _last_spinor = None
@@ -420,10 +421,10 @@ def extract_PQ(rep, psi):
     return _over(rec.p, rec.d2), _over(rec.q, rec.d2)
 
 
-def _eigenvalue_on(rep, mv, spinor, d2):
-    """Exact eigenvalue of Clifford multiplication by mv / d^2 on a nonzero
-    integer spinor, compared by cross-multiplication."""
-    image = rep.act(mv, spinor)
+def _eigenvalue_on(rep, terms, spinor, d2):
+    """Exact eigenvalue of Clifford multiplication by mv / d^2 (``terms``
+    of mv) on a nonzero integer spinor, compared by cross-multiplication."""
+    image = rep.act(terms, spinor)
     pivot = next(i for i in range(8) if spinor[i] != 0)
     if any(y * spinor[pivot] != image[pivot] * x for x, y in zip(spinor, image)):
         raise ConsistencyError("vector is not an eigenvector")
@@ -453,8 +454,8 @@ def spinor_decomposition_spectra(rep, psi):
                 raise ConsistencyError(
                     "spinor blocks are not orthonormal (%d, %d)" % (i, j)
                 )
-    ps = [_eigenvalue_on(rep, p, v, d2) for v in basis]
-    qs = [_eigenvalue_on(rep, q, v, d2) for v in basis]
+    ps, qs = ([_eigenvalue_on(rep, terms, v, d2) for v in basis]
+              for terms in (p.terms(), q.terms()))
     if len(set(ps[1:7])) != 1 or len(set(qs[1:7])) != 1:
         raise ConsistencyError("P or Q is not scalar on the one-form block")
     return SpinorBlockSpectra((ps[0], ps[1], ps[7]), (qs[0], qs[1], qs[7]))
@@ -477,6 +478,10 @@ def _fraction_matrix(mat, d2):
     return [[_F(x, d2) for x in row] for row in mat]
 
 
+def _scalar_matrix(c, n):
+    return [[c * (a == b) for b in range(n)] for a in range(n)]
+
+
 def _complex_structure(rep, spinor, d2, q):
     """d^2 J, an integer matrix, from psi~ = d psi and d^2 Q.  The generators
     are skew and anticommute, so the e_a psi~ are orthogonal of norm d^2
@@ -491,8 +496,7 @@ def _complex_structure(rep, spinor, d2, q):
             raise ConsistencyError(
                 "Vol . e_%d . psi is not in the span of the e_b . psi" % (a + 1)
             )
-    minus_d4 = [[-d2 * d2 * (a == b) for b in range(DIM)] for a in range(DIM)]
-    if ratlinalg.mat_mul(j, j) != minus_d4:
+    if ratlinalg.mat_mul(j, j) != _scalar_matrix(-d2 * d2, DIM):
         raise IdentityViolationError("complex-structure-square")
     # Given J^2 = -1, J^T J = 1 is J^T = -J.
     if ratlinalg.transpose(j) != [[-x for x in row] for row in j]:
@@ -606,8 +610,11 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     with the geometric product that the representation matches blade for
     blade (:func:`build_rep`), on the integer p, q and d^2 J of
     psi~ = d psi.  Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
-    torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, and
-    holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p).
+    holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p), and
+    torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, which by
+    grade-brackets ({e_a, p} = -2 e_a -| p) and scalar(uv) = -<u, v> on
+    two-forms is <e_a -| p, e_b -| p> = 2 d^4 delta_ab, the last two on
+    the three-form p's contractions (:meth:`_Spinor.contractions`).
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
@@ -620,34 +627,22 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     brackets, sandwich, degree, square, norm = _algebra_identities()
     p_three_form = not any(c for c, k in zip(p.coeffs, _GRADES) if k != 3)
     q_four_form = not any(c for c, k in zip(q.coeffs, _GRADES) if k != 4)
-    vectors = [Multivector.vector(a) for a in range(1, DIM + 1)]
-    p_contr = [p.contract_vector(a) for a in range(1, DIM + 1)]
-    star_p_contr = [star_p.contract_vector(a) for a in range(1, DIM + 1)]
 
     def check_kahler_square():
         rhs = Multivector.scalar(-3 * d2 * d2) + q.scale(2 * d2)
         return star_q * star_q == rhs
 
     def check_holomorphic_contraction():
-        # (Jv) -| x = sum_b J_ba (e_b -| x) for v = e_a, on the blades
-        # where some e_b -| p or e_b -| *p is nonzero
-        pc = [x.coeffs for x in p_contr]
-        sc = [x.coeffs for x in star_p_contr]
-        slots = {m for x in pc + sc for m, c in enumerate(x) if c}
+        # (Jv) -| x = sum_b J_ba (e_b -| x) for v = e_a, on the two-form
+        # coordinates of the contractions of the three-forms p and *p
+        pc = rec.contractions()[0]
+        sc = [_two_form_coords(star_p.contract_vector(a)) for a in range(1, DIM + 1)]
         for a in range(DIM):
             col = [row[a] for row in j]
-            for m in slots:
+            for m in range(len(_MASKS_2FORM)):
                 real = d2 * pc[a][m] + sum(c * x[m] for c, x in zip(col, sc))
                 imag = d2 * sc[a][m] - sum(c * x[m] for c, x in zip(col, pc))
                 if real or imag:
-                    return False
-        return True
-
-    def check_torsion_metric_trace():
-        anti = [e * p + p * e for e in vectors]
-        for a, xa in enumerate(anti):
-            for b, xb in enumerate(anti):
-                if xa.scalar_product(xb) != (-8 * d2 * d2 if a == b else 0):
                     return False
         return True
 
@@ -672,12 +667,13 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         (
             "holomorphic-contraction",
             "(v - i Jv) -| (P + i *P) = 0 for every basis vector",
-            check_holomorphic_contraction,
+            lambda: p_three_form and check_holomorphic_contraction(),
         ),
         (
             "torsion-metric-trace",
             "-(1/32) Tr({X, P}{Y, P}) = 2 g(X, Y)",
-            check_torsion_metric_trace,
+            lambda: brackets and p_three_form
+            and rec.contractions()[1] == _scalar_matrix(2 * d2 * d2, DIM),
         ),
         (
             "vector-sandwich",
@@ -752,16 +748,16 @@ def _q_operator(q, e):
     return e // g, [[x // g for x in r] for r in a]
 
 
-def _block_value(a_int, d, block, name):
-    """The one eigenvalue of op = a_int / d on the nonzero integer vectors
-    of ``block``, read off the first by integer cross-multiplication as in
-    :func:`_eigenvalue_on`; raises ``SpectrumError`` unless every vector
-    is an eigenvector with that value."""
-    v = block[0]
-    pivot = next(i for i, x in enumerate(v) if x)
-    num, den = ratlinalg.mat_vec(a_int, v)[pivot], v[pivot]
-    for v in block:
-        if [den * x for x in ratlinalg.mat_vec(a_int, v)] != [num * x for x in v]:
+def _block_value(rows, d, block, name):
+    """The one eigenvalue of op = A / d, A given by the nonzero (column,
+    entry) pairs of its rows, on the nonzero integer vectors of ``block``,
+    read off the first by cross-multiplication as in :func:`_eigenvalue_on`;
+    raises ``SpectrumError`` unless every vector is an eigenvector with it."""
+    images = [[sum(x * v[c] for c, x in row) for row in rows] for v in block]
+    pivot = next(i for i, x in enumerate(block[0]) if x)
+    num, den = images[0][pivot], block[0][pivot]
+    for v, image in zip(block, images):
+        if [den * x for x in image] != [num * x for x in v]:
             raise SpectrumError("contraction by Q is not scalar on %s" % name)
     return _F(num, d * den)
 
@@ -772,8 +768,10 @@ def q_contraction_spectrum(rep, psi):
     J acts on two-forms by S -> J^T S J on their skew matrices S, with
     eigenvalue +1 on the J-invariant forms and -1 on the rest.  That
     splits the two-forms into the J-type blocks R omega + Lambda^2_6 +
-    Lambda^2_8: Lambda^2_6 is the (-1)-eigenspace and Lambda^2_8 the
-    J-invariant forms orthogonal to omega, the su(3) fibre of the
+    Lambda^2_8: Lambda^2_6 = {X -| P} is the (-1)-eigenspace (Chiossi and
+    Salamon, "The intrinsic torsion of SU(3) and G2 structures", 2002),
+    so the e_a -| P must lie in it, orthogonal of norm 2, and Lambda^2_8 is
+    the J-invariant forms orthogonal to omega, the su(3) fibre of the
     instanton condition.  The blocks lie in different eigenspaces of that
     action, or in the orthogonal complement of omega, so their sum is
     direct; with dimensions 1, 6 and 8 it is all 15 dimensions, and an
@@ -786,42 +784,47 @@ def q_contraction_spectrum(rep, psi):
     the returned basis.
 
     The checks run on integers: A = d op for the common denominator d of
-    op (:func:`_q_operator`); K = e^2 (S -> J^T S J), read off e J for
-    e = d^2 of the integer spinor psi~ = d psi, whose kernels shifted by
-    e^2 are the blocks; and primitive integer block vectors, on which each
-    scalar is read by cross-multiplication (:func:`_block_value`).
+    op (:func:`_q_operator`), applied through its nonzero entries; K =
+    e^2 (S -> J^T S J), read off e J for e = d^2 of psi~ = d psi; the
+    record's u_a = e_a -| d^2 P, with K u_a = -e^2 u_a and Gram matrix
+    2 e^2; the integer kernel of [K - e^2; omega], which gives Lambda^2_8
+    and the returned basis; and each scalar read by cross-multiplication
+    (:func:`_block_value`).
     """
     rec = _spinor(rep, psi)
     e, q_int = rec.d2, rec.q
     d, a_int = _q_operator(q_int, e)
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in a_int]
     j = rec.j()
     e2 = e * e
     # (J^T S J)_ab = sum over c < f of S_cf (J_ca J_fb - J_fa J_cb)
     k = [[j[c][a] * j[f][b] - j[f][a] * j[c][b] for c, f in _PAIRS_2FORM]
          for a, b in _PAIRS_2FORM]
-    omega = ratlinalg.primitive(_two_form_coords(q_int.star()))
+    omega = _two_form_coords(q_int.star())
     if ratlinalg.mat_vec(k, omega) != [e2 * x for x in omega]:
         raise SpectrumError("omega is not J-invariant")
-
-    def shifted(s):
-        return [[x - s if r == c else x for c, x in enumerate(row)]
-                for r, row in enumerate(k)]
-
-    su3 = ratlinalg.nullspace(shifted(e2) + [omega])
-    blocks = [[omega], ratlinalg.nullspace(shifted(-e2)), su3]
-    if [len(b) for b in blocks] != [1, 6, 8]:
-        raise SpectrumError("J-type blocks have dimensions %s, not [1, 6, 8]"
-                            % [len(b) for b in blocks])
-    ints = [[ratlinalg.primitive(v) for v in b] for b in blocks]
-    values = [_block_value(a_int, d, b, name)
-              for b, name in zip(ints, ("omega", "Lambda^2_6", "Lambda^2_8"))]
+    six, gram = rec.contractions()
+    if any(ratlinalg.mat_vec(k, u) != [-e2 * x for x in u] for u in six):
+        raise SpectrumError("some e_a -| P is not J-anti-invariant")
+    if gram != _scalar_matrix(2 * e2, DIM):
+        raise SpectrumError("the e_a -| P are not orthogonal of norm 2")
+    su3 = ratlinalg.integer_nullspace(
+        [[x - e2 if r == c else x for c, x in enumerate(row)]
+         for r, row in enumerate(k)] + [omega])
+    if len(su3) != 8:
+        raise SpectrumError("Lambda^2_8 has dimension %d, not 8" % len(su3))
+    blocks = [[omega], six, [w for _, w in su3]]
+    values = [_block_value(rows, d, b, name)
+              for b, name in zip(blocks, ("omega", "Lambda^2_6", "Lambda^2_8"))]
     dims = collections.Counter()
     for value, b in zip(values, blocks):
         dims[value] += len(b)
     if dims[-1] != 8:
         raise SpectrumError("(-1)-eigenspace has dimension %d, not 8" % dims[-1])
+    zero = _F(0)
     return TwoFormSpectrum(
         entries=tuple(sorted(dims.items())),
         omega_eigenvalue=values[0],
-        minus_one_basis=tuple(tuple(v) for v in su3),
+        minus_one_basis=tuple(tuple(_F(x, w[c]) if x else zero for x in w)
+                              for c, w in su3),
     )

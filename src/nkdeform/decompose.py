@@ -18,7 +18,6 @@ handed to every later caller that asks for it.
 """
 
 import collections
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -96,8 +95,9 @@ def _decomp_json(d):
 class RestrictionMap(collections.namedtuple("RestrictionMap", "matrix")):
     """Linear map of weight lattices in fundamental-weight coordinates.
 
-    ``matrix`` rows are indexed by target (subalgebra) coordinates.  Images
-    of integral weights must be integral; a non-integral image signals a
+    ``matrix`` rows are indexed by target (subalgebra) coordinates, with
+    ``int`` or ``Fraction`` entries, so that images are exact.  Images of
+    integral weights must be integral; a non-integral image signals a
     wrongly transcribed embedding.  A row whose length is not that of the
     weight raises ``ValueError``.
     """
@@ -107,7 +107,7 @@ class RestrictionMap(collections.namedtuple("RestrictionMap", "matrix")):
     def apply(self, w):
         out = []
         for row in self.matrix:
-            v = sum(Fraction(a) * c for a, c in zip(row, w, strict=True))
+            v = sum(a * c for a, c in zip(row, w, strict=True))
             if v.denominator != 1:
                 raise MalformedEmbeddingError(
                     "weight %r restricts to non-integral coordinate %s" % (w, v)

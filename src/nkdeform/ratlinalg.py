@@ -24,13 +24,6 @@ def integer_scaled(mat):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in mat]
 
 
-def primitive(v):
-    """The primitive integer vector on the ray of a nonzero rational v."""
-    _, (ints,) = integer_scaled([v])
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
-
-
 def _frac_json(x):
     """The package's one JSON form of a rational: {"num": int, "den": int}."""
     f = Fraction(x)
@@ -80,20 +73,23 @@ def _integer_echelon(mat):
     return a[:len(pivots)], pivots
 
 
-def nullspace(mat):
-    """Basis of the right kernel, one vector per free column c: e_c minus
+def integer_nullspace(mat):
+    """Basis of the right kernel as pairs (c, w), one per free column c: w
+    is the primitive integer vector, with w[c] > 0, on the ray of e_c minus
     column c of the reduced row echelon form on the pivot coordinates.
     Integer Gauss-Jordan elimination gives that form's rows over their
-    pivot entries."""
+    pivot entries, which their least common multiple clears.  w / w[c] is
+    the kernel basis that Fraction elimination reads off."""
     rows, pivots = _integer_echelon(mat)
-    ncols = len(mat[0])
+    den = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(len(mat[0])) if c not in pivots):
+        w = [0] * len(mat[0])
+        w[fc] = den
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
+            w[pc] = -row[fc] * (den // row[pc])
+        g = math.gcd(*w)
+        basis.append((fc, [x // g for x in w]))
     return basis
 
 

@@ -17,11 +17,13 @@ the package proves on basis blades; :func:`sampled_form_identities` checks
 the three it proves for all forms on seeded random forms.
 :func:`check_bracket_closure` checks that a (-1)-eigenspace of the
 contraction with Q is closed under the commutator bracket, which the
-package's J-type split makes true by construction.  :func:`merge_sign` is
-the closed formula that the package's table of blade-product signs is
-checked against, and :func:`contract` the contraction by a form that the
-package's operator of contraction with Q (as a matrix,
-:func:`q_contraction_operator`) is checked against.
+package's J-type split makes true by construction, and :func:`lambda_six`
+reads Lambda^2_6 as the contractions e_a -| P and as the (-1)-eigenspace
+of J on two-forms, which the package's contractions are checked against.
+:func:`merge_sign` is the closed formula that the package's table of
+blade-product signs is checked against, and :func:`contract` the
+contraction by a form that the package's operator of contraction with Q
+(as a matrix, :func:`q_contraction_operator`) is checked against.
 """
 
 import random
@@ -32,7 +34,7 @@ from nkdeform import clifford, ratlinalg
 from nkdeform.clifford import DIM, N_BLADES, VOL_MASK, Multivector
 from nkdeform.errors import ConsistencyError, SpectrumError
 
-from slow_oracle import rref
+from slow_oracle import nullspace, rref
 
 PSI_B = (Fraction(3, 5), Fraction(4, 5)) + (Fraction(0),) * 6
 
@@ -575,7 +577,7 @@ def q_spectrum(psi, eigenvalues=None):
                 projector, mat_scale(shifted, Fraction(1, -1 - lam))
             )
     assert sum(dim for _, dim in entries) == n
-    basis = ratlinalg.nullspace(mat_add(op, ident))
+    basis = nullspace(mat_add(op, ident))
     omega = [q.star().coeffs[k] for k in _MASKS_2FORM]
     image = ratlinalg.mat_vec(op, omega)
     pivot = next(i for i in range(n) if omega[i] != 0)
@@ -587,6 +589,26 @@ def q_spectrum(psi, eigenvalues=None):
         tuple(tuple(v) for v in basis),
         tuple(tuple(row) for row in projector),
     )
+
+
+def lambda_six(psi):
+    """The six contractions e_a -| P and a basis of the (-1)-eigenspace of
+    S -> J^T S J, both as coordinates on the basis e_ab (a < b), with P
+    from :func:`extract_PQ`, J from :func:`complex_structure` and J^T S J
+    a product of dense 6x6 matrices; and the rank of that action plus the
+    identity, read by ``rref``.  Lambda^2_6 = {X -| P} says that the two
+    spans agree and that the rank is 15 - 6."""
+    p, _ = extract_PQ(psi)
+    j = complex_structure(psi)
+    contractions = [[contract(Multivector.vector(a), p).coeffs[k] for k in _MASKS_2FORM]
+                    for a in range(1, DIM + 1)]
+    images = []
+    for k in range(len(_PAIRS_2FORM)):
+        s = skew_matrix([int(i == k) for i in range(len(_PAIRS_2FORM))])
+        image = ratlinalg.mat_mul(ratlinalg.mat_mul(ratlinalg.transpose(j), s), j)
+        images.append([image[a][b] for a, b in _PAIRS_2FORM])
+    shifted = mat_add(ratlinalg.transpose(images), identity(len(images)))
+    return contractions, nullspace(shifted), len(rref(shifted)[1])
 
 
 def skew_matrix(coords):

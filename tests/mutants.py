@@ -78,6 +78,38 @@ CATALOGUE = (
         "J is returned without checking that omega is its Kahler form",
     ),
     Mutant(
+        "lambda6-no-anti-invariance-check", "clifford.py",
+        "    if any(ratlinalg.mat_vec(k, u) != [-e2 * x for x in u] for u in six):\n",
+        "    if False:\n",
+        ["test_clifford.py"],
+        "the contractions e_a -| P are taken as Lambda^2_6 without checking"
+        " that J reverses them, so J = 1 reaches the dimension check instead",
+    ),
+    Mutant(
+        "lambda6-no-gram-check", "clifford.py",
+        "    if gram != _scalar_matrix(2 * e2, DIM):\n",
+        "    if False:\n",
+        ["test_clifford.py"],
+        "six contractions that are dependent or not of norm 2 are counted as"
+        " a six-dimensional Lambda^2_6",
+    ),
+    Mutant(
+        "torsion-trace-factor", "clifford.py",
+        "rec.contractions()[1] == _scalar_matrix(2 * d2 * d2, DIM)",
+        "rec.contractions()[1] == _scalar_matrix(4 * d2 * d2, DIM)",
+        ["test_clifford.py"],
+        "torsion-metric-trace compares the Gram matrix of the e_a -| P with"
+        " 4 d^4 instead of 2 d^4, so it fails on every spinor",
+    ),
+    Mutant(
+        "q-sparse-row-dropped", "clifford.py",
+        "for row in a_int]",
+        "for row in a_int[:-1]] + [[]]",
+        ["test_clifford.py"],
+        "the sparse contraction with Q loses its last row, so a block"
+        " vector with an e_56 coordinate is no eigenvector",
+    ),
+    Mutant(
         "adjoint-lowest-root", "cosets.py",
         "st.root_fund(st.positive_roots[-1])",
         "st.root_fund(st.positive_roots[0])",

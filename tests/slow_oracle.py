@@ -24,8 +24,9 @@ references for what it now computes or derives.
   elimination, are the references for ``clifford_oracle.charpoly`` and
   for the definiteness of the derived forms.
 * :func:`rref`, Fraction Gauss-Jordan elimination, is the reference for
-  the integer elimination of ``ratlinalg.nullspace`` and ``inverse``,
-  and its pivots give the ranks the tests check.
+  the integer elimination of ``ratlinalg.integer_nullspace`` and
+  ``inverse``, and its pivots give the ranks the tests check;
+  :func:`nullspace` reads the kernel basis off it.
 * :func:`abelian_rigidity_check` is the abstract's "abelian instantons
   are rigid": the deformation count on the trivial-charge summands of the
   H gauge, which the package does not single out.
@@ -272,6 +273,21 @@ def rref(mat):
         if r == nrows:
             break
     return a, pivots
+
+
+def nullspace(mat):
+    """The kernel basis read off the Fraction :func:`rref`, one vector per
+    free column c: e_c minus column c of the reduced rows."""
+    a, pivots = rref(mat)
+    ncols = len(mat[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
 
 
 def det(mat):

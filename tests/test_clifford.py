@@ -132,12 +132,12 @@ def test_spinor_block_eigenvalue_table(rep):
 
 def test_p_acts_with_eigenvalue_four_on_psi(rep):
     p, q = clifford.extract_PQ(rep, PSI)
-    assert rep.act(p, PSI) == tuple(4 * x for x in PSI)
-    assert rep.act(q, PSI) == tuple(-3 * x for x in PSI)
+    assert rep.act(p.terms(), PSI) == tuple(4 * x for x in PSI)
+    assert rep.act(q.terms(), PSI) == tuple(-3 * x for x in PSI)
 
 
 def test_one_form_block_is_six_dimensional(rep):
-    vectors = [rep.act(Multivector.vector(a), PSI) for a in range(1, 7)]
+    vectors = [rep.act(Multivector.vector(a).terms(), PSI) for a in range(1, 7)]
     assert len(oracle.rref([list(v) for v in vectors])[1]) == 6
 
 
@@ -309,7 +309,7 @@ def test_fast_path_matches_matrix_route(rep, psi):
     for mv in (p, q, p.star() + q):
         mat = oracle.matrix(mv)
         for spinor in spinors:
-            assert rep.act(mv, spinor) == oracle.act_matrix(mat, spinor)
+            assert rep.act(mv.terms(), spinor) == oracle.act_matrix(mat, spinor)
 
 
 def _corrupt_sign(table):
@@ -401,7 +401,7 @@ def _spectrum_operator(rep, psi):
 
 
 def _integer_skews(vectors):
-    return [oracle.skew_matrix(ratlinalg.primitive(v)) for v in vectors]
+    return [oracle.skew_matrix(ratlinalg.integer_scaled([v])[1][0]) for v in vectors]
 
 
 def test_bracket_closure_accepts_the_minus_one_eigenspace(rep):
@@ -427,7 +427,7 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
     # (+1)-eigenspace m, so this eight-dimensional subspace is not closed.
     op, d, a_int = _spectrum_operator(rep, PSI_B)
     basis = clifford.q_contraction_spectrum(rep, PSI_B).minus_one_basis
-    plus_one = ratlinalg.nullspace(
+    plus_one = oracle.nullspace(
         oracle.mat_sub(op, oracle.identity(len(op)))
     )
     subspace = list(basis[:7]) + [plus_one[0]]
@@ -453,7 +453,7 @@ def _operator_on_blocks(rep, psi, values):
     op = oracle.q_contraction_operator(rep, psi)
     blocks = [
         [clifford._two_form_coords(oracle.kahler_form(psi))],
-        ratlinalg.nullspace(oracle.mat_sub(op, oracle.identity(len(op)))),
+        oracle.nullspace(oracle.mat_sub(op, oracle.identity(len(op)))),
         list(clifford.q_contraction_spectrum(rep, psi).minus_one_basis),
     ]
     basis = ratlinalg.transpose([v for block in blocks for v in block])
@@ -495,8 +495,8 @@ def test_q_spectrum_refuses_an_operator_not_scalar_on_a_j_type_block(
 @pytest.mark.parametrize(
     "diagonal,match",
     [
-        # J = 1: every two-form is J-invariant, so Lambda^2_6 is empty
-        ([1] * 6, r"dimensions \[1, 0, 14\]"),
+        # J = 1: every two-form is J-invariant, e_a -| P too
+        ([1] * 6, "not J-anti-invariant"),
         # J = diag(-1, 1, ..., 1) flips the e_12 part of omega
         ([-1] + [1] * 5, "omega is not J-invariant"),
     ],
@@ -748,21 +748,79 @@ def test_a_flipped_sign_fails_the_form_identity_that_reads_it(
 
 
 def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
-    # The first vector of each J-type block kernel with one coordinate
-    # changed, as only clifford sees it: Lambda^2_6 is read first, and
-    # its changed vector is no eigenvector.  PSI's record is warm first:
-    # the kernels are taken per call, not stored with it.
+    # The first integer kernel vector of Lambda^2_8 with one coordinate
+    # changed, as only clifford sees it: the returned basis and the block
+    # are both read off it, and the changed vector is no eigenvector.
+    # PSI's record is warm first: the kernel is taken per call, not stored
+    # with it.
     clifford.q_contraction_spectrum(rep, PSI)
 
     def corrupted(mat):
-        first, *rest = ratlinalg.nullspace(mat)
-        return [[first[0] + 1] + list(first[1:])] + rest
+        (c, first), *rest = ratlinalg.integer_nullspace(mat)
+        return [(c, [first[0] + 1] + first[1:])] + rest
 
     seen = types.SimpleNamespace(**vars(ratlinalg))
-    seen.nullspace = corrupted
+    seen.integer_nullspace = corrupted
     monkeypatch.setattr(clifford, "ratlinalg", seen)
-    with pytest.raises(SpectrumError, match=r"not scalar on Lambda\^2_6"):
+    with pytest.raises(SpectrumError, match=r"not scalar on Lambda\^2_8"):
         clifford.q_contraction_spectrum(rep, PSI)
+
+
+def test_a_lambda_8_kernel_of_the_wrong_dimension_is_refused(rep, monkeypatch):
+    # One kernel vector of [K - e^2; omega] lost: the J-type blocks no
+    # longer span the two-forms.
+    seen = types.SimpleNamespace(**vars(ratlinalg))
+    seen.integer_nullspace = lambda mat: ratlinalg.integer_nullspace(mat)[1:]
+    monkeypatch.setattr(clifford, "ratlinalg", seen)
+    with pytest.raises(SpectrumError, match=r"Lambda\^2_8 has dimension 7, not 8"):
+        clifford.q_contraction_spectrum(rep, PSI)
+
+
+@pytest.mark.parametrize(
+    "contraction",
+    [
+        # e_2 -| P read as e_1 -| P: in Lambda^2_6, of norm 2, but the six
+        # span five dimensions
+        lambda true, mv, a: true(mv, 1 if a == 2 else a),
+        # every e_a -| P doubled: orthogonal, in Lambda^2_6, of norm 8
+        lambda true, mv, a: true(mv, a).scale(2),
+    ],
+    ids=["repeated", "doubled"],
+)
+def test_contractions_that_are_not_orthonormal_are_refused(rep, monkeypatch, contraction):
+    # Each changed contraction is still a scalar on the Q-spectrum's
+    # Lambda^2_6 block, so only the Gram check refuses it; torsion-metric-
+    # trace reads the same Gram matrix.
+    true = Multivector.contract_vector
+    monkeypatch.setattr(Multivector, "contract_vector",
+                        lambda mv, a: contraction(true, mv, a))
+    with pytest.raises(SpectrumError, match="not orthogonal of norm 2"):
+        clifford.q_contraction_spectrum(rep, PSI_B)
+    report = clifford.verify_identity_suite(rep, PSI_B, raise_on_failure=False)
+    assert {r.name: r.passed for r in report}["torsion-metric-trace"] is False
+
+
+def _row_space(vectors):
+    rows, pivots = oracle.rref(vectors)
+    return rows[:len(pivots)]
+
+
+@pytest.mark.parametrize(
+    "psi", [PSI] + [_seeded_spinor(p, 101) for p in DENSE_SPINOR_PATTERNS]
+    + _benchmark_spinors(7),
+    ids=["standard", "dense-2-3-6", "dense-1111", "dense-1111111-3",
+         "bench-7-0", "bench-7-1", "bench-7-2"])
+def test_contractions_span_the_minus_one_eigenspace_of_j(rep, psi):
+    # Lambda^2_6 = {X -| P}: the package's contractions, the oracle's and
+    # the oracle's (-1)-eigenspace of S -> J^T S J have one row echelon
+    # form, of rank 6; and the torsion verdict that the package reads off
+    # the contractions is the oracle's trace route's.
+    contractions, eigenspace, rank = oracle.lambda_six(psi)
+    ours = clifford._spinor(rep, psi).contractions()[0]
+    assert _row_space(ours) == _row_space(contractions) == _row_space(eigenspace)
+    assert (len(_row_space(ours)), rank) == (6, 9)
+    report = clifford.verify_identity_suite(rep, psi, raise_on_failure=False)
+    assert [(r.name, r.passed) for r in report] == oracle.identity_suite(psi)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -22,9 +23,8 @@ def test_inverse_round_trip():
 def test_rank_and_nullspace():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert len(slow_oracle.rref(m)[1]) == 2
-    for v in ratlinalg.nullspace(m):
-        assert ratlinalg.mat_vec(m, v) == [0, 0, 0]
-    assert len(ratlinalg.nullspace(m)) == 1
+    assert ratlinalg.integer_nullspace(m) == [(2, [-1, -1, 1])]
+    assert ratlinalg.mat_vec(m, [-1, -1, 1]) == [0, 0, 0]
 
 
 def test_charpoly_and_rational_roots():
@@ -94,8 +94,9 @@ def test_common_denominator_and_integer_scaled():
 
 def test_integer_rank_matches_rational_row_reduction():
     # Products of random n x k and k x m rational matrices have rank <= k;
-    # the integer elimination of `nullspace` must agree with the Fraction
-    # `rref`.
+    # the integer elimination of `integer_nullspace` must agree with the
+    # Fraction `rref`: each vector primitive, positive in its free column
+    # and, over that entry, the rref kernel vector.
     import random
 
     rng = random.Random(23)
@@ -108,22 +109,9 @@ def test_integer_rank_matches_rational_row_reduction():
         mat = (ratlinalg.mat_mul(left, right) if k
                else [[F(0)] * m for _ in range(n)])
         assert len(slow_oracle.rref(mat)[1]) <= min(n, m, k)
-        assert ratlinalg.nullspace(mat) == _rref_nullspace(mat)
-
-
-def _rref_nullspace(mat):
-    """The kernel basis read off the Fraction ``rref``, one vector per free
-    column."""
-    a, pivots = slow_oracle.rref(mat)
-    ncols = len(mat[0])
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [F(0)] * ncols
-        v[fc] = F(1)
-        for row, pc in zip(a, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+        kernel = ratlinalg.integer_nullspace(mat)
+        assert all(w[c] > 0 and math.gcd(*w) == 1 for c, w in kernel)
+        assert [[F(x, w[c]) for x in w] for c, w in kernel] == slow_oracle.nullspace(mat)
 
 
 def _seeded_conjugate(rng, n, core):
