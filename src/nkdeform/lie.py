@@ -6,13 +6,14 @@ contributes a single integer charge.  The algebra itself is described by a
 :class:`RootData` value listing its factor tags.
 
 Each simple type is given by its Cartan matrix alone.  The positive roots
-(by reflection closure), the integer symmetrizer of the invariant form and
-the coroots are derived from it, in integers.  The character of an
-irreducible is computed with the Freudenthal recursion in integers and
-cross-checked against the Weyl dimension formula on every character built;
-a mismatch raises :class:`ConsistencyError` and means an implementation
-bug, never bad input.  Dimensions come from the Weyl product formula over
-the integer coroot pairings <w, alpha^vee>.
+(by reflection closure) and the integer symmetrizer of the invariant form
+are derived from it, in integers; no coroot is stored.  The character of an
+irreducible is computed with the Freudenthal recursion in integers over its
+dominant weights, spread over their Weyl orbits, and cross-checked against
+the Weyl dimension formula on every character built; a mismatch raises
+:class:`ConsistencyError` and means an implementation bug, never bad input.
+Dimensions come from the Weyl product formula over the integer pairings
+(w, alpha) of that form.
 """
 
 import collections
@@ -127,26 +128,12 @@ class SimpleType(collections.namedtuple("SimpleType", "name cartan")):
             sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
         )
 
-    @cached_property
-    def coroots(self):
-        """One integer vector k per positive root alpha = sum_j r_j alpha_j,
-        with <w, alpha^vee> = 2(w, alpha)/(alpha, alpha) = sum_j w_j k_j:
-        k_j = 2 r_j e_j / (alpha, alpha), the coordinates of alpha^vee on
-        the simple coroots."""
-        out = []
-        for r in self.positive_roots:
-            norm = self.root_pairing(self.root_fund(r), r)
-            out.append(tuple(2 * a * b // norm for a, b in zip(r, self.symmetrizer)))
-        return tuple(out)
-
     def weyl_dimension(self, hw):
-        """prod <hw + delta, alpha^vee> // prod <delta, alpha^vee>."""
-        num = den = 1
-        for k in self.coroots:
-            num *= sum((a + 1) * b for a, b in zip(hw, k))
-            den *= sum(k)
-        if den == 0:  # <delta, alpha^vee> >= 1 for coroots that match the roots
-            raise ConsistencyError("%s: the coroots do not match the roots" % self.name)
+        """prod (hw + delta, alpha) // prod (delta, alpha) over the positive
+        roots alpha, in the form of :attr:`symmetrizer`."""
+        shifted = [a + 1 for a in hw]
+        num = math.prod(self.root_pairing(shifted, r) for r in self.positive_roots)
+        den = math.prod(self.root_pairing([1] * len(hw), r) for r in self.positive_roots)
         dim, rest = divmod(num, den)
         if rest:
             raise ConsistencyError(
@@ -301,13 +288,14 @@ class WeightCharacter:
 def _simple_character(tag, hw):
     """Weight system of the irreducible of one simple factor (read-only)."""
     st = SIMPLE_TYPES[tag]
-    roots = [(r, st.root_fund(r), k) for r, k in zip(st.positive_roots, st.coroots)]
+    roots = [(r, st.root_fund(r)) for r in st.positive_roots]
 
-    # The weights are the smallest set holding hw and every alpha-string
-    # w, w - alpha, ..., w - <w, alpha^vee> alpha through its members
-    # (Humphreys, section 13.4, Lemma B).  Each maps to its offset hw - w in
-    # simple-root coordinates.  More than dim V(hw) of them means that the
-    # coroots do not match the roots, and the closure would not end.
+    # The dominant weights of V(hw) are the dominant mu <= hw (Humphreys,
+    # section 21.3), and each is reached from hw by a chain of dominant
+    # weights that differ by positive roots (J. R. Stembridge, "The partial
+    # order of dominant weights", Adv. Math. 136 (1998)).  Each maps to its
+    # offset hw - mu in simple-root coordinates.  More than dim V(hw) of them
+    # means that the roots are wrong, and the closure need not end.
     dim = st.weyl_dimension(hw)
     offsets = {hw: (0,) * len(hw)}
     frontier = [hw]
@@ -317,26 +305,22 @@ def _simple_character(tag, hw):
                                    % (tag, hw, dim))
         nxt = []
         for w in frontier:
-            for r, a, k in roots:
-                p = sum(c * b for c, b in zip(w, k))
-                for i in range(1, p + 1) if p > 0 else range(p, 0):
-                    w2 = tuple(x - i * y for x, y in zip(w, a))
-                    if w2 not in offsets:
-                        offsets[w2] = tuple(x + i * y for x, y in zip(offsets[w], r))
-                        nxt.append(w2)
+            for r, a in roots:
+                w2 = tuple(x - y for x, y in zip(w, a))
+                if min(w2) >= 0 and w2 not in offsets:
+                    offsets[w2] = tuple(x + y for x, y in zip(offsets[w], r))
+                    nxt.append(w2)
         frontier = nxt
 
     # Highest first: the height of w is the height of hw minus sum(offset).
-    dominants = sorted(
-        (w for w in offsets if min(w) >= 0), key=lambda w: (sum(offsets[w]), w)
-    )
+    dominants = sorted(offsets, key=lambda w: (sum(offsets[w]), w))
     mults = {}
     for mu in dominants:
         if mu == hw:
             mults[mu] = 1
             continue
         acc = 0
-        for r, a, _ in roots:
+        for r, a in roots:
             k = 1
             while True:
                 w2 = tuple(x + k * y for x, y in zip(mu, a))
@@ -355,7 +339,18 @@ def _simple_character(tag, hw):
             )
         mults[mu] = m
 
-    char = {w: mults[st.reflect_to_dominant(w)[0]] for w in offsets}
+    # Each multiplicity is spread over the Weyl orbit of its weight, which
+    # the simple reflections close; the orbits of distinct dominant weights
+    # are disjoint.
+    char = dict(mults)
+    for mu, m in mults.items():
+        orbit = [mu]
+        for w in orbit:
+            for i in range(len(w)):
+                w2 = st.reflect(w, i)
+                if w2 not in char:
+                    char[w2] = m
+                    orbit.append(w2)
     if sum(char.values()) != dim:
         raise ConsistencyError(
             "weight count %d != Weyl formula %d for %s %s"

@@ -9,6 +9,7 @@ read off known invariant subspaces (``clifford.q_contraction_spectrum``).
 """
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -36,15 +37,15 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _integer_echelon(mat):

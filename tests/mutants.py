@@ -63,6 +63,23 @@ CATALOGUE = (
         " multiplicity instead of raising ConsistencyError",
     ),
     Mutant(
+        "orbit-spread-skips-a-reflection", "lie.py",
+        "for i in range(len(w)):",
+        "for i in range(1, len(w)):",
+        ["test_lie.py"],
+        "a dominant multiplicity is spread without the first simple"
+        " reflection, so the character misses weights and fails the weight"
+        " count against the Weyl formula",
+    ),
+    Mutant(
+        "weyl-dimension-without-delta", "lie.py",
+        "shifted = [a + 1 for a in hw]",
+        "shifted = list(hw)",
+        ["test_lie.py"],
+        "the Weyl formula pairs hw instead of hw + delta with the roots, so"
+        " dimensions come out wrong and every character fails its check",
+    ),
+    Mutant(
         "deform-no-evenness-check", "deform.py",
         "        if mult % 2:\n",
         "        if False:\n",

@@ -15,7 +15,12 @@ references for what it now computes or derives.
 * :func:`weyl_dimension` is the Weyl product formula in ``Fraction``
   arithmetic on the hand-entered positive roots and weight Gram matrices of
   :data:`ROOT_TABLES`; the package derives the roots and uses integer
-  coroot pairings.
+  pairings (w, alpha) of the form it derives.
+* :func:`character_by_alpha_strings` closes the whole weight set under
+  alpha-strings and runs Freudenthal's recursion on every weight, on the
+  hand-entered Gram matrices of :data:`ROOT_TABLES`; the
+  package closes only the dominant weights and spreads their
+  multiplicities over the Weyl orbits.
 * :func:`verify_form_by_trace` recomputes each pair's form as a trace over
   the hand-entered decomposition of the ambient algebra.
 * :func:`dominant_weights_in_box` lists every dominant weight of a box,
@@ -209,6 +214,57 @@ def weyl_dimension(root_data, hw):
             a = root_fund(tag, r)
             dim *= ip(gram, shifted, a) / ip(gram, delta, a)
     return dim
+
+
+def character_by_alpha_strings(tag, hw):
+    """Weight multiplicities of V(hw) of one simple factor.  The weights are
+    the smallest set holding hw and every alpha-string w, w - alpha, ...,
+    w - <w, alpha^vee> alpha through its members (Humphreys, section 13.4,
+    Lemma B), with <w, alpha^vee> = 2 (w, alpha) / (alpha, alpha) on the
+    table's Gram matrix; Freudenthal's recursion then runs on them all, in
+    decreasing height.  The Gram matrix is scaled to integers first, which
+    changes neither ratio."""
+    roots, gram = ROOT_TABLES[tag]
+    scale = ratlinalg.common_denominator(x for row in gram for x in row)
+    gram = [[int(x * scale) for x in row] for row in gram]
+    fund = [(r, root_fund(tag, r)) for r in roots]
+    dim = weyl_dimension(lie.RootData((tag,)), hw)
+    offsets = {hw: (0,) * len(hw)}
+    frontier = [hw]
+    while frontier:
+        if len(offsets) > dim:
+            raise ConsistencyError("%s %s: more than %s weights" % (tag, hw, dim))
+        nxt = []
+        for w in frontier:
+            for r, a in fund:
+                p, rest = divmod(2 * ip(gram, w, a), ip(gram, a, a))
+                if rest:
+                    raise ConsistencyError("<%s, %s^vee> is not an integer" % (w, r))
+                for i in range(1, p + 1) if p > 0 else range(p, 0):
+                    w2 = tuple(x - i * y for x, y in zip(w, a))
+                    if w2 not in offsets:
+                        offsets[w2] = tuple(x + i * y for x, y in zip(offsets[w], r))
+                        nxt.append(w2)
+        frontier = nxt
+
+    def norm(w):
+        shifted = [x + 1 for x in w]
+        return ip(gram, shifted, shifted)
+
+    mults = {}
+    for mu in sorted(offsets, key=lambda w: sum(offsets[w])):
+        acc = 0
+        for _, a in fund:
+            w2 = tuple(x + y for x, y in zip(mu, a))
+            while w2 in mults:  # alpha-strings are unbroken
+                acc += mults[w2] * ip(gram, w2, a)
+                w2 = tuple(x + y for x, y in zip(w2, a))
+        m, rest = (1, 0) if mu == hw else divmod(2 * acc, norm(hw) - norm(mu))
+        if rest or m <= 0:
+            raise ConsistencyError("multiplicity %d/%d at %s"
+                                   % (2 * acc, norm(hw) - norm(mu), mu))
+        mults[mu] = m
+    return mults
 
 
 def _weight_trace_matrix(tag):

@@ -109,16 +109,18 @@ def test_corrupted_root_tables_raise(changes):
         lie.SimpleType(**_g2_tables(**changes))
 
 
-def test_mismatched_coroots_raise_instead_of_closing_forever(monkeypatch):
-    # C2 with its symmetrizer reversed, set past the constructor's check:
-    # the coroots no longer match the roots, the Weyl formula still gives an
-    # integer for V(1, 1), and the alpha-string closure would never end.
+def test_a_root_that_raises_weights_hits_the_closure_bound(monkeypatch):
+    # C2 with an extra "positive root" (-1, -1), set past the constructor:
+    # it lies at (-1, 0) in fundamental coordinates, so subtracting it keeps
+    # a dominant weight dominant and raises it, and the dominant closure
+    # would never end.  The Weyl formula squares the (1, 1) root's factor.
     st = lie.SimpleType("C2", lie.SIMPLE_TYPES["C2"].cartan)
-    st.__dict__["symmetrizer"] = tuple(reversed(lie.SIMPLE_TYPES["C2"].symmetrizer))
+    st.__dict__["positive_roots"] = st.positive_roots + ((-1, -1),)
+    assert st.root_fund((-1, -1)) == (-1, 0)
     monkeypatch.setitem(lie.SIMPLE_TYPES, "C2", st)
     lie._simple_character.cache_clear()
     try:
-        with pytest.raises(ConsistencyError, match="closure passed dimension 16"):
+        with pytest.raises(ConsistencyError, match="closure passed dimension 32"):
             lie._simple_character("C2", (1, 1))
     finally:
         monkeypatch.undo()
@@ -126,11 +128,10 @@ def test_mismatched_coroots_raise_instead_of_closing_forever(monkeypatch):
 
 
 def test_a_freudenthal_step_that_does_not_divide_raises(monkeypatch):
-    # C2 with its coroots kept but the form's symmetrizer set to (1, 1) past
-    # the constructor's check: the closure and the Weyl formula are right,
-    # and the first step of the recursion below V(1, 0) gives 6/5.
+    # C2 with the form's symmetrizer set to (1, 1) past the constructor's
+    # check: the closure is right, the Weyl formula gives the integer 4 for
+    # V(1, 0), and the first step of the recursion below it gives 6/5.
     st = lie.SimpleType("C2", lie.SIMPLE_TYPES["C2"].cartan)
-    assert st.coroots == lie.SIMPLE_TYPES["C2"].coroots
     st.__dict__["symmetrizer"] = (1, 1)
     monkeypatch.setitem(lie.SIMPLE_TYPES, "C2", st)
     lie._simple_character.cache_clear()
@@ -142,21 +143,28 @@ def test_a_freudenthal_step_that_does_not_divide_raises(monkeypatch):
         lie._simple_character.cache_clear()
 
 
-def test_coroot_pairing_to_zero_with_delta_raises(monkeypatch):
+def test_a_weyl_formula_that_does_not_divide_raises(monkeypatch):
     # G2 with its symmetrizer reversed, set past the constructor's check:
-    # one coroot comes out as (0, 0), and the Weyl formula's denominator
-    # prod <delta, alpha^vee> is 0.
+    # the products of (hw + delta, alpha) and (delta, alpha) over the
+    # positive roots no longer divide.
     st = lie.SimpleType("G2", lie.SIMPLE_TYPES["G2"].cartan)
     st.__dict__["symmetrizer"] = tuple(reversed(lie.SIMPLE_TYPES["G2"].symmetrizer))
-    assert (0, 0) in st.coroots
     monkeypatch.setitem(lie.SIMPLE_TYPES, "G2", st)
     lie._simple_character.cache_clear()
     try:
-        with pytest.raises(ConsistencyError, match="coroots do not match"):
-            lie._simple_character("G2", (0, 0))
+        with pytest.raises(ConsistencyError,
+                           match=r"non-integer 207480/9240 at \(1, 0\)"):
+            lie._simple_character("G2", (1, 0))
     finally:
         monkeypatch.undo()
         lie._simple_character.cache_clear()
+
+
+@pytest.mark.parametrize("tag,bound", [("A1", 12), ("A2", 5), ("C2", 4), ("G2", 3)])
+def test_dominant_closure_matches_alpha_string_oracle(tag, bound):
+    for hw in slow_oracle.dominant_weights_in_box(ALGEBRAS[tag], bound):
+        computed = dict(lie._simple_character.__wrapped__(tag, hw))
+        assert computed == slow_oracle.character_by_alpha_strings(tag, hw), hw
 
 
 def test_repeated_characters_are_shared_and_read_only():
@@ -202,14 +210,11 @@ def test_derived_root_data_matches_tables_and_kostant_oracle(tag):
     norms = [slow_oracle.ip(gram, a, a) for a in st.cartan]
     assert all(n * e[0] == norms[0] * x for n, x in zip(norms, e))
     weights = list(itertools.product(range(-2, 3), repeat=len(e)))
-    for r, k in zip(st.positive_roots, st.coroots):
+    for r in st.positive_roots:
         a = slow_oracle.root_fund(tag, r)
         for w in weights:
             table = slow_oracle.ip(gram, w, a)
             assert st.root_pairing(w, r) * norms[0] == 2 * e[0] * table
-            assert sum(x * y for x, y in zip(w, k)) == 2 * table / slow_oracle.ip(
-                gram, a, a
-            )
 
 
 def test_dimension_on_product_algebras():
