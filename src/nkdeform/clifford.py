@@ -26,13 +26,15 @@ P and four-form Q and are proved once per process on basis blades, a
 spinor adding only a scan of the grades of P and Q; the other three run per
 spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J, each
 right-hand side carrying its power of d^2, torsion-metric-trace by
-grade-brackets on the contractions e_a -| d^2 P.  Contraction with Q, read
-off d^2 Q by signed lookups as an integer matrix over its common
-denominator, is applied through its nonzero entries.  Its spectrum is read
-off the J-type split R omega + Lambda^2_6 + Lambda^2_8 of two-forms, with
-Lambda^2_6 spanned by those contractions and Lambda^2_8 an integer kernel
-of the action of d^2 J: the operator must be one scalar on each block,
-these scalars are its whole spectrum, and every check is homogeneous.
+grade-brackets on the contractions e_a -| d^2 P.  P and Q act on spinors
+as the integer 8x8 matrices of d^2 P and d^2 Q, summed from the blade
+permutations.  Contraction with Q, read off d^2 Q by signed lookups as an
+integer matrix over its common denominator, is applied through its nonzero
+entries.  Its spectrum is read off the J-type split R omega + Lambda^2_6 +
+Lambda^2_8 of two-forms, with Lambda^2_6 spanned by those contractions and
+Lambda^2_8 the integer kernel of the contractions and omega: the operator
+must be one scalar on each block, these scalars are its whole spectrum,
+and every check is homogeneous.
 The dense-matrix route, the sampled route and the characteristic
 polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 """
@@ -40,6 +42,7 @@ polynomial are kept as a test oracle (``tests/clifford_oracle.py``).
 import collections
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from . import ratlinalg
@@ -265,15 +268,6 @@ class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
 
     __slots__ = ()
 
-    def act(self, terms, spinor):
-        """Clifford multiplication of a spinor by the multivector with the
-        nonzero (mask, coefficient) ``terms`` (:meth:`Multivector.terms`)."""
-        out = [0] * 8
-        for mask, a in terms:
-            for (row, sign), x in zip(self.blades[mask], spinor):
-                out[row] += sign * (a * x)
-        return tuple(out)
-
 
 @functools.cache
 def build_rep():
@@ -347,7 +341,7 @@ def _integer_forms(rep, psi):
     if sum(x * x for x in spinor) != d2:
         raise ConventionError("spinor is not of unit length")
     coeffs = [
-        sum(sign * x * spinor[row] for (row, sign), x in zip(blade, spinor))
+        sum(map(operator.mul, spinor, [sign * spinor[row] for row, sign in blade]))
         for blade in rep.blades
     ]
     if any(c for c, k in zip(coeffs, _GRADES) if k not in _GRADE_SYMMETRIC):
@@ -407,7 +401,8 @@ def _spinor(rep, psi):
 
 def _over(mv, d2):
     """The multivector mv / d^2 with ``Fraction`` coefficients."""
-    return Multivector(tuple(_F(c, d2) for c in mv.coeffs))
+    zero = _F(0)
+    return Multivector(tuple(_F(c, d2) if c else zero for c in mv.coeffs))
 
 
 def extract_PQ(rep, psi):
@@ -421,14 +416,27 @@ def extract_PQ(rep, psi):
     return _over(rec.p, rec.d2), _over(rec.q, rec.d2)
 
 
-def _eigenvalue_on(rep, terms, spinor, d2):
-    """Exact eigenvalue of Clifford multiplication by mv / d^2 (``terms``
-    of mv) on a nonzero integer spinor, compared by cross-multiplication."""
-    image = rep.act(terms, spinor)
-    pivot = next(i for i in range(8) if spinor[i] != 0)
-    if any(y * spinor[pivot] != image[pivot] * x for x, y in zip(spinor, image)):
-        raise ConsistencyError("vector is not an eigenvector")
-    return _F(image[pivot], d2 * spinor[pivot])
+def _matrix_of(rep, mv):
+    """The 8x8 matrix of Clifford multiplication by mv, summed from the
+    signed permutations of its blades."""
+    mat = [[0] * 8 for _ in range(8)]
+    for mask, a in mv.terms():
+        for col, (row, sign) in enumerate(rep.blades[mask]):
+            mat[row][col] += sign * a
+    return mat
+
+
+def _block_value(images, block, d):
+    """The one eigenvalue of op = A / d on the nonzero integer vectors of
+    ``block``, given their ``images`` under the integer matrix A, read off
+    the first by cross-multiplication; None unless every vector is an
+    eigenvector with it."""
+    pivot = next(i for i, x in enumerate(block[0]) if x)
+    num, den = images[0][pivot], block[0][pivot]
+    for v, image in zip(block, images):
+        if [den * x for x in image] != [num * x for x in v]:
+            return None
+    return _F(num, d * den)
 
 
 class SpinorBlockSpectra(collections.namedtuple(
@@ -441,24 +449,26 @@ class SpinorBlockSpectra(collections.namedtuple(
 def spinor_decomposition_spectra(rep, psi):
     """Eigenvalues of Clifford multiplication by P and Q on the three blocks
     of S = span(psi) + {u.psi} + span(Vol.psi); also verifies that the eight
-    vectors spanning those blocks are orthonormal.  Runs on psi~ = d psi,
-    d^2 P and d^2 Q, whose inner products and eigenvalues carry d^2."""
+    vectors spanning those blocks are orthonormal.  Runs on psi~ = d psi
+    and the integer 8x8 matrices of d^2 P and d^2 Q, so inner products and
+    eigenvalues carry d^2."""
     rec = _spinor(rep, psi)
-    spinor, d2, p, q = rec.spinor, rec.d2, rec.p, rec.q
+    spinor, d2 = rec.spinor, rec.d2
     basis = [tuple(spinor)]
     basis += [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     basis.append(_apply(rep.blades[VOL_MASK], spinor))
-    for i in range(8):
-        for j in range(8):
-            if ratlinalg.dot(basis[i], basis[j]) != (d2 if i == j else 0):
+    for i, u in enumerate(basis):
+        for j in range(i, 8):
+            if ratlinalg.dot(u, basis[j]) != (d2 if i == j else 0):
                 raise ConsistencyError(
-                    "spinor blocks are not orthonormal (%d, %d)" % (i, j)
-                )
-    ps, qs = ([_eigenvalue_on(rep, terms, v, d2) for v in basis]
-              for terms in (p.terms(), q.terms()))
-    if len(set(ps[1:7])) != 1 or len(set(qs[1:7])) != 1:
-        raise ConsistencyError("P or Q is not scalar on the one-form block")
-    return SpinorBlockSpectra((ps[0], ps[1], ps[7]), (qs[0], qs[1], qs[7]))
+                    "spinor blocks are not orthonormal (%d, %d)" % (i, j))
+    blocks = (basis[:1], basis[1:7], basis[7:])
+    spectra = [tuple(_block_value([ratlinalg.mat_vec(mat, v) for v in b], b, d2)
+                     for b in blocks)
+               for mat in (_matrix_of(rep, rec.p), _matrix_of(rep, rec.q))]
+    if None in spectra[0] + spectra[1]:
+        raise ConsistencyError("P or Q is not scalar on a spinor block")
+    return SpinorBlockSpectra(*spectra)
 
 
 def complex_structure(rep, psi):
@@ -490,9 +500,9 @@ def _complex_structure(rep, spinor, d2, q):
     images = [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     targets = [_apply(rep.blades[VOL_MASK], v) for v in images]
     j = [[ratlinalg.dot(u, t) for t in targets] for u in images]
-    for a, target in enumerate(targets):
-        spanned = [sum(j[b][a] * u[i] for b, u in enumerate(images)) for i in range(8)]
-        if spanned != [d2 * x for x in target]:
+    spanned = ratlinalg.mat_mul(ratlinalg.transpose(j), images)
+    for a, (row, target) in enumerate(zip(spanned, targets)):
+        if row != [d2 * x for x in target]:
             raise ConsistencyError(
                 "Vol . e_%d . psi is not in the span of the e_b . psi" % (a + 1)
             )
@@ -615,6 +625,10 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     grade-brackets ({e_a, p} = -2 e_a -| p) and scalar(uv) = -<u, v> on
     two-forms is <e_a -| p, e_b -| p> = 2 d^4 delta_ab, the last two on
     the three-form p's contractions (:meth:`_Spinor.contractions`).
+    Holomorphic-contraction is checked on its real part R(v) =
+    d^2 v -| p + (d^2 J v) -| *p alone: with (d^2 J)^2 = -d^4 checked
+    with J, R(d^2 J v) = -d^2 I(v) for the imaginary part
+    I(v) = d^2 v -| *p - (d^2 J v) -| p, so R = 0 gives I = 0.
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
@@ -633,18 +647,12 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         return star_q * star_q == rhs
 
     def check_holomorphic_contraction():
-        # (Jv) -| x = sum_b J_ba (e_b -| x) for v = e_a, on the two-form
-        # coordinates of the contractions of the three-forms p and *p
-        pc = rec.contractions()[0]
-        sc = [_two_form_coords(star_p.contract_vector(a)) for a in range(1, DIM + 1)]
-        for a in range(DIM):
-            col = [row[a] for row in j]
-            for m in range(len(_MASKS_2FORM)):
-                real = d2 * pc[a][m] + sum(c * x[m] for c, x in zip(col, sc))
-                imag = d2 * sc[a][m] - sum(c * x[m] for c, x in zip(col, pc))
-                if real or imag:
-                    return False
-        return True
+        # (Jv) -| x = sum_b J_ba (e_b -| x) for v = e_a: the real part on the
+        # rows U of the e_a -| p and S of the e_a -| *p is J^T S = -d^2 U
+        u = rec.contractions()[0]
+        s = [_two_form_coords(star_p.contract_vector(a)) for a in range(1, DIM + 1)]
+        return (ratlinalg.mat_mul(ratlinalg.transpose(j), s)
+                == [[-d2 * x for x in row] for row in u])
 
     checks = [
         (
@@ -748,20 +756,6 @@ def _q_operator(q, e):
     return e // g, [[x // g for x in r] for r in a]
 
 
-def _block_value(rows, d, block, name):
-    """The one eigenvalue of op = A / d, A given by the nonzero (column,
-    entry) pairs of its rows, on the nonzero integer vectors of ``block``,
-    read off the first by cross-multiplication as in :func:`_eigenvalue_on`;
-    raises ``SpectrumError`` unless every vector is an eigenvector with it."""
-    images = [[sum(x * v[c] for c, x in row) for row in rows] for v in block]
-    pivot = next(i for i, x in enumerate(block[0]) if x)
-    num, den = images[0][pivot], block[0][pivot]
-    for v, image in zip(block, images):
-        if [den * x for x in image] != [num * x for x in v]:
-            raise SpectrumError("contraction by Q is not scalar on %s" % name)
-    return _F(num, d * den)
-
-
 def q_contraction_spectrum(rep, psi):
     """Classify contraction with Q on two-forms, exactly.
 
@@ -787,14 +781,18 @@ def q_contraction_spectrum(rep, psi):
     op (:func:`_q_operator`), applied through its nonzero entries; K =
     e^2 (S -> J^T S J), read off e J for e = d^2 of psi~ = d psi; the
     record's u_a = e_a -| d^2 P, with K u_a = -e^2 u_a and Gram matrix
-    2 e^2; the integer kernel of [K - e^2; omega], which gives Lambda^2_8
+    2 e^2; the integer kernel of the u_a and omega, which gives Lambda^2_8
     and the returned basis; and each scalar read by cross-multiplication
-    (:func:`_block_value`).
+    (:func:`_block_value`).  J is skew with J^2 = -1 (checked with J), so
+    K is symmetric with K^2 = e^4 and trace 3 e^2: its (-1)-eigenspace has
+    dimension 6 and is spanned by the orthogonal u_a, and the kernel of
+    the u_a and omega is the J-invariant forms orthogonal to omega, with
+    the reduced row echelon basis that the kernel of [K - e^2; omega] has.
     """
     rec = _spinor(rep, psi)
     e, q_int = rec.d2, rec.q
     d, a_int = _q_operator(q_int, e)
-    rows = [[(c, x) for c, x in enumerate(row) if x] for row in a_int]
+    rows = [([c for c, x in enumerate(r) if x], [x for x in r if x]) for r in a_int]
     j = rec.j()
     e2 = e * e
     # (J^T S J)_ab = sum over c < f of S_cf (J_ca J_fb - J_fa J_cb)
@@ -808,14 +806,15 @@ def q_contraction_spectrum(rep, psi):
         raise SpectrumError("some e_a -| P is not J-anti-invariant")
     if gram != _scalar_matrix(2 * e2, DIM):
         raise SpectrumError("the e_a -| P are not orthogonal of norm 2")
-    su3 = ratlinalg.integer_nullspace(
-        [[x - e2 if r == c else x for c, x in enumerate(row)]
-         for r, row in enumerate(k)] + [omega])
+    su3 = ratlinalg.integer_nullspace(six + [omega])
     if len(su3) != 8:
         raise SpectrumError("Lambda^2_8 has dimension %d, not 8" % len(su3))
     blocks = [[omega], six, [w for _, w in su3]]
-    values = [_block_value(rows, d, b, name)
-              for b, name in zip(blocks, ("omega", "Lambda^2_6", "Lambda^2_8"))]
+    values = [_block_value([[sum(map(operator.mul, xs, map(v.__getitem__, cs)))
+                             for cs, xs in rows] for v in b], b, d) for b in blocks]
+    for value, name in zip(values, ("omega", "Lambda^2_6", "Lambda^2_8")):
+        if value is None:
+            raise SpectrumError("contraction by Q is not scalar on %s" % name)
     dims = collections.Counter()
     for value, b in zip(values, blocks):
         dims[value] += len(b)

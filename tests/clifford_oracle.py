@@ -11,15 +11,18 @@ operations of ``Multivector`` (contraction by a vector, Hodge star; the
 wedge product is :func:`wedge`, from :func:`merge_sign`) and the exact
 linear algebra of ``ratlinalg``; it never uses the geometric product or the
 signed-permutation blades, except in :func:`dense_blades`, which checks the
-latter against the dense ones, and in :func:`sampled_brackets` and
-:func:`sampled_sandwich`, the sampled route of the two algebra identities
-the package proves on basis blades; :func:`sampled_form_identities` checks
+latter against the dense ones, in :func:`act`, the blade-by-blade action
+that the package's 8x8 matrices of P and Q are checked against, and in
+:func:`sampled_brackets` and :func:`sampled_sandwich`, the sampled route
+of the two algebra identities the package proves on basis blades; :func:`sampled_form_identities` checks
 the three it proves for all forms on seeded random forms.
 :func:`check_bracket_closure` checks that a (-1)-eigenspace of the
 contraction with Q is closed under the commutator bracket, which the
-package's J-type split makes true by construction, and :func:`lambda_six`
+package's J-type split makes true by construction, :func:`lambda_six`
 reads Lambda^2_6 as the contractions e_a -| P and as the (-1)-eigenspace
-of J on two-forms, which the package's contractions are checked against.
+of J on two-forms, which the package's contractions are checked against,
+and :func:`lambda_eight` reads Lambda^2_8 as the kernel of [K - 1; omega]
+for the action K of J on two-forms, the package's former route to it.
 :func:`merge_sign` is the closed formula that the package's table of
 blade-product signs is checked against, and :func:`contract` the
 contraction by a form that the package's operator of contraction with Q
@@ -163,6 +166,17 @@ def multivector(mat):
 
 def act_matrix(mat, spinor):
     return tuple(sum(row[j] * spinor[j] for j in range(8)) for row in mat)
+
+
+def act(rep, terms, spinor):
+    """Clifford multiplication of a spinor by the multivector with the
+    nonzero (mask, coefficient) ``terms`` (``Multivector.terms``), through
+    the rep's signed permutations, blade by blade."""
+    out = [0] * 8
+    for mask, a in terms:
+        for (row, sign), x in zip(rep.blades[mask], spinor):
+            out[row] += sign * (a * x)
+    return tuple(out)
 
 
 def identity(n):
@@ -591,24 +605,39 @@ def q_spectrum(psi, eigenvalues=None):
     )
 
 
-def lambda_six(psi):
-    """The six contractions e_a -| P and a basis of the (-1)-eigenspace of
-    S -> J^T S J, both as coordinates on the basis e_ab (a < b), with P
-    from :func:`extract_PQ`, J from :func:`complex_structure` and J^T S J
-    a product of dense 6x6 matrices; and the rank of that action plus the
-    identity, read by ``rref``.  Lambda^2_6 = {X -| P} says that the two
-    spans agree and that the rank is 15 - 6."""
-    p, _ = extract_PQ(psi)
+def j_action(psi):
+    """The matrix K of S -> J^T S J on the coordinates of two-forms on the
+    basis e_ab (a < b), with J from :func:`complex_structure` and J^T S J a
+    product of dense 6x6 matrices."""
     j = complex_structure(psi)
-    contractions = [[contract(Multivector.vector(a), p).coeffs[k] for k in _MASKS_2FORM]
-                    for a in range(1, DIM + 1)]
     images = []
     for k in range(len(_PAIRS_2FORM)):
         s = skew_matrix([int(i == k) for i in range(len(_PAIRS_2FORM))])
         image = ratlinalg.mat_mul(ratlinalg.mat_mul(ratlinalg.transpose(j), s), j)
         images.append([image[a][b] for a, b in _PAIRS_2FORM])
-    shifted = mat_add(ratlinalg.transpose(images), identity(len(images)))
+    return ratlinalg.transpose(images)
+
+
+def lambda_six(psi):
+    """The six contractions e_a -| P and a basis of the (-1)-eigenspace of
+    :func:`j_action`, both as coordinates on the basis e_ab (a < b), with P
+    from :func:`extract_PQ`; and the rank of that action plus the identity,
+    read by ``rref``.  Lambda^2_6 = {X -| P} says that the two spans agree
+    and that the rank is 15 - 6."""
+    p, _ = extract_PQ(psi)
+    contractions = [[contract(Multivector.vector(a), p).coeffs[k] for k in _MASKS_2FORM]
+                    for a in range(1, DIM + 1)]
+    shifted = mat_add(j_action(psi), identity(len(_PAIRS_2FORM)))
     return contractions, nullspace(shifted), len(rref(shifted)[1])
+
+
+def lambda_eight(psi):
+    """The kernel basis of [K - 1; omega] (:func:`nullspace`), for K of
+    :func:`j_action` and omega of :func:`kahler_form`: the J-invariant
+    two-forms orthogonal to omega, Lambda^2_8."""
+    omega = [kahler_form(psi).coeffs[k] for k in _MASKS_2FORM]
+    shifted = mat_sub(j_action(psi), identity(len(_PAIRS_2FORM)))
+    return nullspace(shifted + [omega])
 
 
 def skew_matrix(coords):

@@ -120,11 +120,36 @@ CATALOGUE = (
     ),
     Mutant(
         "q-sparse-row-dropped", "clifford.py",
-        "for row in a_int]",
-        "for row in a_int[:-1]] + [[]]",
+        "for r in a_int]",
+        "for r in a_int[:-1]] + [([], [])]",
         ["test_clifford.py"],
         "the sparse contraction with Q loses its last row, so a block"
         " vector with an e_56 coordinate is no eigenvector",
+    ),
+    Mutant(
+        "lambda8-kernel-drops-u1", "clifford.py",
+        "su3 = ratlinalg.integer_nullspace(six + [omega])",
+        "su3 = ratlinalg.integer_nullspace(six[1:] + [omega])",
+        ["test_clifford.py"],
+        "the kernel system loses e_1 -| P, so the kernel taken for"
+        " Lambda^2_8 is nine-dimensional and the spectrum is refused",
+    ),
+    Mutant(
+        "holomorphic-contraction-untransposed-j", "clifford.py",
+        "ratlinalg.mat_mul(ratlinalg.transpose(j), s)",
+        "ratlinalg.mat_mul(j, s)",
+        ["test_clifford.py"],
+        "J is skew, so J S = -J^T S and the real part of"
+        " holomorphic-contraction fails on every spinor",
+    ),
+    Mutant(
+        "matrix-of-drops-last-term", "clifford.py",
+        "for mask, a in mv.terms():",
+        "for mask, a in mv.terms()[:-1]:",
+        ["test_clifford.py"],
+        "the 8x8 matrices of d^2 P and d^2 Q lose their last blade, so the"
+        " spinor blocks are no eigenvectors or give other eigenvalues than"
+        " the dense route",
     ),
     Mutant(
         "adjoint-lowest-root", "cosets.py",

@@ -132,12 +132,12 @@ def test_spinor_block_eigenvalue_table(rep):
 
 def test_p_acts_with_eigenvalue_four_on_psi(rep):
     p, q = clifford.extract_PQ(rep, PSI)
-    assert rep.act(p.terms(), PSI) == tuple(4 * x for x in PSI)
-    assert rep.act(q.terms(), PSI) == tuple(-3 * x for x in PSI)
+    assert oracle.act(rep, p.terms(), PSI) == tuple(4 * x for x in PSI)
+    assert oracle.act(rep, q.terms(), PSI) == tuple(-3 * x for x in PSI)
 
 
 def test_one_form_block_is_six_dimensional(rep):
-    vectors = [rep.act(Multivector.vector(a).terms(), PSI) for a in range(1, 7)]
+    vectors = [oracle.act(rep, Multivector.vector(a).terms(), PSI) for a in range(1, 7)]
     assert len(oracle.rref([list(v) for v in vectors])[1]) == 6
 
 
@@ -309,7 +309,7 @@ def test_fast_path_matches_matrix_route(rep, psi):
     for mv in (p, q, p.star() + q):
         mat = oracle.matrix(mv)
         for spinor in spinors:
-            assert rep.act(mv.terms(), spinor) == oracle.act_matrix(mat, spinor)
+            assert oracle.act(rep, mv.terms(), spinor) == oracle.act_matrix(mat, spinor)
 
 
 def _corrupt_sign(table):
@@ -600,6 +600,42 @@ def test_eigenspace_dimensions_match_the_charpoly_route(rep, index):
     assert all(type(lam) is F and type(dim) is int for lam, dim in entries)
 
 
+# The standard spinor, PSI_B, PSI_C, the dense patterns and 30 seeded ones
+ROUTE_SPINORS = (ORACLE_SPINORS[:3]
+                 + [_seeded_spinor(p, 101) for p in DENSE_SPINOR_PATTERNS]
+                 + ORACLE_SPINORS[3:])
+
+
+@pytest.mark.parametrize("index", range(len(ROUTE_SPINORS)))
+def test_minus_one_basis_matches_the_k_kernel_route(rep, index):
+    # The package reads Lambda^2_8 as the kernel of the contractions
+    # e_a -| P and omega; the J-invariant forms orthogonal to omega, the
+    # kernel of [K - 1; omega], are the same subspace and so have the same
+    # reduced row echelon basis.
+    psi = ROUTE_SPINORS[index]
+    basis = clifford.q_contraction_spectrum(rep, psi).minus_one_basis
+    expected = oracle.lambda_eight(psi)
+    assert basis == tuple(map(tuple, expected))
+    assert [type(x) for v in basis for x in v] == [type(x) for v in expected for x in v]
+
+
+@pytest.mark.parametrize("index", range(len(ROUTE_SPINORS)))
+def test_block_spectra_match_the_dense_route(rep, index):
+    # P and Q act on the spinor blocks through the integer 8x8 matrices of
+    # d^2 P and d^2 Q; the oracle applies the dense Fraction matrices of P
+    # and Q with act_matrix.
+    psi = ROUTE_SPINORS[index]
+    blocks = clifford.spinor_decomposition_spectra(rep, psi)
+    assert type(blocks) is clifford.SpinorBlockSpectra
+    assert (blocks.p_values, blocks.q_values) == oracle.block_spectra(psi)
+    assert (blocks.p_values, blocks.q_values) == ((4, 0, -4), (-3, 1, -3))
+    assert _all_fractions(blocks.p_values + blocks.q_values)
+    rec = clifford._spinor(rep, psi)
+    for form, mv in zip((rec.p, rec.q), oracle.extract_PQ(psi)):
+        assert clifford._matrix_of(rep, form) == [
+            [rec.d2 * x for x in row] for row in oracle.matrix(mv)]
+
+
 @pytest.mark.parametrize(
     "name,form,mask",
     [
@@ -767,8 +803,8 @@ def test_a_corrupted_minus_one_basis_vector_is_refused(rep, monkeypatch):
 
 
 def test_a_lambda_8_kernel_of_the_wrong_dimension_is_refused(rep, monkeypatch):
-    # One kernel vector of [K - e^2; omega] lost: the J-type blocks no
-    # longer span the two-forms.
+    # One vector of the kernel of the contractions e_a -| P and omega lost:
+    # the J-type blocks no longer span the two-forms.
     seen = types.SimpleNamespace(**vars(ratlinalg))
     seen.integer_nullspace = lambda mat: ratlinalg.integer_nullspace(mat)[1:]
     monkeypatch.setattr(clifford, "ratlinalg", seen)
