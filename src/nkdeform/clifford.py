@@ -7,26 +7,34 @@ or ``Fraction`` coefficients, and multiply by the sparse geometric product
 e_A e_B = s(A, B) e_{A xor B} of bitmap blades (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*).  The generators act on spinors
 as left multiplications by imaginary octonion units, so every blade is a
-signed permutation of the eight spinor slots.  Because the blades are
-traceless and obey the Clifford relations (checked by ``build_rep``), they
-are a basis of the real 8x8 matrices: identities are checked in the
-algebra, and the trace of a product is 8 times its scalar part.  A unit
-spinor psi determines the three-form P and four-form Q through
-8 psi psi^T = 1 + P - Q; from these the almost complex structure J, the
-two-form omega = *Q and the eigenspace structure of contraction with Q on
-two-forms all follow and are verified.  The representation is built and
-checked once per process, and P, Q and J once per spinor, in integers:
-psi = psi~ / d for the integer spinor psi~, |psi~|^2 = d^2 is checked
-exactly, d^2 P, d^2 Q and d^2 J are integral, and ``Fraction`` values are
-built only for what is returned.  The public functions share these
-through a one-entry memo of the last spinor asked about, so the calls a
-``clifford-verify`` run makes on one spinor derive each once.  Of the eight
-identities of the suite, five hold for the algebra or for every three-form
-P and four-form Q and are proved once per process on basis blades, a
-spinor adding only a scan of the grades of P and Q; the other three run per
-spinor on the integer multivectors d^2 P and d^2 Q and on d^2 J, each
-right-hand side carrying its power of d^2, torsion-metric-trace by
-grade-brackets on the contractions e_a -| d^2 P.  P and Q act on spinors
+signed permutation of the eight spinor slots.  ``build_rep`` checks the
+Clifford relations on the generators and nothing else, as the rest
+follows: a generator g with g^2 = -1 is a bijection of the slots, so
+orthogonal, so skew (g^T = g^-1 = -g); a blade of grade k, an ordered
+product of generators, has transpose (-1)^(k(k+1)/2) times itself; and a
+blade other than 1 anticommutes with some generator, so it is traceless.
+The blades are therefore a basis of the real 8x8 matrices: identities are
+checked in the algebra, and the trace of a product is 8 times its scalar
+part.  A unit spinor psi determines the three-form P and four-form Q
+through 8 psi psi^T = 1 + P - Q, where the skew blades of grades 1, 2, 5
+and 6 contribute nothing (x^T M x = 0 for skew M); from these follow the
+almost complex structure J, checked against the two-form omega = *Q, and
+the eigenspace structure of contraction with Q on two-forms, checked
+block by block.  The representation is built once per process, and every
+call admits only a representation equal to it, as the checks left per
+spinor rely on its relations.  P, Q and J are derived once per spinor, in
+integers: psi = psi~ / d for the integer spinor psi~, which must have
+eight entries, |psi~|^2 = d^2 is checked exactly, d^2 P, d^2 Q and d^2 J
+are integral, and ``Fraction`` values are built only for what is
+returned.  The public functions share these through a one-entry memo of
+the last spinor asked about, so the calls a ``clifford-verify`` run makes
+on one spinor derive each once.  Of the eight identities of the suite,
+five hold for the algebra or for every three-form P and four-form Q and
+are proved once per process on basis blades, a spinor adding only a scan
+of the grades of P and Q; the other three run per spinor on the integer
+multivectors d^2 P and d^2 Q and on d^2 J, each right-hand side carrying
+its power of d^2, torsion-metric-trace by grade-brackets on the
+contractions e_a -| d^2 P.  P and Q act on spinors
 as the integer 8x8 matrices of d^2 P and d^2 Q, summed from the blade
 permutations.  Contraction with Q, read off d^2 Q by signed lookups as an
 integer matrix over its common denominator, is applied through its nonzero
@@ -245,21 +253,11 @@ def _negate(perm):
     return tuple((row, -sign) for row, sign in perm)
 
 
-def _transpose(perm):
-    out = [None] * 8
-    for col, (row, sign) in enumerate(perm):
-        out[row] = (col, sign)
-    return tuple(out)
-
-
 def _apply(perm, spinor):
     out = [None] * 8
     for (row, sign), x in zip(perm, spinor):
         out[row] = x if sign > 0 else -x
     return tuple(out)
-
-
-_GRADE_SYMMETRIC = {0, 3, 4}
 
 
 class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
@@ -271,13 +269,18 @@ class CliffordRep(collections.namedtuple("CliffordRep", "blades")):
 
 @functools.cache
 def build_rep():
-    """Construct and verify the spinor representation, once per process.
+    """Construct the spinor representation and check the Clifford relations
+    e_a e_b + e_b e_a = -2 delta_ab on its generators, once per process.
 
-    Postconditions (all exact, on the signed permutations): generators are
-    orthogonal and skew and satisfy e_a e_b + e_b e_a = -2 delta_ab; a blade
-    is symmetric iff its grade is 0, 3 or 4; every blade other than 1 is
-    traceless; the volume element squares to -1.  The Clifford relations
-    and tracelessness make the blades a basis of the 8x8 real matrices.
+    The rest follows from those relations, exactly, on the signed
+    permutations.  e_a e_a = -1 makes each generator a bijection of the
+    slots, so orthogonal, and an orthogonal g with g^2 = -1 is skew.  A
+    blade e_A = e_a1 ... e_ak (a1 < ... < ak) has transpose
+    (-1)^k e_ak ... e_a1 = (-1)^(k(k+1)/2) e_A: symmetric for grades 0, 3
+    and 4, skew otherwise, and the volume element (k = 6) squares to
+    (-1)^(k(k-1)/2) (-1)^k = -1.  For A != 0 some generator anticommutes
+    with e_A (one outside A for odd k, one inside for even k), so e_A is
+    traceless, and the blades are a basis of the 8x8 real matrices.
     Every caller shares the one result, an immutable tuple of tuples.
     """
     table = _octonion_table()
@@ -289,13 +292,6 @@ def build_rep():
     for mask in range(1, N_BLADES):
         low = mask & -mask
         blades.append(_compose(gammas[low.bit_length() - 1], blades[mask ^ low]))
-    rep = CliffordRep(tuple(blades))
-
-    for a, ga in enumerate(gammas):
-        if sorted(row for row, _ in ga) != list(range(8)):
-            raise ConsistencyError("generator %d is not orthogonal" % (a + 1))
-        if _transpose(ga) != _negate(ga):
-            raise ConsistencyError("generator %d is not skew" % (a + 1))
     for a, ga in enumerate(gammas):
         for b, gb in enumerate(gammas):
             # A sum of two signed permutations vanishes iff they are negatives.
@@ -305,18 +301,7 @@ def build_rep():
                     "generators %d, %d violate the Clifford relation"
                     % (a + 1, b + 1)
                 )
-    for mask, blade in enumerate(blades):
-        symmetric = _transpose(blade) == blade
-        if symmetric != (_GRADES[mask] in _GRADE_SYMMETRIC):
-            raise ConsistencyError(
-                "blade %#x has wrong transpose symmetry" % mask
-            )
-        trace = sum(sign for col, (row, sign) in enumerate(blade) if row == col)
-        if mask and trace:
-            raise ConsistencyError("blade %#x is not traceless" % mask)
-    if _compose(blades[VOL_MASK], blades[VOL_MASK]) != _MINUS_IDENTITY:
-        raise ConsistencyError("volume element does not square to -1")
-    return rep
+    return CliffordRep(tuple(blades))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +311,22 @@ def build_rep():
 STANDARD_SPINOR = (_F(1), _F(0), _F(0), _F(0), _F(0), _F(0), _F(0), _F(0))
 
 
+_FORM_MASKS = tuple(m for m in range(N_BLADES) if _GRADES[m] in (3, 4))
+
+
 def _integer_forms(rep, psi):
     """(psi~, d^2, d^2 P, d^2 Q), all integral, for psi~ = d psi and d the
     common denominator of psi: the blade-A coefficient of 8 psi psi^T is
-    <e_A psi, psi> = <e_A psi~, psi~> / d^2, and its grade-0 part is 1 once
-    |psi~|^2 = d^2 is checked.  Raises :class:`ConventionError` as
+    <e_A psi, psi> = <e_A psi~, psi~> / d^2, which is 1 for A = 0 once
+    |psi~|^2 = d^2 is checked and 0 for the skew blades of grades 1, 2, 5
+    and 6, so only the 35 of grades 3 and 4 are computed.  Raises
+    :class:`ConsistencyError` unless rep equals :func:`build_rep`'s, whose
+    relations those facts need, and :class:`ConventionError` as
     :func:`extract_PQ` does."""
+    if rep != build_rep():
+        raise ConsistencyError("rep is not the one build_rep() gives")
+    if len(psi) != 8:
+        raise ConventionError("spinor has %d entries, not 8" % len(psi))
     for x in psi:
         if type(x) not in (int, _F):
             raise ConventionError(
@@ -340,17 +335,15 @@ def _integer_forms(rep, psi):
     d2 = d * d
     if sum(x * x for x in spinor) != d2:
         raise ConventionError("spinor is not of unit length")
-    coeffs = [
-        sum(map(operator.mul, spinor, [sign * spinor[row] for row, sign in blade]))
-        for blade in rep.blades
-    ]
-    if any(c for c, k in zip(coeffs, _GRADES) if k not in _GRADE_SYMMETRIC):
-        raise ConventionError(
-            "8 psi psi^T has components outside grades {0, 3, 4}"
-        )
-    p = Multivector(tuple(c if k == 3 else 0 for c, k in zip(coeffs, _GRADES)))
-    q = Multivector(tuple(-c if k == 4 else 0 for c, k in zip(coeffs, _GRADES)))
-    return spinor, d2, p, q
+    p, q = [0] * N_BLADES, [0] * N_BLADES
+    for mask in _FORM_MASKS:
+        c = sum(map(operator.mul, spinor,
+                    [sign * spinor[row] for row, sign in rep.blades[mask]]))
+        if _GRADES[mask] == 3:
+            p[mask] = c
+        else:
+            q[mask] = -c
+    return spinor, d2, Multivector(tuple(p)), Multivector(tuple(q))
 
 
 class _Spinor:
@@ -368,7 +361,7 @@ class _Spinor:
 
     def j(self):
         if self._j is None:
-            self._j = _complex_structure(self.rep, self.spinor, self.d2, self.q)
+            self._j = _complex_structure(self.rep, self.spinor, self.q)
         return self._j
 
     def contractions(self):
@@ -408,9 +401,11 @@ def _over(mv, d2):
 def extract_PQ(rep, psi):
     """The unique three-form P and four-form Q with 8 psi psi^T = 1 + P - Q.
 
-    Raises :class:`ConventionError` when an entry of psi is not an ``int``
-    or a ``Fraction``, psi is not a unit spinor, or the rank-one projector
-    has residue outside grades {0, 3, 4}.
+    The blade-A coefficient of 8 psi psi^T is <e_A psi, psi>: 1 for A = 0
+    on a unit spinor, 0 for the skew blades of grades 1, 2, 5 and 6.  Raises
+    :class:`ConventionError` when psi does not have eight entries, an entry
+    is not an ``int`` or a ``Fraction``, or psi is not a unit spinor, and
+    :class:`ConsistencyError` when rep is not equal to :func:`build_rep`'s.
     """
     rec = _spinor(rep, psi)
     return _over(rec.p, rec.d2), _over(rec.q, rec.d2)
@@ -448,20 +443,16 @@ class SpinorBlockSpectra(collections.namedtuple(
 
 def spinor_decomposition_spectra(rep, psi):
     """Eigenvalues of Clifford multiplication by P and Q on the three blocks
-    of S = span(psi) + {u.psi} + span(Vol.psi); also verifies that the eight
-    vectors spanning those blocks are orthonormal.  Runs on psi~ = d psi
-    and the integer 8x8 matrices of d^2 P and d^2 Q, so inner products and
-    eigenvalues carry d^2."""
+    of S = span(psi) + {u.psi} + span(Vol.psi).  The eight vectors spanning
+    those blocks are orthonormal: <e_A psi, e_B psi> = psi^T e_A^T e_B psi,
+    and e_A^T e_B is 1 for A = B and otherwise +-e_{A xor B}, a skew blade
+    of grade 1, 2, 5 or 6.  Runs on psi~ = d psi and the integer 8x8
+    matrices of d^2 P and d^2 Q, so eigenvalues carry d^2."""
     rec = _spinor(rep, psi)
     spinor, d2 = rec.spinor, rec.d2
     basis = [tuple(spinor)]
     basis += [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     basis.append(_apply(rep.blades[VOL_MASK], spinor))
-    for i, u in enumerate(basis):
-        for j in range(i, 8):
-            if ratlinalg.dot(u, basis[j]) != (d2 if i == j else 0):
-                raise ConsistencyError(
-                    "spinor blocks are not orthonormal (%d, %d)" % (i, j))
     blocks = (basis[:1], basis[1:7], basis[7:])
     spectra = [tuple(_block_value([ratlinalg.mat_vec(mat, v) for v in b], b, d2)
                      for b in blocks)
@@ -475,10 +466,13 @@ def complex_structure(rep, psi):
     """The almost complex structure J with (J u) . psi = Vol . u . psi.
 
     Returns J as a 6x6 exact matrix (columns are images of the basis
-    vectors); verifies that Vol . e_a . psi lies in the span of the e_b . psi,
-    J^2 = -1, orthogonality, and that the two-form omega defined by
-    Tr(omega . u . v)/8 = -g(u, J v) equals *Q, the trace being 8 times the
-    scalar part of omega u v.
+    vectors).  Vol . e_a . psi lies in the span of the orthonormal e_b . psi,
+    as psi^T Vol e_a psi = 0 (a skew blade of grade 5) and
+    <Vol psi, Vol e_a psi> = psi^T e_a psi = 0; J is the matrix of the
+    orthogonal Vol with Vol^2 = -1 on that span, so J^2 = -1 and J^T = -J.
+    Verifies that the two-form omega defined by Tr(omega . u . v)/8 =
+    -g(u, J v) equals *Q, the trace being 8 times the scalar part of
+    omega u v.
     """
     rec = _spinor(rep, psi)
     return _fraction_matrix(rec.j(), rec.d2)
@@ -492,25 +486,13 @@ def _scalar_matrix(c, n):
     return [[c * (a == b) for b in range(n)] for a in range(n)]
 
 
-def _complex_structure(rep, spinor, d2, q):
-    """d^2 J, an integer matrix, from psi~ = d psi and d^2 Q.  The generators
-    are skew and anticommute, so the e_a psi~ are orthogonal of norm d^2
-    and d^2 J_ba = <e_b psi~, Vol e_a psi~>; the checks below carry the
-    matching powers of d^2."""
+def _complex_structure(rep, spinor, q):
+    """d^2 J, an integer matrix, from psi~ = d psi and d^2 Q.  The e_a psi~
+    are orthogonal of norm d^2 and span Vol e_a psi~
+    (:func:`complex_structure`), so d^2 J_ba = <e_b psi~, Vol e_a psi~>."""
     images = [_apply(rep.blades[1 << a], spinor) for a in range(DIM)]
     targets = [_apply(rep.blades[VOL_MASK], v) for v in images]
     j = [[ratlinalg.dot(u, t) for t in targets] for u in images]
-    spanned = ratlinalg.mat_mul(ratlinalg.transpose(j), images)
-    for a, (row, target) in enumerate(zip(spanned, targets)):
-        if row != [d2 * x for x in target]:
-            raise ConsistencyError(
-                "Vol . e_%d . psi is not in the span of the e_b . psi" % (a + 1)
-            )
-    if ratlinalg.mat_mul(j, j) != _scalar_matrix(-d2 * d2, DIM):
-        raise IdentityViolationError("complex-structure-square")
-    # Given J^2 = -1, J^T J = 1 is J^T = -J.
-    if ratlinalg.transpose(j) != [[-x for x in row] for row in j]:
-        raise IdentityViolationError("complex-structure-orthogonality")
     # With e_a e_b = s(a, b) e_m for m = a xor b, the scalar part of
     # omega e_a e_b is s(m, m) s(a, b) omega_m.
     omega = q.star().coeffs
@@ -562,10 +544,11 @@ def _algebra_identities():
 
     def inner(x, y):
         # <e_x, e_y> is the scalar part of e_x^T e_y: the blades are
-        # orthonormal, and e_x^T = +-e_x by grade (build_rep checks it)
+        # orthonormal, and e_x^T = (-1)^(k(k+1)/2) e_x for grade k, as the
+        # blades are ordered products of skew generators (build_rep)
         if x != y:
             return 0
-        return (1 if _GRADES[x] in _GRADE_SYMMETRIC else -1) * signs[x][x]
+        return (1 if _GRADES[x] in (0, 3, 4) else -1) * signs[x][x]
 
     brackets = True
     for bit in (1 << i for i in range(DIM)):
@@ -617,18 +600,19 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     p = d^2 P has only grade-3 coefficients (for degree-identities also
     q = d^2 Q only grade-4 ones): it checks the extraction of P and Q as
     forms of those grades, not the spinor.  The other three run per spinor,
-    with the geometric product that the representation matches blade for
-    blade (:func:`build_rep`), on the integer p, q and d^2 J of
-    psi~ = d psi.  Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
+    with the geometric product, which the representation matches blade for
+    blade as its blades are ordered products of generators obeying the
+    Clifford relations (:func:`build_rep`), on the integer p, q and d^2 J
+    of psi~ = d psi.  Kahler-square reads (*q)^2 = -3 d^4 + 2 d^2 q,
     holomorphic-contraction d^2 v -| (p, *p) = (d^2 J v) -| (-*p, p), and
     torsion-metric-trace scalar({X, p}{Y, p}) = -8 g(X, Y) d^4, which by
     grade-brackets ({e_a, p} = -2 e_a -| p) and scalar(uv) = -<u, v> on
     two-forms is <e_a -| p, e_b -| p> = 2 d^4 delta_ab, the last two on
     the three-form p's contractions (:meth:`_Spinor.contractions`).
     Holomorphic-contraction is checked on its real part R(v) =
-    d^2 v -| p + (d^2 J v) -| *p alone: with (d^2 J)^2 = -d^4 checked
-    with J, R(d^2 J v) = -d^2 I(v) for the imaginary part
-    I(v) = d^2 v -| *p - (d^2 J v) -| p, so R = 0 gives I = 0.
+    d^2 v -| p + (d^2 J v) -| *p alone: as (d^2 J)^2 = -d^4
+    (:func:`complex_structure`), R(d^2 J v) = -d^2 I(v) for the imaginary
+    part I(v) = d^2 v -| *p - (d^2 J v) -| p, so R = 0 gives I = 0.
     Returns the list of :class:`CheckResult`; with ``raise_on_failure`` an
     :class:`IdentityViolationError` naming the failed checks is raised at
     the end instead of returning a partially failing report silently.
@@ -783,8 +767,9 @@ def q_contraction_spectrum(rep, psi):
     record's u_a = e_a -| d^2 P, with K u_a = -e^2 u_a and Gram matrix
     2 e^2; the integer kernel of the u_a and omega, which gives Lambda^2_8
     and the returned basis; and each scalar read by cross-multiplication
-    (:func:`_block_value`).  J is skew with J^2 = -1 (checked with J), so
-    K is symmetric with K^2 = e^4 and trace 3 e^2: its (-1)-eigenspace has
+    (:func:`_block_value`).  J is skew with J^2 = -1, being the matrix of
+    Vol on the orthonormal e_a psi (:func:`complex_structure`), so K is
+    symmetric with K^2 = e^4 and trace 3 e^2: its (-1)-eigenspace has
     dimension 6 and is spanned by the orthogonal u_a, and the kernel of
     the u_a and omega is the J-invariant forms orthogonal to omega, with
     the reduced row echelon basis that the kernel of [K - e^2; omega] has.

@@ -355,6 +355,7 @@ def block_spectra(psi):
     p, q = extract_PQ(psi)
     basis = [tuple(psi)] + [act_matrix(g, psi) for g in _gammas()]
     basis.append(act_matrix(_blades()[VOL_MASK], psi))
+    assert [[ratlinalg.dot(u, v) for v in basis] for u in basis] == identity(8)
 
     def values(mat):
         out = []

@@ -199,6 +199,32 @@ CATALOGUE = (
         " each call returns a new object, so no spinor record is reused",
     ),
     Mutant(
+        "build-rep-no-clifford-relation-check", "clifford.py",
+        "            if ab != (_MINUS_IDENTITY if a == b else _negate(ba)):\n",
+        "            if False:\n",
+        ["test_clifford.py"],
+        "a corrupt octonion table gives generators that are not signed"
+        " permutations squaring to -1, and the representation is returned"
+        " instead of refused",
+    ),
+    Mutant(
+        "build-rep-blades-composed-on-the-right", "clifford.py",
+        "blades.append(_compose(gammas[low.bit_length() - 1], blades[mask ^ low]))",
+        "blades.append(_compose(blades[mask ^ low], gammas[low.bit_length() - 1]))",
+        ["test_clifford.py"],
+        "each blade is its generators' product in reverse order, so the"
+        " blades of grades 2, 3 and 6 change sign and no longer match the"
+        " geometric product or the dense oracle blades",
+    ),
+    Mutant(
+        "spinor-accepts-any-rep", "clifford.py",
+        "    if rep != build_rep():\n",
+        "    if False:\n",
+        ["test_clifford.py"],
+        "a representation other than build_rep's, whose relations the"
+        " per-spinor results rely on, is read instead of refused",
+    ),
+    Mutant(
         "cli-no-required-check", "cli.py",
         "        if value is None and required:\n",
         "        if False:\n",

@@ -50,12 +50,17 @@ def test_generator_relations(rep):
 
 
 def test_blade_transpose_symmetry_by_grade(rep):
+    # build_rep checks only the Clifford relations; these follow from them.
     blades = oracle.dense_blades(rep)
     for mask in range(64):
         blade = blades[mask]
         grade = bin(mask).count("1")
-        symmetric = ratlinalg.transpose(blade) == blade
+        transpose = ratlinalg.transpose(blade)
+        symmetric = transpose == blade
         assert symmetric == (grade in (0, 3, 4))
+        if not symmetric:
+            assert transpose == oracle.mat_scale(blade, -1)
+        assert (oracle.trace(blade) == 0) == (mask != 0)
 
 
 def test_volume_squares_to_minus_one(rep):
@@ -436,16 +441,6 @@ def test_bracket_closure_rejects_a_subspace_that_is_not_closed(rep):
         oracle.check_bracket_closure(a_int, d, _integer_skews(subspace))
 
 
-def test_complex_structure_refuses_a_volume_element_off_the_span(rep):
-    # With e_1 in place of Vol, Vol . e_1 . psi = -psi, which is orthogonal
-    # to every e_b . psi.
-    blades = list(rep.blades)
-    blades[clifford.VOL_MASK] = blades[1]
-    broken = rep._replace(blades=tuple(blades))
-    with pytest.raises(ConsistencyError, match="span"):
-        clifford.complex_structure(broken, PSI)
-
-
 def _operator_on_blocks(rep, psi, values):
     """A replacement ``_q_operator`` for the matrix with the 15 eigenvalues
     ``values`` on omega, then the basis of the (+1)-eigenspace of the true
@@ -507,8 +502,8 @@ def test_q_spectrum_refuses_a_complex_structure_that_does_not_split_two_forms(
 ):
     monkeypatch.setattr(
         clifford, "_complex_structure",
-        lambda rep, spinor, e, q: [[e * x if a == b else 0 for b in range(6)]
-                                   for a, x in enumerate(diagonal)],
+        lambda rep, spinor, q: [[ratlinalg.dot(spinor, spinor) * x if a == b else 0
+                                 for b in range(6)] for a, x in enumerate(diagonal)],
     )
     with pytest.raises(SpectrumError, match=match):
         clifford.q_contraction_spectrum(rep, PSI)
@@ -571,6 +566,8 @@ def test_integer_route_matches_the_oracle(rep, index):
     j = clifford.complex_structure(rep, psi)
     assert j == oracle.complex_structure(psi)
     assert _all_fractions(x for row in j for x in row)
+    assert ratlinalg.transpose(j) == oracle.mat_scale(j, -1)
+    assert ratlinalg.mat_mul(j, j) == oracle.mat_scale(oracle.identity(6), -1)
 
     spectrum = clifford.q_contraction_spectrum(rep, psi)
     eigenvalues = [lam for lam, _ in spectrum.entries]
@@ -669,9 +666,10 @@ def test_a_changed_integer_form_fails_its_identity(rep, monkeypatch, name, form,
     assert {r.name: r.passed for r in report}[name] is False
 
 
-def test_a_changed_four_form_fails_the_kahler_form_trace(rep, monkeypatch):
-    # J is read off the spinor alone, omega = *Q off the forms: a changed
-    # four-form coefficient of Q moves omega off J's Kahler form.
+def _move_omega_off_j(monkeypatch):
+    """Patch ``_integer_forms`` to add 1 to a four-form coefficient of d^2 Q.
+    J is read off the spinor alone, omega = *Q off the forms, so omega is
+    no longer J's Kahler form."""
     true_forms = clifford._integer_forms
 
     def changed_forms(rep, psi):
@@ -681,6 +679,10 @@ def test_a_changed_four_form_fails_the_kahler_form_trace(rep, monkeypatch):
         return spinor, d2, p, Multivector(tuple(coeffs))
 
     monkeypatch.setattr(clifford, "_integer_forms", changed_forms)
+
+
+def test_a_changed_four_form_fails_the_kahler_form_trace(rep, monkeypatch):
+    _move_omega_off_j(monkeypatch)
     with pytest.raises(IdentityViolationError, match="kahler-form-trace"):
         clifford.complex_structure(rep, PSI_B)
 
@@ -981,17 +983,42 @@ def test_a_spinor_entry_that_is_not_exact_is_refused_by_every_call(rep, entry):
             fn(rep, spinor)
 
 
-def test_a_complex_structure_that_raises_is_never_stored(rep, monkeypatch):
-    # As in test_complex_structure_refuses_a_volume_element_off_the_span;
-    # the broken representation is another object, so it has its own record.
+@pytest.mark.parametrize(
+    "spinor",
+    [(), PSI[:7], (F(0),) * 8 + (F(1),), (F(3, 5),) + (F(0),) * 7 + (F(4, 5),)],
+    ids=["0", "7", "9-unit-last", "9-unit-split"],
+)
+def test_a_spinor_without_eight_entries_is_refused_by_every_call(rep, spinor):
+    for fn in PIPELINE + (clifford.complex_structure, oracle.q_contraction_operator):
+        with pytest.raises(ConventionError,
+                           match="^spinor has %d entries, not 8$" % len(spinor)):
+            fn(rep, spinor)
+
+
+def test_a_representation_other_than_build_reps_is_refused_by_every_call(rep):
+    # The per-spinor results rely on the relations build_rep checks, so a
+    # representation with e_1 in place of Vol is refused; an equal copy that
+    # is another object is admitted and gives the same results.
     blades = list(rep.blades)
     blades[clifford.VOL_MASK] = blades[1]
-    broken = rep._replace(blades=tuple(blades))
-    clifford.complex_structure(rep, PSI)
+    broken = clifford.CliffordRep(tuple(blades))
+    for fn in PIPELINE + (clifford.complex_structure, oracle.q_contraction_operator):
+        with pytest.raises(ConsistencyError, match=re.escape("build_rep()")):
+            fn(broken, PSI)
+    copy = clifford.CliffordRep(tuple(rep.blades))
+    assert copy is not rep
+    assert _results(copy, PSI_B) == _results(rep, PSI_B)
+
+
+def test_a_complex_structure_that_raises_is_never_stored(rep, monkeypatch):
+    # The record of P and Q is stored and answers every later call, but the
+    # J that raises is derived again by each call that needs it.
+    _move_omega_off_j(monkeypatch)
+    forms = _counted(monkeypatch, "_integer_forms")
     j = _counted(monkeypatch, "_complex_structure")
-    assert clifford.extract_PQ(broken, PSI) == clifford.extract_PQ(rep, PSI)
+    clifford.extract_PQ(rep, PSI_B)
     for fn in (clifford.complex_structure, clifford.verify_identity_suite,
                clifford.q_contraction_spectrum, clifford.complex_structure):
-        with pytest.raises(ConsistencyError, match="span"):
-            fn(broken, PSI)
-    assert len(j) == 4
+        with pytest.raises(IdentityViolationError, match="kahler-form-trace"):
+            fn(rep, PSI_B)
+    assert (len(forms), len(j)) == (1, 4)
