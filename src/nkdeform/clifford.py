@@ -595,11 +595,9 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     Five are proved once per process on basis blades
     (:func:`_algebra_identities`): grade-brackets and vector-sandwich
     involve only the algebra, and degree-identities, three-form-square and
-    contraction-norm hold for every three-form P and four-form Q.  So each
-    of the last three passes for a spinor when its proof holds and
-    p = d^2 P has only grade-3 coefficients (for degree-identities also
-    q = d^2 Q only grade-4 ones): it checks the extraction of P and Q as
-    forms of those grades, not the spinor.  The other three run per spinor,
+    contraction-norm hold for every three-form P and four-form Q, and
+    :func:`_integer_forms` writes d^2 P only at grade-3 blades and d^2 Q
+    only at grade-4 ones.  The other three run per spinor,
     with the geometric product, which the representation matches blade for
     blade as its blades are ordered products of generators obeying the
     Clifford relations (:func:`build_rep`), on the integer p, q and d^2 J
@@ -623,8 +621,6 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
     star_q = q.star()
     j = rec.j()
     brackets, sandwich, degree, square, norm = _algebra_identities()
-    p_three_form = not any(c for c, k in zip(p.coeffs, _GRADES) if k != 3)
-    q_four_form = not any(c for c, k in zip(q.coeffs, _GRADES) if k != 4)
 
     def check_kahler_square():
         rhs = Multivector.scalar(-3 * d2 * d2) + q.scale(2 * d2)
@@ -649,7 +645,7 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
             "degree-identities",
             "sum_a e^a ^ (e^a ^ P + e^a -| Q) = 4Q and "
             "sum_a e^a ^ (-e^a -| *P - e^a ^ *Q) = -3*P",
-            lambda: degree and p_three_form and q_four_form,
+            lambda: degree,
         ),
         (
             "kahler-square",
@@ -659,12 +655,12 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         (
             "holomorphic-contraction",
             "(v - i Jv) -| (P + i *P) = 0 for every basis vector",
-            lambda: p_three_form and check_holomorphic_contraction(),
+            check_holomorphic_contraction,
         ),
         (
             "torsion-metric-trace",
             "-(1/32) Tr({X, P}{Y, P}) = 2 g(X, Y)",
-            lambda: brackets and p_three_form
+            lambda: brackets
             and rec.contractions()[1] == _scalar_matrix(2 * d2 * d2, DIM),
         ),
         (
@@ -675,12 +671,12 @@ def verify_identity_suite(rep, psi, raise_on_failure=True):
         (
             "three-form-square",
             "P . P = |P|^2 - sum_a (e^a -| P) ^ (e^a -| P)",
-            lambda: square and p_three_form,
+            lambda: square,
         ),
         (
             "contraction-norm",
             "sum_a |e^a -| P|^2 = 3 |P|^2",
-            lambda: norm and p_three_form,
+            lambda: norm,
         ),
     ]
     report = [
@@ -763,7 +759,9 @@ def q_contraction_spectrum(rep, psi):
 
     The checks run on integers: A = d op for the common denominator d of
     op (:func:`_q_operator`), applied through its nonzero entries; K =
-    e^2 (S -> J^T S J), read off e J for e = d^2 of psi~ = d psi; the
+    e^2 (S -> J^T S J), read off e J for e = d^2 of psi~ = d psi; omega,
+    whose skew matrix is e J entry for entry (kahler-form-trace,
+    :func:`_complex_structure`), so K omega = e^2 omega as J^T J J = J; the
     record's u_a = e_a -| d^2 P, with K u_a = -e^2 u_a and Gram matrix
     2 e^2; the integer kernel of the u_a and omega, which gives Lambda^2_8
     and the returned basis; and each scalar read by cross-multiplication
@@ -784,8 +782,6 @@ def q_contraction_spectrum(rep, psi):
     k = [[j[c][a] * j[f][b] - j[f][a] * j[c][b] for c, f in _PAIRS_2FORM]
          for a, b in _PAIRS_2FORM]
     omega = _two_form_coords(q_int.star())
-    if ratlinalg.mat_vec(k, omega) != [e2 * x for x in omega]:
-        raise SpectrumError("omega is not J-invariant")
     six, gram = rec.contractions()
     if any(ratlinalg.mat_vec(k, u) != [-e2 * x for x in u] for u in six):
         raise SpectrumError("some e_a -| P is not J-anti-invariant")

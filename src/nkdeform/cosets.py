@@ -20,15 +20,14 @@ zero, and h-Casimir eigenvalue -4 on every irreducible component of m*.
 
 The descriptors can be written to JSON with all rationals as exact
 numerator/denominator pairs (:func:`dump_fixtures`).  :func:`load_fixtures`
-checks such a file field by field against the built-in descriptors, which
-it returns: a file can restate the coset data but not change it.  A
-malformed or differing file raises :class:`FixtureError` naming the JSON
-path of the first bad field, e.g. ``cosets[0].mstar[0].mult`` or
-``cosets[0].h_adjoint``, or ``fixture file`` when it is not UTF-8 JSON.
+accepts a file only if it parses to that very document, and returns the
+built-in descriptors: a file can restate the coset data but not change it.
+Any other file raises :class:`FixtureError` naming the JSON path of the
+first difference, e.g. ``cosets[0].mstar[0].mult`` or ``cosets``, or
+``fixture file`` when it cannot be read as UTF-8 JSON.
 """
 
 import collections
-from fractions import Fraction
 from functools import lru_cache
 
 from . import casimir, decompose, deform, lie
@@ -142,46 +141,10 @@ def gauge_rep(c, gauge):
 
 
 # ---------------------------------------------------------------------------
-# JSON fixture schema
+# JSON fixture file
 
 
 FIXTURE_SCHEMA = "nk-coset-fixtures-v1"
-
-
-_DECOMP_SCHEMA = [{"hw": [int], "mult": int}]
-_DESCRIPTOR_SCHEMA = {
-    "name": str,
-    "G": {"factors": [str]},
-    "H": {"factors": [str]},
-    "restriction": [[{"num": int, "den": int}]],
-    "B_G": {"pair": str},
-    "B_H": {"pair": str},
-    "mstar": _DECOMP_SCHEMA,
-    "mstar_holomorphic": _DECOMP_SCHEMA,
-    "g_adjoint": _DECOMP_SCHEMA,
-    "h_adjoint": _DECOMP_SCHEMA,
-}
-
-
-def _check_schema(value, schema, path):
-    """Raise FixtureError naming the JSON path of the first field of
-    ``value`` that is missing or not of the type ``schema`` gives it: a dict
-    of required keys, a one-item list for a list of such items, or a type."""
-    kind = type(schema) if isinstance(schema, (dict, list)) else schema
-    if type(value) is not kind:  # also keeps bool out of int
-        raise FixtureError(
-            "%s: expected %s, got %s"
-            % (path or "fixture file", kind.__name__, type(value).__name__)
-        )
-    if isinstance(schema, dict):
-        for key, sub in schema.items():
-            where = "%s.%s" % (path, key) if path else key
-            if key not in value:
-                raise FixtureError("%s: missing" % where)
-            _check_schema(value[key], sub, where)
-    elif isinstance(schema, list):
-        for i, item in enumerate(value):
-            _check_schema(item, schema[0], "%s[%d]" % (path, i))
 
 
 def descriptor_to_dict(c):
@@ -199,82 +162,73 @@ def descriptor_to_dict(c):
     }
 
 
-def _fields(obj, path):
-    """(JSON path, value) of each field of a descriptor's JSON form that
-    :func:`load_fixtures` compares, ``obj`` having passed the schema check:
-    the restriction as rows of Fractions and decompositions as {hw: mult}."""
-    for key in ("G", "H"):
-        yield "%s.%s.factors" % (path, key), obj[key]["factors"]
-    where = path + ".restriction"
-    for r, row in enumerate(obj["restriction"]):
-        for col, x in enumerate(row):
-            if x["den"] == 0:
-                raise FixtureError("%s[%d][%d].den: zero denominator" % (where, r, col))
-    # str of a Fraction is in lowest terms, so equal strings are equal rationals.
-    yield where, "[%s]" % ", ".join(
-        "[%s]" % ", ".join(str(Fraction(x["num"], x["den"])) for x in row)
-        for row in obj["restriction"])
-    for key in ("B_G", "B_H"):
-        yield "%s.%s.pair" % (path, key), obj[key]["pair"]
-    for key in ("mstar_holomorphic", "mstar", "g_adjoint", "h_adjoint"):
-        where = "%s.%s" % (path, key)
-        entries = {tuple(e["hw"]): e["mult"] for e in obj[key]}
-        if len(entries) != len(obj[key]):
-            raise FixtureError("%s: a highest weight is listed twice" % where)
-        yield where, entries
+def _document(entry):
+    """The fixture document, with ``entry(name)`` as each coset's entry."""
+    return {"schema": FIXTURE_SCHEMA, "cosets": [entry(n) for n in COSET_NAMES]}
 
 
 def dump_fixtures():
     """The embedded fixtures in the external JSON schema (deterministic)."""
     import json
 
-    return json.dumps(
-        {
-            "schema": FIXTURE_SCHEMA,
-            "cosets": [descriptor_to_dict(coset(n)) for n in COSET_NAMES],
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    return json.dumps(_document(lambda n: descriptor_to_dict(coset(n))),
+                      sort_keys=True, indent=2)
+
+
+_ABSENT = object()
+
+
+def _show(value, typed=False):
+    """A value of a fixture document as a refusal names it, on one line: a
+    dict or a list by its type and length, and a leaf by its text, or by
+    its type and repr when ``typed`` or when the text is not printable."""
+    if value is _ABSENT:
+        return "no such key"
+    if type(value) in (dict, list):
+        return "%s of %d" % (type(value).__name__, len(value))
+    if typed or not str(value).isprintable():
+        return "%s %r" % (type(value).__name__, value)
+    return str(value)
+
+
+def _compare(given, expected, path, name=None):
+    """Raise :class:`FixtureError` at the first difference between
+    ``given``, a parsed fixture file, and ``expected``, naming its JSON path
+    and, below a coset, the built-in coset ``name`` and its value.  Dict
+    keys are compared in ``expected``'s order, then the extra keys of
+    ``given``; types exactly, so true is not 1 and 1.0 is not 1.  A
+    callable in ``expected`` is a coset's entry, built when reached."""
+    if callable(expected):
+        expected = expected()
+        name = expected["name"]
+    same_type = type(given) is type(expected)
+    if same_type and type(expected) is dict:
+        for key in list(expected) + sorted(given.keys() - expected.keys()):
+            where = "%s.%s" % (path, _show(key)) if path else _show(key)
+            _compare(given.get(key, _ABSENT), expected.get(key, _ABSENT), where, name)
+    elif same_type and type(expected) is list and len(given) == len(expected):
+        for i, (item, want) in enumerate(zip(given, expected)):
+            _compare(item, want, "%s[%d]" % (path, i), name)
+    elif not same_type or given != expected:
+        raise FixtureError("%s: %s, but the built-in %s has %s" % (
+            path or "fixture file", _show(given, not same_type),
+            name or "coset data", _show(expected, not same_type)))
 
 
 def load_fixtures(path):
-    """Check a JSON fixture file against the built-in descriptors.
-
-    The file must list each of the four cosets once, with the data
-    :func:`dump_fixtures` writes for it.  Returns a dict mapping canonical
-    coset names to the built-in descriptors themselves.  A malformed file,
-    or one that differs from the built-ins, raises :class:`FixtureError`
-    naming the JSON path of the first bad field.
-    """
+    """Check a JSON fixture file against the built-in descriptors and
+    return those, by canonical coset name.  The file is accepted iff its
+    JSON equals the document :func:`dump_fixtures` writes, up to whitespace
+    and object-key order, with JSON types compared exactly; any other file
+    raises :class:`FixtureError` naming the first difference
+    (:func:`_compare`)."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also UnicodeDecodeError
-            raise FixtureError("fixture file: not UTF-8 JSON: %s" % exc) from None
-    _check_schema(data, {"schema": str, "cosets": [dict]}, "")
-    if data["schema"] != FIXTURE_SCHEMA:
-        raise FixtureError("schema: unsupported fixture schema %r" % data["schema"])
-    table = {}
-    for i, obj in enumerate(data["cosets"]):
-        where = "cosets[%d]" % i
-        _check_schema(obj, _DESCRIPTOR_SCHEMA, where)
-        name = obj["name"]
-        if name not in COSET_NAMES or name in table:
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
             raise FixtureError(
-                "%s.name: %r is not a coset or is listed twice" % (where, name)
-            )
-        table[name] = coset(name)
-        for (field, given), (_, expected) in zip(
-            _fields(obj, where), _fields(descriptor_to_dict(table[name]), where)
-        ):
-            if given != expected:
-                raise FixtureError(
-                    "%s: %s, but the built-in %s has %s" % (field, given, name, expected)
-                )
-    missing = [name for name in COSET_NAMES if name not in table]
-    if missing:
-        raise FixtureError("cosets: no descriptor for %s" % ", ".join(missing))
-    return table
+                "fixture file: unreadable as UTF-8 JSON: %s" % exc) from None
+    _compare(data, _document(lambda n: lambda: descriptor_to_dict(coset(n))), "")
+    return {name: coset(name) for name in COSET_NAMES}

@@ -159,28 +159,28 @@ CATALOGUE = (
         "the adjoint is built on a simple root instead of the highest root",
     ),
     Mutant(
-        "fixtures-compare-no-field", "cosets.py",
-        "            if given != expected:\n",
-        "            if False:\n",
+        "fixtures-compare-no-type-check", "cosets.py",
+        "    same_type = type(given) is type(expected)\n",
+        "    same_type = True\n",
         ["test_cli.py", "test_cosets.py"],
-        "a fixture file that differs from the built-in descriptors is"
-        " accepted",
+        "JSON types are no longer compared, so a fixture file with true for"
+        " a multiplicity of 1 (bool-mult) equals the dump and is accepted",
     ),
     Mutant(
-        "fixtures-no-zero-denominator-guard", "cosets.py",
-        '            if x["den"] == 0:\n',
-        "            if False:\n",
-        ["test_cli.py"],
-        "a zero denominator in a fixture file raises a bare"
-        " ZeroDivisionError, a traceback, instead of a one-line refusal",
+        "fixtures-compare-no-length-check", "cosets.py",
+        "type(expected) is list and len(given) == len(expected):",
+        "type(expected) is list:",
+        ["test_cli.py", "test_cosets.py"],
+        "lists are compared only as far as the shorter one goes, so a"
+        " fixture file without its last coset (missing-coset) is accepted",
     ),
     Mutant(
-        "fixtures-no-repeated-hw-check", "cosets.py",
-        "        if len(entries) != len(obj[key]):\n",
-        "        if False:\n",
-        ["test_cli.py"],
-        "a decomposition that lists a highest weight twice is read as the"
-        " last entry, so a file that repeats one can pass the comparison",
+        "fixtures-compare-no-leaf-check", "cosets.py",
+        "    elif not same_type or given != expected:\n",
+        "    elif not same_type:\n",
+        ["test_cli.py", "test_cosets.py"],
+        "leaves of the same type are not compared, so a fixture file that"
+        " names another form pair or multiplicity is accepted",
     ),
     Mutant(
         "spinor-memo-key-without-types", "clifford.py",

@@ -422,15 +422,16 @@ def test_fixtures_option(tmp_path):
         assert code == 0 and native == from_file, which
 
 
-@pytest.mark.parametrize("index, name, v", [
+@pytest.mark.parametrize("index, name, v, difference", [
     # Sp(2) with the other chirality, V = V(0,2) + V(1,1): the same m*, but
     # weight sum (0, 4), so Lambda^3 V is not trivial.
-    (2, "Sp(2)/Sp(1)xU(1)", [[0, 2], [1, 1]]),
+    (2, "Sp(2)/Sp(1)xU(1)", [[0, 2], [1, 1]], "[0].hw[1]: 2, but the built-in %s has -2"),
     # The flag manifold with V = the three positive roots, an integrable
     # complex structure: weight sum (2, 2).
-    (3, "SU(3)/U(1)^2", [[2, -1], [-1, 2], [1, 1]]),
+    # The dump's order, with V(1,1) in place of V(-1,-1).
+    (3, "SU(3)/U(1)^2", [[1, 1], [-1, 2], [2, -1]], "[0].hw[0]: 1, but the built-in %s has -1"),
 ], ids=["sp2-other-chirality", "su3t2-positive-roots"])
-def test_fixture_file_with_another_v_is_refused(index, name, v, tmp_path, capsys):
+def test_fixture_file_with_another_v_is_refused(index, name, v, difference, tmp_path, capsys):
     # Such a V is not an SU(3)-structure, outside Thm 5.2's hypotheses; the
     # file may only restate the built-in V.
     data = json.loads(cosets.dump_fixtures())
@@ -442,10 +443,8 @@ def test_fixture_file_with_another_v_is_refused(index, name, v, tmp_path, capsys
     code = cli.main(["tables", "thm-5.2-SU3", "--fixtures", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith(
-        "invariant failure: cosets[%d].mstar_holomorphic: " % index), err
-    assert ("but the built-in %s has" % name) in err, err
+    assert err == "invariant failure: cosets[%d].mstar_holomorphic%s\n" % (
+        index, difference % name)
 
 
 def test_fixtures_missing_file():
@@ -546,7 +545,14 @@ def _delete(path):
     return mutate
 
 
-# (maker of the file text, JSON path the message must name, or None)
+def _unreduced(doc):
+    """G2/SU(3)'s first restriction entry, 1, written as 2/2."""
+    assert doc["cosets"][0]["restriction"][0][0] == {"num": 1, "den": 1}
+    doc["cosets"][0]["restriction"][0][0] = {"num": 2, "den": 2}
+
+
+# (maker of the file text, text the one-line message must contain: the JSON
+# path of the first difference and, below a coset, the built-in coset)
 MALFORMED_FIXTURES = {
     "missing-mstar": (_mutated(_delete(["cosets", 0, "mstar"])), "cosets[0].mstar"),
     "string-mult": (
@@ -608,14 +614,32 @@ MALFORMED_FIXTURES = {
         _mutated(lambda doc: doc["cosets"][1]["mstar"].append({"hw": [2], "mult": 1})),
         "cosets[1].mstar",
     ),
-    # The same entry twice reads as the built-in {hw: mult}; refused anyway.
+    # The same entry twice: the same {hw: mult} map, but a longer list.
     "repeated-weight-restated": (
         _mutated(lambda doc: doc["cosets"][1]["mstar"].append(doc["cosets"][1]["mstar"][0])),
-        "cosets[1].mstar: a highest weight is listed twice",
+        "cosets[1].mstar: list of 2, but the built-in SU(2)^3/SU(2) has list of 1",
     ),
     "repeated-coset": (
         _mutated(lambda doc: doc["cosets"].append(doc["cosets"][0])),
-        "cosets[4].name",
+        "cosets: list of 5, but the built-in coset data has list of 4",
+    ),
+    # Files that restate the built-in data in another form, all refused: a
+    # fixture file is the dump itself.
+    "reordered-cosets": (
+        _mutated(lambda doc: doc["cosets"].reverse()),
+        "cosets[0].name: SU(3)/U(1)^2, but the built-in G2/SU(3) has G2/SU(3)",
+    ),
+    "extra-key": (
+        _mutated(_set(["cosets", 1, "comment"], "restated")),
+        "cosets[1].comment: str 'restated', but the built-in SU(2)^3/SU(2) has no such key",
+    ),
+    "unreduced-fraction": (
+        _mutated(_unreduced),
+        "cosets[0].restriction[0][0].num: 2, but the built-in G2/SU(3) has 1",
+    ),
+    "line-break-in-key": (
+        _mutated(_set(["cosets", 0, "B_G", "pair\nB_G"], "g2")),
+        "cosets[0].B_G.str 'pair\\nB_G': str 'g2', but the built-in G2/SU(3) has no such key",
     ),
     "unknown-coset": (_mutated(_set(["cosets", 1, "name"], "S7")), "cosets[1].name"),
     "wrong-multiplicity": (
@@ -641,6 +665,14 @@ MALFORMED_FIXTURES = {
         lambda: cosets.dump_fixtures()[:1000], "invariant failure: fixture file: "
     ),
     "not-utf8": (lambda: b"\xff\xfe{}", "invariant failure: fixture file: "),
+    "deep-nesting": (
+        lambda: "[" * 100000 + "]" * 100000,
+        "invariant failure: fixture file: unreadable as UTF-8 JSON: maximum recursion depth",
+    ),
+    "deep-nesting-objects": (
+        lambda: '{"a": ' * 100000 + "1" + "}" * 100000,
+        "invariant failure: fixture file: unreadable as UTF-8 JSON: maximum recursion depth",
+    ),
 }
 
 
@@ -655,13 +687,10 @@ def test_malformed_fixtures_are_refused_in_one_line(name, tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
     code = cli.main(["tables", "thm-5.2-H", "--fixtures", str(path)])
     out, err = capsys.readouterr()
-    assert code in (1, 2)
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert "Traceback" not in err
-    if where is not None:
-        assert code == 2
-        assert where in err, err
+    assert where in err, err
 
 
 def _paths(node, prefix=()):
@@ -703,35 +732,48 @@ def _at(doc, path):
     return doc
 
 
+def _path_text(path):
+    """A path of :func:`_paths` as the refusals write it."""
+    return "".join("[%d]" % key if type(key) is int else ".%s" % key
+                   for key in path).lstrip(".")
+
+
 def test_fixture_fuzz_is_refused_in_one_line_or_gives_the_golden(tmp_path, capsys):
     """Seeded mutations of the dumped fixture file, one or two fields each,
-    through the CLI: each is refused with exit code 1 or 2 and one line on
-    stderr, or accepted with stdout equal to the built-in tables' golden."""
+    through the CLI.  A file is accepted only if it is the dump again, as
+    when the second mutation undoes the first, and then gives the built-in
+    tables' golden; every other file is refused with exit code 2 and one
+    line naming the path of a mutated field or of a dict or list above it."""
     import random
 
     rng = random.Random(20250)
     dump = json.loads(cosets.dump_fixtures())
     path = tmp_path / "fuzz.json"
-    refused = 0
+    refused = changed = 0
     for _ in range(300):
         doc = json.loads(json.dumps(dump))
-        first = _fuzz_once(doc, rng, None)
+        mutated = [_fuzz_once(doc, rng, None)]
         if rng.random() < 0.5:
-            _fuzz_once(doc, rng, first)
-        path.write_text(json.dumps(doc), encoding="utf-8")
+            mutated.append(_fuzz_once(doc, rng, mutated[0]))
+        text = json.dumps(doc)
+        path.write_text(text, encoding="utf-8")
         which = rng.choice(("prop-4.2", "thm-5.2-H", "thm-5.2-SU3"))
         fmt, suffix = rng.choice((("text", "txt"), ("json", "json")))
         code = cli.main(["tables", which, "--format", fmt, "--fixtures", str(path)])
         out, err = capsys.readouterr()
-        if code:
-            assert code in (1, 2) and out == "", doc
-            assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-            refused += 1
-        else:
+        if json.dumps(doc, sort_keys=True) == json.dumps(dump, sort_keys=True):
             golden = GOLDEN / ("tables_%s.%s" % (which, suffix))
-            assert out.encode("utf-8") == golden.read_bytes(), doc
-            assert err == ""
-    assert 0 < refused < 300
+            assert (code, err) == (0, "") and out.encode("utf-8") == golden.read_bytes(), text
+            continue
+        changed += 1
+        assert (code, out) == (2, ""), text
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        where = err[len("invariant failure: "):].split(": ")[0]
+        assert any((_path_text(p) + ".").startswith(where + ".")
+                   or (_path_text(p) + "[").startswith(where + "[")
+                   for p in mutated), (err, mutated)
+        refused += 1
+    assert refused == changed > 250, (refused, changed)
 
 
 # The grammar as the argparse oracle declares it, written out again here so
